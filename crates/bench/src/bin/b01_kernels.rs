@@ -1544,6 +1544,237 @@ fn bench_serving_closed_loop(quick: bool, entries: &mut Vec<Entry>) {
 
 /// Append this run to `results/BENCH_kernels.json` (creating the file on
 /// first run), then read it back and parse it as a self-check.
+/// The audit chain's entry MAC rebuilt on `compress_portable`: the same
+/// schedule-holding, three-compression walk as `HmacKey::mac` on a
+/// 57-byte entry, minus the runtime dispatch. Library code has exactly one
+/// HMAC and no switch to force the portable rounds, so the bench carries
+/// this copy to put a "same algorithm, scalar instructions" row beside
+/// every dispatched one — and checks it bit-equal before timing it.
+mod portable_chain {
+    use tinymlops_crypto::sha256::compress_portable;
+
+    const H0: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+
+    fn digest(state: [u32; 8]) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// SHA-256 of exactly one block of message (data block + padding block).
+    pub fn sha256_64(msg: &[u8; 64]) -> [u8; 32] {
+        let mut state = H0;
+        compress_portable(&mut state, msg);
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        pad[62..].copy_from_slice(&512u16.to_be_bytes());
+        compress_portable(&mut state, &pad);
+        digest(state)
+    }
+
+    pub struct Key {
+        inner: [u32; 8],
+        outer: [u32; 8],
+    }
+
+    impl Key {
+        pub fn new(key: &[u8; 32]) -> Self {
+            let midstate = |pad: u8| {
+                let mut block = [pad; 64];
+                for (b, k) in block.iter_mut().zip(key) {
+                    *b ^= k;
+                }
+                let mut state = H0;
+                compress_portable(&mut state, &block);
+                state
+            };
+            Key {
+                inner: midstate(0x36),
+                outer: midstate(0x5c),
+            }
+        }
+
+        /// HMAC of a 57-byte message: 57 B + padding spills into a second
+        /// inner block, then one outer block.
+        pub fn mac57(&self, msg: &[u8; 57]) -> [u8; 32] {
+            let mut blocks = [0u8; 128];
+            blocks[..57].copy_from_slice(msg);
+            blocks[57] = 0x80;
+            blocks[126..].copy_from_slice(&((64 + 57) * 8u16).to_be_bytes());
+            let mut state = self.inner;
+            compress_portable(&mut state, blocks[..64].try_into().unwrap());
+            compress_portable(&mut state, blocks[64..].try_into().unwrap());
+            let mut tail = [0u8; 64];
+            tail[..32].copy_from_slice(&digest(state));
+            tail[32] = 0x80;
+            tail[62..].copy_from_slice(&((64 + 32) * 8u16).to_be_bytes());
+            let mut state = self.outer;
+            compress_portable(&mut state, &tail);
+            digest(state)
+        }
+    }
+}
+
+/// The metering layer's cost, bottom up: one SHA-256 block, one chained
+/// entry MAC, one `AuditLog::append`, one verified entry. Every id has a
+/// `_portable` twin (same algorithm over `compress_portable`, see
+/// [`portable_chain`]) so the log separates what the SHA-NI kernel buys
+/// (id vs `_portable`) from what holding the key schedule buys
+/// (`hmac_entry_57B_portable` vs `_portable_rekeyed`, which re-derives
+/// the pads per MAC as the chain did before `HmacKey`).
+/// MACs are *chained* — each message embeds the previous digest — so
+/// these are latencies, which is what an append pays.
+fn bench_audit_chain(quick: bool, entries: &mut Vec<Entry>) {
+    use std::hint::black_box;
+    use tinymlops_crypto::sha256::shani_available;
+    use tinymlops_crypto::{sha256, HmacKey};
+    use tinymlops_meter::audit::{AuditEntry, AuditLog, EntryKind};
+
+    let key = [7u8; 32];
+    let n: u64 = if quick { 2_000 } else { 20_000 };
+    let rounds = if quick { 2 } else { 7 };
+    let path = if shani_available() {
+        "sha-ni"
+    } else {
+        "portable"
+    };
+    println!("audit chain: dispatched compress takes the {path} kernel on this host");
+
+    // The chain's 57-byte message for a Query entry.
+    let entry_msg = |seq: u64, payload: u64, time_ms: u64, prev: &[u8; 32]| {
+        let mut msg = [0u8; 57];
+        msg[..8].copy_from_slice(&seq.to_le_bytes());
+        msg[9..17].copy_from_slice(&payload.to_le_bytes());
+        msg[17..25].copy_from_slice(&time_ms.to_le_bytes());
+        msg[25..].copy_from_slice(prev);
+        msg
+    };
+    let build_log = || {
+        let mut log = AuditLog::new(key);
+        for t in 0..n {
+            log.append(EntryKind::Query, 1, t);
+        }
+        log
+    };
+    let portable_key = portable_chain::Key::new(&key);
+    let build_portable = || {
+        let mut chain: Vec<AuditEntry> = Vec::new();
+        let mut prev = [0u8; 32];
+        for seq in 0..n {
+            prev = portable_key.mac57(&entry_msg(seq, 1, seq, &prev));
+            chain.push(AuditEntry {
+                seq,
+                kind: EntryKind::Query,
+                payload: 1,
+                time_ms: seq,
+                link: prev,
+            });
+        }
+        chain
+    };
+    let log = build_log();
+    assert_eq!(
+        build_portable().last().map(|e| e.link),
+        Some(log.head()),
+        "portable twin must mint the library's chain bit for bit"
+    );
+    let block = [0xabu8; 64];
+    assert_eq!(portable_chain::sha256_64(&block), sha256(&block));
+
+    let per = |total_ns: f64| total_ns / n as f64;
+    let chained = |mac: &dyn Fn(&[u8; 57]) -> [u8; 32]| {
+        per(time_ns_best(rounds, 1, || {
+            let mut prev = [0u8; 32];
+            for seq in 0..n {
+                prev = mac(&entry_msg(seq, 1, seq, &prev));
+            }
+            black_box(prev);
+        }))
+    };
+    let schedule = HmacKey::new(&key);
+    // (id, dispatched ns, portable ns)
+    let pairs = [
+        (
+            "sha256_64B",
+            per(time_ns_best(rounds, 1, || {
+                for _ in 0..n {
+                    black_box(sha256(black_box(&block)));
+                }
+            })),
+            per(time_ns_best(rounds, 1, || {
+                for _ in 0..n {
+                    black_box(portable_chain::sha256_64(black_box(&block)));
+                }
+            })),
+        ),
+        (
+            "hmac_entry_57B",
+            chained(&|msg| schedule.mac(msg)),
+            chained(&|msg| portable_key.mac57(msg)),
+        ),
+        (
+            "audit_append",
+            per(time_ns_best(rounds, 1, || {
+                black_box(build_log());
+            })),
+            per(time_ns_best(rounds, 1, || {
+                black_box(build_portable());
+            })),
+        ),
+        (
+            "audit_verify_per_entry",
+            per(time_ns_best(rounds, 1, || log.verify(&key).unwrap())),
+            per(time_ns_best(rounds, 1, || {
+                let mut prev = [0u8; 32];
+                for e in log.entries() {
+                    let want = portable_key.mac57(&entry_msg(e.seq, e.payload, e.time_ms, &prev));
+                    assert!(tinymlops_crypto::ct_eq(&want, &e.link));
+                    prev = e.link;
+                }
+            })),
+        ),
+    ];
+    // Pads re-derived per MAC (5 compressions): what every chain append
+    // paid before the log held an `HmacKey`.
+    let rekeyed_ns = chained(&|msg| portable_chain::Key::new(&key).mac57(msg));
+    println!(
+        "audit chain: entry MAC {:.0} ns ({path}) <- {:.0} ns portable <- {rekeyed_ns:.0} ns \
+         portable rekeyed; append {:.0} ns, verify {:.0} ns/entry",
+        pairs[1].1, pairs[1].2, pairs[2].1, pairs[3].1
+    );
+    let mut push = |id: String, on: &str, ns: f64, baseline: Option<(String, f64)>| {
+        entries.push(Entry {
+            id,
+            group: "audit_chain",
+            shape: format!("{n}x-{on}"),
+            reps: rounds,
+            ns_per_op: ns,
+            gflops: None,
+            speedup_vs_baseline: baseline.as_ref().map(|(_, base_ns)| base_ns / ns),
+            baseline_id: baseline.map(|(id, _)| id),
+        });
+    };
+    let rekeyed_id = "hmac_entry_57B_portable_rekeyed".to_string();
+    push(rekeyed_id.clone(), "portable", rekeyed_ns, None);
+    for (id, dispatched_ns, portable_ns) in pairs {
+        let portable_id = format!("{id}_portable");
+        // The schedule win is a row of its own: portable vs portable.
+        let schedule_win = (id == "hmac_entry_57B").then(|| (rekeyed_id.clone(), rekeyed_ns));
+        push(portable_id.clone(), "portable", portable_ns, schedule_win);
+        push(
+            id.into(),
+            path,
+            dispatched_ns,
+            Some((portable_id, portable_ns)),
+        );
+    }
+}
+
 fn save_and_verify(mode: &str, entries: &[Entry]) {
     let entry_values: Vec<serde_json::Value> = entries
         .iter()
@@ -1645,6 +1876,7 @@ fn main() {
     bench_pool_dispatch(quick, &mut entries);
     bench_serving_live(quick, &mut entries);
     bench_ingest_queue(quick, &mut entries);
+    bench_audit_chain(quick, &mut entries);
 
     let rows: Vec<Vec<String>> = entries
         .iter()

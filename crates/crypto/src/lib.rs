@@ -5,8 +5,11 @@
 //! TinyMLOps deployment would ship on-device. This crate implements them
 //! without external dependencies so the whole workspace stays auditable:
 //!
-//! * [`sha256()`] — SHA-256 (FIPS 180-4), the workspace-wide content hash.
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869) key derivation.
+//! * [`sha256()`] — SHA-256 (FIPS 180-4), the workspace-wide content hash;
+//!   one compression function, runtime-dispatched to the x86 SHA
+//!   extensions where the CPU has them.
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104) as a reusable [`HmacKey`] schedule,
+//!   and HKDF (RFC 5869) key derivation.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439) used for model
 //!   encryption, plus an encrypt-then-MAC [`chacha20::SealedBox`].
 //! * [`sig`] — hash-based signatures: Lamport one-time signatures composed
@@ -27,7 +30,7 @@ pub mod sig;
 
 pub use chacha20::{ChaCha20, SealedBox};
 pub use drbg::Drbg;
-pub use hmac::{hkdf, hmac_sha256};
+pub use hmac::{hkdf, hmac_sha256, HmacKey};
 pub use sha256::{sha256, Digest, Sha256};
 pub use sig::{MerkleSignature, MerkleSigner, OtsKeypair};
 

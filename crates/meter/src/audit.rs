@@ -7,7 +7,7 @@
 //! forged chain.
 
 use serde::{Deserialize, Serialize};
-use tinymlops_crypto::{hmac_sha256, Digest};
+use tinymlops_crypto::{Digest, HmacKey};
 
 use crate::MeterError;
 
@@ -71,35 +71,41 @@ pub struct AuditEntry {
 }
 
 fn entry_mac(
-    key: &[u8; 32],
+    key: &HmacKey,
     seq: u64,
     kind: EntryKind,
     payload: u64,
     time_ms: u64,
     prev: &Digest,
 ) -> Digest {
-    let mut msg = Vec::with_capacity(8 + 1 + 8 + 8 + 32);
-    msg.extend_from_slice(&seq.to_le_bytes());
-    msg.push(match kind {
+    let mut msg = [0u8; 8 + 1 + 8 + 8 + 32];
+    msg[..8].copy_from_slice(&seq.to_le_bytes());
+    msg[8] = match kind {
         EntryKind::Query => 0,
         EntryKind::Redeem => 1,
         EntryKind::Checkpoint => 2,
         EntryKind::Refund => 3,
         EntryKind::Handoff => 4,
         EntryKind::Failover => 5,
-    });
-    msg.extend_from_slice(&payload.to_le_bytes());
-    msg.extend_from_slice(&time_ms.to_le_bytes());
-    msg.extend_from_slice(prev);
-    hmac_sha256(key, &msg)
+    };
+    msg[9..17].copy_from_slice(&payload.to_le_bytes());
+    msg[17..25].copy_from_slice(&time_ms.to_le_bytes());
+    msg[25..].copy_from_slice(prev);
+    key.mac(&msg)
 }
 
 /// An append-only audit log sealed under a device key.
+///
+/// The log holds the key only as its [`HmacKey`] schedule: every append
+/// reuses the two pad-block midstates, and `Debug` output never carries
+/// key material.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditLog {
     entries: Vec<AuditEntry>,
+    /// Not serialized: a deserialized log seals under the all-zero key
+    /// until [`AuditLog::set_key`] re-attaches the real one.
     #[serde(skip)]
-    key: [u8; 32],
+    key: HmacKey,
 }
 
 const GENESIS: Digest = [0u8; 32];
@@ -110,13 +116,13 @@ impl AuditLog {
     pub fn new(key: [u8; 32]) -> Self {
         AuditLog {
             entries: Vec::new(),
-            key,
+            key: HmacKey::new(&key),
         }
     }
 
     /// Re-attach the sealing key after deserialization.
     pub fn set_key(&mut self, key: [u8; 32]) {
-        self.key = key;
+        self.key = HmacKey::new(&key);
     }
 
     /// Append an event; returns the new head link.
@@ -158,8 +164,9 @@ impl AuditLog {
         &self.entries
     }
 
-    /// Verify the whole chain under `key`. O(n) HMACs.
+    /// Verify the whole chain under `key`. O(n) HMACs, one key schedule.
     pub fn verify(&self, key: &[u8; 32]) -> Result<(), MeterError> {
+        let key = &HmacKey::new(key);
         let mut prev = GENESIS;
         for (i, e) in self.entries.iter().enumerate() {
             if e.seq != i as u64 {
@@ -281,7 +288,7 @@ mod tests {
     fn forger_without_key_cannot_remint() {
         let mut log = sample_log(10);
         // Attacker edits and recomputes links with a guessed key.
-        let fake_key = [8u8; 32];
+        let fake_key = HmacKey::new(&[8u8; 32]);
         log.entries[2].payload = 0;
         let mut prev = GENESIS;
         for e in &mut log.entries {
@@ -289,6 +296,52 @@ mod tests {
             prev = e.link;
         }
         assert!(log.verify(&key()).is_err(), "verifier uses the real key");
+    }
+
+    /// The wire format, pinned: a fixed chain over all six entry kinds
+    /// whose head link was computed by the commit *before* key schedules
+    /// and the SHA-NI kernel existed. If this fails, every chain ever
+    /// written stops verifying.
+    #[test]
+    fn golden_chain_head_is_unchanged() {
+        let mut log = AuditLog::new(key());
+        log.append(EntryKind::Redeem, 1000, 0);
+        log.append(EntryKind::Query, 1, 10);
+        log.append(EntryKind::Query, 3, 20);
+        log.append(EntryKind::Refund, 2, 30);
+        log.append(EntryKind::Checkpoint, 996, 40);
+        log.append(EntryKind::Handoff, handoff_payload(0, 2), 50);
+        log.append(EntryKind::Failover, handoff_payload(2, 1), 60);
+        log.append(EntryKind::Query, u64::MAX, u64::MAX);
+        assert_eq!(
+            tinymlops_crypto::to_hex(&log.entries()[0].link),
+            "bc69b168ab911c6d3e2eb3ac084e7067a0414f246072db1e575e3affbc8ef96f"
+        );
+        assert_eq!(
+            tinymlops_crypto::to_hex(&log.head()),
+            "6c35ecf278906cb799b391fbba8734fd00f5d403c9aa7c376b05354086519a33"
+        );
+        log.verify(&key()).unwrap();
+    }
+
+    #[test]
+    fn debug_output_carries_no_key_material() {
+        // A distinctive key, so its bytes cannot collide with the entry
+        // fields in the dump.
+        let key: [u8; 32] = std::array::from_fn(|i| 0xa5 ^ (i as u8 * 7));
+        let mut log = AuditLog::new(key);
+        log.append(EntryKind::Query, 1, 2);
+        let mut quota = crate::QuotaManager::new(key);
+        quota.credit(5, 1, 0);
+        for dump in [format!("{log:?}"), format!("{quota:?}")] {
+            // The key field prints as the redacted schedule and nothing
+            // else (so no midstate words either; `crypto` pins that the
+            // schedule's whole `Debug` is this string) …
+            assert!(dump.contains("key: HmacKey(..)"), "{dump}");
+            // … and a raw `[u8; 32]` would print as a decimal list.
+            let leading = format!("{}, {}, {}, {}", key[0], key[1], key[2], key[3]);
+            assert!(!dump.contains(&leading), "raw key bytes leaked: {dump}");
+        }
     }
 
     #[test]

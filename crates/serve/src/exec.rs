@@ -156,10 +156,13 @@ pub(crate) enum Ingest {
         reply: mpsc::Sender<HandoffPackage>,
     },
     /// Migration destination side: attach the account and re-enqueue the
-    /// spliced in-flight work.
+    /// spliced in-flight work. The package is boxed (as in
+    /// [`Ingest::Absorb`]): it embeds a whole quota partition, and an
+    /// inline payload would size every ring slot for the rare control
+    /// entry instead of for [`Ingest::Arrival`].
     Adopt {
         tenant: TenantId,
-        package: HandoffPackage,
+        package: Box<HandoffPackage>,
     },
     /// Injected [`crate::FaultKind::Crash`]: tear this node down at
     /// `at_us` — resolve queued and in-flight work as refunded failover
@@ -176,7 +179,7 @@ pub(crate) enum Ingest {
     /// cannot cooperate, so the survivor seals the chain).
     Absorb {
         to: NodeId,
-        package: FailoverPackage,
+        package: Box<FailoverPackage>,
     },
     /// Orphan refund: return one prepaid query to a tenant homed here
     /// whose in-flight request died on a crashed peer (it had migrated
@@ -194,6 +197,10 @@ pub(crate) enum Ingest {
     /// degradation ladder.
     SetBrownoutFloor { level: usize, at_us: u64 },
 }
+
+// The ring allocates `capacity` slots of this size and the feeder→worker
+// handoff streams through them: keep the slot sized by `Arrival(Request)`.
+const _: () = assert!(std::mem::size_of::<Ingest>() <= 96);
 
 /// Result of a queue pop with an optional timer deadline.
 enum Popped<T> {
@@ -251,7 +258,9 @@ pub struct IngestQueue<T> {
     sleeping_consumers: AtomicUsize,
     sleeping_producers: AtomicUsize,
     /// One-shot wake latches: set when a hot-path wake is delivered,
-    /// cleared by the sleeper as it leaves its wait loop. While set, a
+    /// cleared by the sleeper under `park` — the consumer before every
+    /// emptiness (re-)check, the producer as it leaves its wait loop (the
+    /// pop that empties the ring wakes it unconditionally). While set, a
     /// wakeup is already in flight to a registered sleeper (condvars do
     /// not lose notifications delivered to a waiter), so further hot-path
     /// ops skip the lock + notify entirely — on a single core the woken
@@ -412,15 +421,28 @@ impl<T> IngestQueue<T> {
             // register-then-recheck discipline as the producer side.
             let mut guard = self.park.lock().unwrap();
             self.sleeping_consumers.fetch_add(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            while self.ring.is_empty() && !self.closed.load(Ordering::SeqCst) {
+            loop {
+                // Re-arm the wake latch before *every* emptiness check, not
+                // just on leaving: a notify can land on a ring this thread
+                // already drained (the producer read the sleeper counter,
+                // then lost the race for `park` to a pop-and-re-park), and
+                // a latch left set across the re-wait would make every
+                // later push skip its notify — ring fills, both sides
+                // sleep for good. Clear-then-fence-then-check is the
+                // Dekker pairing with `push` (ring write, fence, latch
+                // read): either the check sees the item, or the push sees
+                // the latch clear and takes the lock to notify. The same
+                // fence orders the sleeper registration above.
+                self.consumer_wake_pending.store(false, Ordering::Relaxed);
+                fence(Ordering::SeqCst);
+                if !self.ring.is_empty() || self.closed.load(Ordering::SeqCst) {
+                    break;
+                }
                 match (deadline_us, wall) {
                     (Some(t), Some(wall)) => {
                         let now = wall.now_us();
                         if now >= t {
                             self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
-                            self.consumer_wake_pending.store(false, Ordering::Relaxed);
-                            drop(guard);
                             return Popped::TimerDue;
                         }
                         let (g, _) = self
@@ -432,8 +454,10 @@ impl<T> IngestQueue<T> {
                     _ => guard = self.not_empty.wait(guard).unwrap(),
                 }
             }
+            // The latch is clear here: it was cleared above under `park`,
+            // and `push` only sets it under `park` while a sleeper is
+            // registered — this thread has held the lock since.
             self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
-            self.consumer_wake_pending.store(false, Ordering::Relaxed);
         }
     }
 
@@ -712,7 +736,7 @@ pub(crate) fn node_worker(
                     ExecMode::Replay => package.handoff_us,
                     ExecMode::Wall => wall.now_us(),
                 };
-                adopt_destination(engine, plane, tenant, package, at_us);
+                adopt_destination(engine, plane, tenant, *package, at_us);
             }
             Ingest::Crash { node, at_us, reply } => {
                 let now = match mode {
@@ -729,7 +753,7 @@ pub(crate) fn node_worker(
                     ExecMode::Replay => package.at_us,
                     ExecMode::Wall => wall.now_us(),
                 };
-                absorb_failover(engine, plane, package, to, at_us);
+                absorb_failover(engine, plane, *package, to, at_us);
             }
             Ingest::Refund { tenant, at_us } => {
                 let now = match mode {
@@ -944,7 +968,7 @@ pub fn run_fabric_live_migrating(
             record.absorb(&package);
             if !queues[index_of[&spec.to]].push(Ingest::Adopt {
                 tenant: spec.tenant,
-                package,
+                package: Box::new(package),
             }) {
                 // Destination worker already exited; the account is gone
                 // with its queue and the node's failure ends the run.
@@ -990,6 +1014,7 @@ pub fn run_fabric_live_migrating(
             debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
             for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
                 debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
+                let package = Box::new(package);
                 if !queues[index_of[&dest]].push(Ingest::Absorb { to: dest, package }) {
                     continue; // survivor itself already dead for real
                 }
@@ -1307,6 +1332,61 @@ mod tests {
                 "the buffered reply channel must be released, not stranded"
             );
         }
+    }
+
+    #[test]
+    fn late_notify_on_drained_ring_does_not_strand_the_latch() {
+        // Regression for the lost wakeup that deadlocked live runs: a
+        // consumer woken onto an empty ring must not re-wait with
+        // `consumer_wake_pending` still set, or every later push skips
+        // its notify. The interleaving, step by step: register sleeper →
+        // push → pop → re-park → late notify → push must still wake. The
+        // late notify is the tail of the first push, played by hand (the
+        // feeder read `sleeping_consumers > 0`, then lost the race for
+        // `park` to the consumer's pop-and-re-park).
+        let q: IngestQueue<u64> = IngestQueue::new(4);
+        // Registration and `wait` share one `park` critical section, so a
+        // registered sleeper seen under the lock is waiting.
+        fn parked(q: &IngestQueue<u64>) -> std::sync::MutexGuard<'_, ()> {
+            loop {
+                let guard = q.park.lock().unwrap();
+                if q.sleeping_consumers.load(Ordering::SeqCst) == 1 {
+                    return guard;
+                }
+                drop(guard);
+                std::thread::yield_now();
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while let Some(item) = q.pop() {
+                    tx.send(item).unwrap();
+                }
+            });
+            drop(parked(&q));
+            assert!(q.push(1));
+            assert_eq!(rx.recv().unwrap(), 1);
+            {
+                let _guard = parked(&q);
+                q.consumer_wake_pending.store(true, Ordering::Relaxed);
+                q.not_empty.notify_all();
+            }
+            // The consumer wakes, finds nothing, and waits again. Its
+            // re-armed latch is the only observable edge of that re-wait;
+            // a consumer that never re-arms (the bug) runs the wait out
+            // and then fails deterministically below.
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while q.consumer_wake_pending.load(Ordering::Relaxed)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            assert!(q.push(2));
+            let woke = rx.recv_timeout(Duration::from_secs(10));
+            q.close(); // releases the consumer either way, so the scope joins
+            assert_eq!(woke, Ok(2), "push after a stale wake latch woke nobody");
+        });
     }
 
     #[test]

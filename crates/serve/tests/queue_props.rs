@@ -10,7 +10,9 @@
 //! ([`IngestQueue::close_and_clear`]) releases parked producers *and*
 //! every buffered control entry's reply channel even while pushes are
 //! still racing the teardown — the regression the exec layer guards
-//! against, generalized over seeds and schedules.
+//! against, generalized over seeds and schedules. Liveness of the
+//! park/wake handshake itself — no wakeup lost however often the two
+//! sides trade sleeps — is checked on tiny rings under a watchdog.
 //!
 //! The closed-loop contract: [`ServeFabric::run_closed_loop`] is a pure
 //! function of its plan — same seed, same population, bit-identical
@@ -18,8 +20,9 @@
 //! think times and windows.
 
 use proptest::prelude::*;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 use tinymlops_serve::{
     ClientPlan, ClientSpec, FabricConfig, IngestQueue, LoadPlan, RetryPolicy, TenantSpec,
 };
@@ -77,6 +80,57 @@ fn assert_fifo_per_producer(popped: &[Tagged], producers: usize, per_producer: u
 enum Item {
     Work(#[allow(dead_code)] u64),
     Control(#[allow(dead_code)] mpsc::Sender<u64>),
+}
+
+/// Regression for the stale `consumer_wake_pending` latch: a consumer
+/// woken onto a ring it had already drained used to re-wait with the
+/// latch set, every later push skipped its notify, the ring filled and
+/// feeder and worker slept forever (≈1 in 200 live replays at capacity
+/// 1024). Tiny rings make both sides park on almost every item and a
+/// pop-then-yield consumer keeps re-parking inside the feeder's
+/// read-counter-then-lock window, so the parent's code hangs here within
+/// a few thousand items. A hang must fail, not wedge the suite: the
+/// handoff runs on detached threads and this thread is the watchdog.
+#[test]
+fn tiny_ring_handoff_never_loses_a_wakeup() {
+    const ITEMS: u64 = 200_000;
+    for capacity in 1..=4usize {
+        let queue = Arc::new(IngestQueue::<u64>::new(capacity));
+        let (done_tx, done_rx) = mpsc::channel();
+        let producer = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                for seq in 0..ITEMS {
+                    if !queue.push(seq) {
+                        return; // the watchdog gave up and closed the queue
+                    }
+                }
+                queue.close();
+            })
+        };
+        let consumer = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut next = 0u64;
+                while let Some(seq) = queue.pop() {
+                    assert_eq!(seq, next, "FIFO violated");
+                    next += 1;
+                    thread::yield_now();
+                }
+                let _ = done_tx.send(next);
+            })
+        };
+        let popped = done_rx.recv_timeout(Duration::from_secs(120));
+        // Wake whoever still sleeps so both threads can be joined.
+        queue.close_and_clear();
+        producer.join().expect("producer panicked");
+        consumer.join().expect("consumer panicked");
+        assert_eq!(
+            popped,
+            Ok(ITEMS),
+            "capacity {capacity}: feeder and worker both asleep (lost wakeup)"
+        );
+    }
 }
 
 proptest! {

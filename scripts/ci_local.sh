@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Reproduce the full CI gate (.github/workflows/ci.yml) offline, in the
 # same order CI runs it: fmt, clippy, release build, tier-1 + workspace
-# tests, warning-free rustdoc, the experiment smokes with their jq
-# assertions, and the bench smoke + regression gate.
+# tests + the benchmark's own suite, warning-free rustdoc, the experiment
+# smokes with their jq assertions, and the bench smoke + regression gate.
 #
 # Usage:
 #   scripts/ci_local.sh           # the whole gate
@@ -45,6 +45,10 @@ if run_stage test; then
     cargo test -q
     banner "workspace tests"
     cargo test --workspace -q
+    # Outside the workspace, so not covered above: every benchmark
+    # workload at smoke scale with all output checks on.
+    banner "benchmark self-tests (opsbench)"
+    cargo test --offline --manifest-path opsbench/Cargo.toml
 fi
 
 if run_stage docs; then
@@ -73,6 +77,10 @@ if run_stage bench; then
     # lose to the mutex baseline it replaced.
     jq -e '.runs[-1].entries | map(.group) | (index("ingest_queue") != null) and (index("serving_closed_loop") != null)' results/BENCH_kernels.json
     jq -e '[.runs[-1].entries[] | select(.id == "ingest_queue_handoff_lockfree")][0].speedup_vs_baseline >= 1' results/BENCH_kernels.json
+    # Audit-chain group: dispatched + portable rows for the metering
+    # layer, and the held key schedule must beat re-deriving the pads.
+    jq -e '.runs[-1].entries | map(.id) | (index("sha256_64B") != null) and (index("hmac_entry_57B") != null) and (index("audit_append") != null) and (index("audit_verify_per_entry") != null)' results/BENCH_kernels.json
+    jq -e '[.runs[-1].entries[] | select(.id == "hmac_entry_57B_portable")][0].speedup_vs_baseline > 1' results/BENCH_kernels.json
     # Hard ns/op gate on the queue groups only — their workloads are
     # long-running enough to be meaningful on a shared runner.
     cargo run --release -p tinymlops_bench --bin b01_compare -- --fail-on-regression 50 --groups ingest_queue,serving_closed_loop

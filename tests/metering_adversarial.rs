@@ -3,7 +3,7 @@
 //! hardware") must be caught at sync time.
 
 use tinymlops::meter::{
-    audit::{AuditLog, EntryKind},
+    audit::{handoff_payload, AuditLog, EntryKind},
     QuotaManager, RateCard, SyncServer, VoucherIssuer, VoucherLedger,
 };
 
@@ -96,4 +96,27 @@ fn quota_denial_is_exact_not_approximate() {
     // Audit trail shows exactly 7 queries, no phantom denials.
     assert_eq!(quota.log().query_count(), 7);
     quota.log().verify(&DEVICE_KEY).unwrap();
+}
+
+/// The chain's wire format, pinned at tier 1: a fixed chain over all six
+/// entry kinds whose head link was computed before HMAC key schedules and
+/// the SHA-NI kernel existed (mirror of the golden test in `meter::audit`).
+/// A faster MAC that changes one bit here orphans every deployed chain.
+#[test]
+fn audit_chain_format_is_pinned() {
+    let key = [7u8; 32];
+    let mut log = AuditLog::new(key);
+    log.append(EntryKind::Redeem, 1000, 0);
+    log.append(EntryKind::Query, 1, 10);
+    log.append(EntryKind::Query, 3, 20);
+    log.append(EntryKind::Refund, 2, 30);
+    log.append(EntryKind::Checkpoint, 996, 40);
+    log.append(EntryKind::Handoff, handoff_payload(0, 2), 50);
+    log.append(EntryKind::Failover, handoff_payload(2, 1), 60);
+    log.append(EntryKind::Query, u64::MAX, u64::MAX);
+    assert_eq!(
+        tinymlops::crypto::to_hex(&log.head()),
+        "6c35ecf278906cb799b391fbba8734fd00f5d403c9aa7c376b05354086519a33"
+    );
+    log.verify(&key).unwrap();
 }
