@@ -18,7 +18,7 @@ use rayon::pool::{configure_threads, effective_threads, with_dispatch, Dispatch}
 use std::time::Instant;
 use tinymlops_bench::{fmt, print_table, synthetic_family, synthetic_family_xnor};
 use tinymlops_nn::model::mlp;
-use tinymlops_observe::Telemetry;
+use tinymlops_observe::{LogHistogram, Telemetry};
 use tinymlops_quant::{QDense, QuantScheme, QuantizedModel};
 use tinymlops_serve::{
     ExecConfig, FabricConfig, LoadPlan, ObserveConfig, ServeConfig, ServeFabric, ServePlane,
@@ -28,6 +28,7 @@ use tinymlops_tensor::matmul::{
     gemm, gemm_naive, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_packed_nt_gather,
     gemm_row_stream,
 };
+use tinymlops_tensor::stats::RunningStats;
 use tinymlops_tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 101;
@@ -886,11 +887,12 @@ fn bench_serving_live(quick: bool, entries: &mut Vec<Entry>) {
     }
 }
 
-/// Telemetry hot-path: string-keyed counter increments (BTreeMap lookup
-/// per event — the only lane before this PR) vs pre-registered handle
-/// increments (`counter_id` once, `incr_id` per event — what the serve
-/// engine now uses). The datapoint is ns per increment; the handle lane
-/// is scored against the string lane it replaced on the hot path.
+/// Telemetry recording lanes, ns per event: string-keyed counter
+/// increments (BTreeMap lookup per event), pre-registered handle
+/// increments (`counter_id` once, `incr_id` per event — one lock each),
+/// and the single-writer local shard the serve engine uses (plain fields
+/// per event, one fold into the sink per run). Each lane is scored
+/// against the one it replaced on the serving path.
 fn bench_telemetry(quick: bool, entries: &mut Vec<Entry>) {
     let telemetry = Telemetry::new();
     // A realistic name population: the serve engine registers ~12
@@ -936,6 +938,118 @@ fn bench_telemetry(quick: bool, entries: &mut Vec<Entry>) {
         gflops: None,
         baseline_id: Some("telemetry_incr_str".to_string()),
         speedup_vs_baseline: Some(str_ns / handle_ns),
+    });
+
+    // What the serve engine does since it became the only writer of its
+    // node's metric set: one served event (counter + latency timer +
+    // latency histogram) accumulated in local fields, folded into the
+    // sink once per 100k events — against the same event recorded
+    // through the handle lane, three lock round-trips each.
+    let timer = telemetry.timer_id("serve.bench.latency_ms");
+    let hist = telemetry.hist_id("serve.bench.latency_us");
+    let events = if quick { 10_000 } else { 100_000 };
+    let flushes = if quick { 1 } else { 20 };
+    let latency_us = |i: usize| 900 + (i as u64 * 37) % 4_000;
+    let per_event_ns = time_ns_best(rounds, flushes, || {
+        for i in 0..events {
+            let us = std::hint::black_box(latency_us(i));
+            telemetry.incr_id(id);
+            telemetry.record_id(timer, us as f64 / 1000.0);
+            telemetry.record_hist_id(hist, us);
+        }
+    }) / events as f64;
+    let shard_ns = time_ns_best(rounds, flushes, || {
+        let mut served = 0u64;
+        let mut series = RunningStats::new();
+        let mut buckets = LogHistogram::new();
+        for i in 0..events {
+            let us = std::hint::black_box(latency_us(i));
+            served += 1;
+            series.push(us as f64 / 1000.0);
+            buckets.record(us);
+        }
+        telemetry.add_id(id, served);
+        telemetry.merge_timer_id(timer, &series);
+        telemetry.merge_hist_id(hist, &buckets);
+    }) / events as f64;
+    println!(
+        "telemetry served event: per-event handles {:.1} ns vs local shard + one flush {:.1} ns ({:.1}x)",
+        per_event_ns,
+        shard_ns,
+        per_event_ns / shard_ns
+    );
+    entries.push(Entry {
+        id: "telemetry_served_event_handles".into(),
+        group: "telemetry",
+        shape: format!("{events}ev-counter+timer+hist"),
+        reps: events * flushes,
+        ns_per_op: per_event_ns,
+        gflops: None,
+        baseline_id: None,
+        speedup_vs_baseline: None,
+    });
+    entries.push(Entry {
+        id: "telemetry_shard_flush".into(),
+        group: "telemetry",
+        shape: format!("{events}ev-counter+timer+hist"),
+        reps: events * flushes,
+        ns_per_op: shard_ns,
+        gflops: None,
+        baseline_id: Some("telemetry_served_event_handles".to_string()),
+        speedup_vs_baseline: Some(per_event_ns / shard_ns),
+    });
+}
+
+/// `MicroBatcher::push` in steady state: six families, `max_batch` 8, so
+/// seven pushes in eight queue and the eighth cuts a size-triggered
+/// batch. Requests are built, and flushed batches dropped, outside the
+/// timed region; the datapoint is ns per push (queue lookup, enqueue,
+/// and the amortised batch cut).
+fn bench_batcher_push(quick: bool, entries: &mut Vec<Entry>) {
+    use tinymlops_serve::{BatchPolicy, MicroBatcher, PushOutcome, Request};
+    let families: Vec<String> = (0..6).map(|f| format!("family-{f}")).collect();
+    let reps = if quick { 12_000 } else { 240_000 };
+    let rounds = if quick { 1 } else { 7 };
+    let mut batcher = MicroBatcher::new(BatchPolicy {
+        max_batch: 8,
+        max_delay_us: 2_000,
+    });
+    let mut best_ns = f64::INFINITY;
+    for round in 0..rounds {
+        let requests: Vec<Request> = (0..reps)
+            .map(|i| Request {
+                id: (round * reps + i) as u64,
+                tenant: (i % 12) as u32,
+                model: families[i % families.len()].clone(),
+                arrival_us: i as u64,
+                deadline_us: 50_000,
+                features: None,
+            })
+            .collect();
+        let mut flushed = Vec::with_capacity(reps / 8 + 1);
+        let start = Instant::now();
+        for request in requests {
+            if let PushOutcome::Flushed(batch) = batcher.push(std::hint::black_box(request)) {
+                flushed.push(batch);
+            }
+        }
+        best_ns = best_ns.min(start.elapsed().as_secs_f64() * 1e9 / reps as f64);
+        assert_eq!(
+            flushed.len(),
+            reps / 8,
+            "every eighth push per family flushes"
+        );
+    }
+    println!("batcher push (6 families, 8-deep): {best_ns:.1} ns per push");
+    entries.push(Entry {
+        id: "batcher_push_steady".into(),
+        group: "batcher_push",
+        shape: "6fam-batch8".into(),
+        reps,
+        ns_per_op: best_ns,
+        gflops: None,
+        baseline_id: None,
+        speedup_vs_baseline: None,
     });
 }
 
@@ -1867,6 +1981,7 @@ fn main() {
         bench_serving_replay(quick, &mut entries);
         bench_serving_sharded(quick, &mut entries);
         bench_telemetry(quick, &mut entries);
+        bench_batcher_push(quick, &mut entries);
         bench_serving_traced(quick, &mut entries);
         bench_serving_faults(quick, &mut entries);
         bench_serving_controlled(quick, &mut entries);

@@ -181,24 +181,26 @@ impl AuditLog {
         Ok(())
     }
 
-    /// Count of query events (for billing reconciliation).
+    /// Count of query events (for billing reconciliation). Saturates
+    /// rather than overflowing: payloads are device-reported, and a
+    /// hostile `u64::MAX` must not panic a debug build of the backend.
     #[must_use]
     pub fn query_count(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == EntryKind::Query)
-            .map(|e| e.payload)
-            .sum()
+        self.payload_total(EntryKind::Query)
     }
 
-    /// Count of refunded queries (admitted work shed before service).
+    /// Count of refunded queries (admitted work shed before service);
+    /// saturating, like [`AuditLog::query_count`].
     #[must_use]
     pub fn refund_count(&self) -> u64 {
+        self.payload_total(EntryKind::Refund)
+    }
+
+    fn payload_total(&self, kind: EntryKind) -> u64 {
         self.entries
             .iter()
-            .filter(|e| e.kind == EntryKind::Refund)
-            .map(|e| e.payload)
-            .sum()
+            .filter(|e| e.kind == kind)
+            .fold(0u64, |total, e| total.saturating_add(e.payload))
     }
 
     /// Billable queries: consumed minus refunded. This is the number the
@@ -360,6 +362,18 @@ mod tests {
         log.append(EntryKind::Checkpoint, 0, 2);
         log.append(EntryKind::Query, 2, 3);
         assert_eq!(log.query_count(), 5);
+    }
+
+    #[test]
+    fn counts_saturate_on_hostile_payloads() {
+        let mut log = AuditLog::new(key());
+        log.append(EntryKind::Query, 3, 0);
+        log.append(EntryKind::Query, u64::MAX, 1);
+        log.append(EntryKind::Refund, u64::MAX, 2);
+        log.append(EntryKind::Refund, 1, 3);
+        assert_eq!(log.query_count(), u64::MAX);
+        assert_eq!(log.refund_count(), u64::MAX);
+        assert_eq!(log.net_query_count(), 0);
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //!
 //! * **By name** (`incr`/`record`/`record_hist`): convenient, but every
 //!   call walks a `BTreeMap<String, _>` and a miss allocates the key.
-//! * **By handle** (`counter_id` → `incr_id`, …): the serve hot path
-//!   registers its fixed metric set once, then every event is one mutex
-//!   lock plus a `Vec` index — no allocation, no tree walk. Handles stay
-//!   valid across [`Telemetry::drain`] (values reset, registrations
-//!   persist).
+//! * **By handle** (`counter_id` → `incr_id`, …): a fixed metric set is
+//!   registered once, then every event is one mutex lock plus a `Vec`
+//!   index — no allocation, no tree walk. Handles stay valid across
+//!   [`Telemetry::drain`] (values reset, registrations persist). A
+//!   single-writer hot path (the serve engine) goes one step further:
+//!   it accumulates locally and folds in once through `add_id` /
+//!   `merge_timer_id` / `merge_hist_id`, paying the lock per run instead
+//!   of per event.
 //!
 //! Reports fold both paths into the same named maps, so the wire format
 //! does not depend on which path recorded a metric.
@@ -150,6 +153,14 @@ impl Telemetry {
         self.inner.lock().fast_timers[id.0].1.push(value);
     }
 
+    /// Fold a locally accumulated series into a pre-registered timer, as
+    /// if its samples had been [`Telemetry::record_id`]ed here in order:
+    /// bit-exact when the lane is empty (the usual case — one writer, one
+    /// fold per drain), pooled-variance accurate otherwise.
+    pub fn merge_timer_id(&self, id: TimerId, series: &RunningStats) {
+        self.inner.lock().fast_timers[id.0].1.merge(series);
+    }
+
     /// Record into a named log-bucketed histogram (caller's units; use a
     /// handle via [`Telemetry::hist_id`] on hot paths).
     pub fn record_hist(&self, name: &str, value: u64) {
@@ -177,6 +188,12 @@ impl Telemetry {
     /// Record into a pre-registered histogram — allocation-free.
     pub fn record_hist_id(&self, id: HistId, value: u64) {
         self.inner.lock().fast_hists[id.0].1.record(value);
+    }
+
+    /// Fold a locally accumulated histogram into a pre-registered one
+    /// (bucket-wise exact, whatever the lane already holds).
+    pub fn merge_hist_id(&self, id: HistId, hist: &LogHistogram) {
+        self.inner.lock().fast_hists[id.0].1.merge(hist);
     }
 
     /// Fold an already-summarized timer series into this sink, as if the

@@ -104,6 +104,52 @@ proptest! {
         prop_assert_eq!(back.max(), s.max);
     }
 
+    /// The single-writer fold-in (what the serve engine does): accumulating
+    /// an epoch's events locally and landing them with one `add_id` /
+    /// `merge_timer_id` / `merge_hist_id` is bit-identical to recording
+    /// each event through `incr_id` / `record_id` / `record_hist_id` when
+    /// the lanes start empty, and within the pooled-variance tolerance
+    /// when a second epoch folds in without a drain in between.
+    #[test]
+    fn local_fold_in_matches_per_event_recording(
+        first in proptest::collection::vec((0u64..5_000_000, -1e4f64..1e4), 1..96),
+        second in proptest::collection::vec((0u64..5_000_000, -1e4f64..1e4), 0..96),
+    ) {
+        let per_event = Telemetry::new();
+        let folded = Telemetry::new();
+        let handles = |t: &Telemetry| (t.counter_id("c"), t.timer_id("t"), t.hist_id("h"));
+        let (pc, pt, ph) = handles(&per_event);
+        let (fc, ft, fh) = handles(&folded);
+        let mut exact = true;
+        for epoch in [&first, &second] {
+            let (mut n, mut series, mut hist) = (0u64, RunningStats::new(), LogHistogram::new());
+            for &(us, ms) in epoch {
+                per_event.incr_id(pc);
+                per_event.record_id(pt, ms);
+                per_event.record_hist_id(ph, us);
+                n += 1;
+                series.push(ms);
+                hist.record(us);
+            }
+            folded.add_id(fc, n);
+            folded.merge_timer_id(ft, &series);
+            folded.merge_hist_id(fh, &hist);
+            let (got, want) = (folded.snapshot(), per_event.snapshot());
+            if exact {
+                prop_assert_eq!(&got, &want, "fold into empty lanes is bit-exact");
+            } else {
+                prop_assert_eq!(&got.counters, &want.counters);
+                prop_assert_eq!(&got.hists, &want.hists);
+                let (g, w) = (&got.timers["t"], &want.timers["t"]);
+                prop_assert_eq!(g.count, w.count);
+                prop_assert!(close(g.mean, w.mean, 1e-9), "{} vs {}", g.mean, w.mean);
+                prop_assert!(close(g.std, w.std, 1e-6), "{} vs {}", g.std, w.std);
+                prop_assert_eq!((g.min, g.max), (w.min, w.max));
+            }
+            exact = false;
+        }
+    }
+
     /// Histogram merge is exact: merging per-node histograms equals one
     /// histogram over the concatenated stream, and summaries round-trip
     /// counts and quantiles.

@@ -89,21 +89,21 @@ impl MicroBatcher {
     /// reported only when this push opened the queue (later pushes share
     /// the already-armed timer, which fires off the same oldest member).
     pub fn push(&mut self, request: Request) -> PushOutcome {
-        let family = request.model.clone();
-        let queue = self.queues.entry(family.clone()).or_default();
+        // One lookup by `&str`; the key is allocated only the first time
+        // a family is seen.
+        let queue = match self.queues.get_mut(request.model.as_str()) {
+            Some(queue) => queue,
+            None => self.queues.entry(request.model.clone()).or_default(),
+        };
+        let arrival_us = request.arrival_us;
         queue.push_back(request);
         self.pending += 1;
         if queue.len() >= self.policy.max_batch {
-            let batch = self.take_batch(&family, FlushTrigger::Size);
+            let batch = take_batch(queue, &mut self.pending, &self.policy, FlushTrigger::Size);
             return PushOutcome::Flushed(batch);
         }
-        let queue = &self.queues[&family];
-        let flush_at_us = if queue.len() == 1 {
-            let oldest = queue.front().expect("just pushed").arrival_us;
-            Some(oldest.saturating_add(self.policy.max_delay_us))
-        } else {
-            None
-        };
+        let flush_at_us =
+            (queue.len() == 1).then(|| arrival_us.saturating_add(self.policy.max_delay_us));
         PushOutcome::Queued { flush_at_us }
     }
 
@@ -111,12 +111,17 @@ impl MicroBatcher {
     /// budget at `now_us` (deadline trigger). Stale timers (queue already
     /// flushed by the size trigger) return `None`.
     pub fn flush_due(&mut self, family: &str, now_us: u64) -> Option<Batch> {
-        let queue = self.queues.get(family)?;
+        let queue = self.queues.get_mut(family)?;
         let oldest = queue.front()?.arrival_us;
         if now_us < oldest.saturating_add(self.policy.max_delay_us) {
             return None;
         }
-        Some(self.take_batch(family, FlushTrigger::Deadline))
+        Some(take_batch(
+            queue,
+            &mut self.pending,
+            &self.policy,
+            FlushTrigger::Deadline,
+        ))
     }
 
     /// Earliest forced-flush time across all families (for schedulers).
@@ -142,9 +147,9 @@ impl MicroBatcher {
     /// re-enter the destination node's queues without a second admission.
     ///
     /// Splicing can change a queue's oldest member; callers that armed a
-    /// deadline timer for the old front must re-arm from
-    /// [`MicroBatcher::next_deadline_us`] (stale timers are harmless, a
-    /// missing one stalls the queue).
+    /// deadline timer for the old front must re-arm every surviving
+    /// queue from [`MicroBatcher::flush_deadlines`] (stale timers are
+    /// harmless, a missing one stalls the queue).
     pub fn splice_tenant(&mut self, tenant: crate::request::TenantId) -> Vec<Request> {
         let mut spliced = Vec::new();
         for queue in self.queues.values_mut() {
@@ -183,28 +188,37 @@ impl MicroBatcher {
 
     /// Drain every queue (end of run), preserving FIFO order.
     pub fn drain(&mut self) -> Vec<Batch> {
-        let families: Vec<String> = self
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(f, _)| f.clone())
-            .collect();
-        families
-            .into_iter()
-            .map(|f| self.take_batch(&f, FlushTrigger::Drain))
-            .collect()
-    }
-
-    fn take_batch(&mut self, family: &str, trigger: FlushTrigger) -> Batch {
-        let queue = self.queues.get_mut(family).expect("family exists");
-        let n = queue.len().min(self.policy.max_batch);
-        let requests: Vec<Request> = queue.drain(..n).collect();
-        self.pending -= requests.len();
-        Batch {
-            model: family.to_string(),
-            requests,
-            trigger,
+        let mut batches = Vec::new();
+        for queue in self.queues.values_mut() {
+            while !queue.is_empty() {
+                batches.push(take_batch(
+                    queue,
+                    &mut self.pending,
+                    &self.policy,
+                    FlushTrigger::Drain,
+                ));
+            }
         }
+        batches
+    }
+}
+
+/// Cut the next batch (up to `max_batch` members, FIFO) off a non-empty
+/// family queue. The batch is named after its first member, so callers
+/// need not hold the family name across the queue borrow.
+fn take_batch(
+    queue: &mut VecDeque<Request>,
+    pending: &mut usize,
+    policy: &BatchPolicy,
+    trigger: FlushTrigger,
+) -> Batch {
+    let n = queue.len().min(policy.max_batch);
+    let requests: Vec<Request> = queue.drain(..n).collect();
+    *pending -= requests.len();
+    Batch {
+        model: requests[0].model.clone(),
+        requests,
+        trigger,
     }
 }
 

@@ -34,18 +34,18 @@
 //!   conservation laws, like [`crate::ExecMode::Wall`].
 
 use crate::clock::{Clock, WallClock};
-use crate::fabric::{FabricNode, FabricReport, RetryStats, ServeFabric};
+use crate::fabric::{FabricReport, NodeCtx, NodeIndex, RetryStats, ServeFabric};
 use crate::fault::{
     retryable, schedule_retry, NodeFaults, RetryBudget, RetryDecision, RetryPolicy,
 };
 use crate::observer::NodeObserver;
 use crate::request::{Completion, Disposition, Request, RequestId, TenantId};
-use crate::shard::NodeId;
-use crate::sim::{ServeEngine, ServePlane};
+use crate::shard::{NodeId, ShardRouter};
 use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -216,21 +216,282 @@ pub struct ClosedLoopLiveReport {
     pub wall_ms: f64,
 }
 
-/// One scheduled (re-)issue: the client, which attempt this is, and the
-/// request exactly as it will be delivered.
-struct IssueEvent {
-    client: usize,
-    attempt: u32,
-    first_issue_us: u64,
-    request: Request,
+/// Where one client is in its issue → wait → think cycle. A closed-loop
+/// client has at most one request scheduled or outstanding, so the whole
+/// population's bookkeeping is one slot per client.
+enum Slot {
+    /// Nothing scheduled or outstanding: the next think gap landed past
+    /// the issue window, the request was written off as lost, or the
+    /// client belongs to another shard's pool.
+    Idle,
+    /// A (re-)issue waiting for its instant; `request` is exactly what
+    /// will be delivered.
+    Scheduled {
+        request: Request,
+        attempt: u32,
+        first_issue_us: u64,
+    },
+    /// Delivered, awaiting its completion. The request itself has moved
+    /// on (into the trace, or a node's ingest queue); what stays is what a
+    /// retry is rebuilt from — tenant and model come from the spec.
+    Outstanding {
+        id: RequestId,
+        attempt: u32,
+        first_issue_us: u64,
+        deadline_abs_us: u64,
+        features: Option<Vec<f32>>,
+    },
 }
 
-/// One delivery awaiting its completion.
-struct PendingReq {
-    client: usize,
-    attempt: u32,
-    first_issue_us: u64,
-    request: Request,
+struct Client {
+    rng: StdRng,
+    next_seq: u64,
+    /// Index of this client's tenant in [`ClientPool::budgets`].
+    budget: usize,
+    slot: Slot,
+}
+
+/// The client population's state machine, shared by both drivers: one
+/// [`Slot`] per client plus a heap of issue instants. A completion finds
+/// its client in the id's high bits ([`CLIENT_SHIFT`]), so no table maps
+/// requests back to clients; one that does not match the slot's
+/// outstanding id (wall mode: resolved after being written off as lost)
+/// is ignored.
+struct ClientPool<'p> {
+    plan: &'p ClientPlan,
+    clients: Vec<Client>,
+    /// `(issue instant, schedule order, client)`: same-instant issues pop
+    /// in the order they were scheduled.
+    issues: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    seq: u64,
+    outstanding: usize,
+    /// Per-tenant retry buckets, opened at the tenant's first retryable
+    /// shed.
+    budgets: Vec<Option<RetryBudget>>,
+    retry_rng: StdRng,
+    stats: ClosedLoopStats,
+}
+
+impl<'p> ClientPool<'p> {
+    /// A pool driving the clients `owned` selects (a wall-mode shard owns
+    /// a slice of the population), each with its first issue scheduled.
+    fn new(plan: &'p ClientPlan, retry_seed: u64, owned: impl Fn(usize) -> bool) -> Self {
+        let mut tenants: Vec<TenantId> = plan.clients.iter().map(|c| c.tenant).collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+        let clients = plan
+            .clients
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Client {
+                rng: client_rng(plan.seed, i),
+                next_seq: 0,
+                budget: tenants
+                    .binary_search(&spec.tenant)
+                    .expect("collected above"),
+                slot: Slot::Idle,
+            })
+            .collect();
+        let mut pool = ClientPool {
+            plan,
+            clients,
+            issues: BinaryHeap::with_capacity(plan.clients.len()),
+            seq: 0,
+            outstanding: 0,
+            budgets: vec![None; tenants.len()],
+            retry_rng: StdRng::seed_from_u64(retry_seed),
+            stats: ClosedLoopStats::default(),
+        };
+        for client in (0..plan.clients.len()).filter(|&c| owned(c)) {
+            pool.think_then_issue(client, 0);
+        }
+        pool
+    }
+
+    /// When the earliest scheduled (re-)issue is due, if any.
+    fn next_issue_at(&self) -> Option<u64> {
+        self.issues.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    /// Nothing scheduled, nothing outstanding: the run is over.
+    fn is_drained(&self) -> bool {
+        self.issues.is_empty() && self.outstanding == 0
+    }
+
+    /// Take the earliest scheduled issue for delivery at `now_us` — its
+    /// scheduled instant on the logical clock, the real push time on the
+    /// wall clock. The request moves out to the caller; the slot keeps
+    /// only what resolving (and possibly retrying) it needs.
+    fn pop_issue(&mut self, now_us: u64) -> Option<(usize, Request)> {
+        let Reverse((_, _, client)) = self.issues.pop()?;
+        let client = client as usize;
+        let slot = &mut self.clients[client].slot;
+        let Slot::Scheduled {
+            mut request,
+            attempt,
+            first_issue_us,
+        } = std::mem::replace(slot, Slot::Idle)
+        else {
+            unreachable!("every heap entry has a scheduled slot");
+        };
+        request.arrival_us = now_us;
+        if attempt == 0 {
+            self.stats.issued += 1;
+        } else {
+            self.stats.retries += 1;
+        }
+        *slot = Slot::Outstanding {
+            id: request.id,
+            attempt,
+            first_issue_us: if attempt == 0 { now_us } else { first_issue_us },
+            deadline_abs_us: request.deadline_abs_us(),
+            features: request.features.clone(),
+        };
+        self.outstanding += 1;
+        Some((client, request))
+    }
+
+    /// Route one completion back to its client: account the outcome, then
+    /// schedule a retry or the next think-gapped fresh issue. `now_us` is
+    /// when the client *learns* the outcome (logical resolution time in
+    /// the sim driver, wall time in the live one).
+    fn resolve(&mut self, completion: &Completion, now_us: u64) {
+        let client = (completion.id >> CLIENT_SHIFT) as usize;
+        let Some(slot) = self.clients.get_mut(client).map(|c| &mut c.slot) else {
+            return;
+        };
+        let (id, attempt, first_issue_us, deadline_abs_us, features) =
+            match std::mem::replace(slot, Slot::Idle) {
+                Slot::Outstanding {
+                    id,
+                    attempt,
+                    first_issue_us,
+                    deadline_abs_us,
+                    features,
+                } if id == completion.id => {
+                    (id, attempt, first_issue_us, deadline_abs_us, features)
+                }
+                other => {
+                    *slot = other;
+                    return;
+                }
+            };
+        self.outstanding -= 1;
+        let plan = self.plan;
+        match completion.disposition {
+            Disposition::Served { .. } => {
+                self.stats.served += 1;
+                if attempt > 0 {
+                    self.stats.retry.succeeded += 1;
+                }
+                if completion.at_us <= deadline_abs_us {
+                    self.stats.goodput += 1;
+                }
+                self.stats
+                    .latencies
+                    .push(completion.at_us.saturating_sub(first_issue_us));
+            }
+            Disposition::Shed(reason) if retryable(reason) && plan.retry.max_attempts > 0 => {
+                let budget = self.budgets[self.clients[client].budget]
+                    .get_or_insert_with(|| RetryBudget::new(&plan.retry, now_us));
+                match schedule_retry(
+                    &plan.retry,
+                    budget,
+                    deadline_abs_us,
+                    attempt + 1,
+                    now_us,
+                    &mut self.retry_rng,
+                ) {
+                    RetryDecision::At(at) => {
+                        let spec = &plan.clients[client];
+                        let request = Request {
+                            id,
+                            tenant: spec.tenant,
+                            model: spec.model.clone(),
+                            arrival_us: at,
+                            // Keep the *absolute* deadline: the clock does
+                            // not restart because we retried.
+                            deadline_us: deadline_abs_us - at,
+                            features,
+                        };
+                        self.schedule(client, at, request, attempt + 1, first_issue_us);
+                        self.stats.retry.scheduled += 1;
+                        return;
+                    }
+                    RetryDecision::AttemptsExhausted => self.stats.retry.attempts_exhausted += 1,
+                    RetryDecision::DeadlineExceeded => self.stats.retry.deadline_denied += 1,
+                    RetryDecision::BudgetExhausted => self.stats.retry.budget_denied += 1,
+                }
+                self.stats.shed_final += 1;
+            }
+            Disposition::Shed(_) => self.stats.shed_final += 1,
+        }
+        self.think_then_issue(client, now_us);
+    }
+
+    /// Write off `client`'s outstanding request (if any) as lost — its
+    /// home node refused the push, or nothing can resolve it any more.
+    /// The client issues nothing further.
+    fn write_off(&mut self, client: usize) {
+        let slot = &mut self.clients[client].slot;
+        if matches!(slot, Slot::Outstanding { .. }) {
+            *slot = Slot::Idle;
+            self.outstanding -= 1;
+            self.stats.lost += 1;
+        }
+    }
+
+    /// [`ClientPool::write_off`] every outstanding request.
+    fn write_off_outstanding(&mut self) {
+        for client in 0..self.clients.len() {
+            self.write_off(client);
+        }
+    }
+
+    /// The finished run's demand-side statistics.
+    fn into_stats(mut self) -> ClosedLoopStats {
+        self.stats.finalize();
+        self.stats
+    }
+
+    /// Draw `client`'s think gap from `now_us` and, if it lands inside
+    /// the issue window, schedule a fresh first attempt there. Draw order
+    /// per client (gap, then features) is part of the seeded contract.
+    fn think_then_issue(&mut self, client: usize, now_us: u64) {
+        let plan = self.plan;
+        let spec = &plan.clients[client];
+        let c = &mut self.clients[client];
+        let at = now_us.saturating_add(exp_gap_us(&mut c.rng, spec.think_mean_us));
+        if at >= plan.duration_us {
+            return;
+        }
+        let request = make_request(
+            client,
+            spec,
+            &mut c.rng,
+            at,
+            plan.feature_dim,
+            &mut c.next_seq,
+        );
+        self.schedule(client, at, request, 0, at);
+    }
+
+    fn schedule(
+        &mut self,
+        client: usize,
+        at_us: u64,
+        request: Request,
+        attempt: u32,
+        first_issue_us: u64,
+    ) {
+        self.clients[client].slot = Slot::Scheduled {
+            request,
+            attempt,
+            first_issue_us,
+        };
+        self.issues.push(Reverse((at_us, self.seq, client as u32)));
+        self.seq += 1;
+    }
 }
 
 /// Exponential think gap (same draw idiom as the open-loop generator),
@@ -278,121 +539,27 @@ fn make_request(
     }
 }
 
-/// Shared per-completion client logic: resolve the pending entry,
-/// account the outcome, schedule a retry or the next think-gapped fresh
-/// issue. `now_us` is when the client *learns* the outcome (logical
-/// resolution time in the sim driver, wall time in the live one).
-#[allow(clippy::too_many_arguments)] // internal driver plumbing, not an API
-fn on_completion(
-    completion: &Completion,
-    now_us: u64,
+/// Each client's home node as a position in the run's node slice. Closed-
+/// loop runs move no tenants, so the routing is fixed for the whole run
+/// and no delivery walks the assignment table. Unknown tenants are still
+/// routed (by the same hash as the open loop) so the owning gateway
+/// records the denial.
+fn client_homes(
     plan: &ClientPlan,
-    pending: &mut BTreeMap<RequestId, PendingReq>,
-    events: &mut BTreeMap<(u64, u64), IssueEvent>,
-    seq: &mut u64,
-    client_rngs: &mut [StdRng],
-    client_seqs: &mut [u64],
-    budgets: &mut BTreeMap<TenantId, RetryBudget>,
-    retry_rng: &mut StdRng,
-    stats: &mut ClosedLoopStats,
-) {
-    // Wall mode can resolve a request the shard already wrote off as
-    // lost (grace window expired); the sim driver never does.
-    let Some(p) = pending.remove(&completion.id) else {
-        return;
-    };
-    let spec = &plan.clients[p.client];
-    let mut think_next = |events: &mut BTreeMap<(u64, u64), IssueEvent>, seq: &mut u64| {
-        let rng = &mut client_rngs[p.client];
-        let at = now_us.saturating_add(exp_gap_us(rng, spec.think_mean_us));
-        if at >= plan.duration_us {
-            return;
-        }
-        let request = make_request(
-            p.client,
-            spec,
-            rng,
-            at,
-            plan.feature_dim,
-            &mut client_seqs[p.client],
-        );
-        events.insert(
-            (at, *seq),
-            IssueEvent {
-                client: p.client,
-                attempt: 0,
-                first_issue_us: at,
-                request,
-            },
-        );
-        *seq += 1;
-    };
-    match completion.disposition {
-        Disposition::Served { .. } => {
-            stats.served += 1;
-            if p.attempt > 0 {
-                stats.retry.succeeded += 1;
-            }
-            if completion.at_us <= p.request.deadline_abs_us() {
-                stats.goodput += 1;
-            }
-            stats
-                .latencies
-                .push(completion.at_us.saturating_sub(p.first_issue_us));
-            think_next(events, seq);
-        }
-        Disposition::Shed(reason) if retryable(reason) && plan.retry.max_attempts > 0 => {
-            let budget = budgets
-                .entry(p.request.tenant)
-                .or_insert_with(|| RetryBudget::new(&plan.retry, now_us));
-            match schedule_retry(
-                &plan.retry,
-                budget,
-                &p.request,
-                p.attempt + 1,
-                now_us,
-                retry_rng,
-            ) {
-                RetryDecision::At(at) => {
-                    let mut again = p.request.clone();
-                    // Keep the *absolute* deadline: the clock does not
-                    // restart because we retried.
-                    again.deadline_us = p.request.deadline_abs_us() - at;
-                    again.arrival_us = at;
-                    events.insert(
-                        (at, *seq),
-                        IssueEvent {
-                            client: p.client,
-                            attempt: p.attempt + 1,
-                            first_issue_us: p.first_issue_us,
-                            request: again,
-                        },
-                    );
-                    *seq += 1;
-                    stats.retry.scheduled += 1;
-                }
-                RetryDecision::AttemptsExhausted => {
-                    stats.retry.attempts_exhausted += 1;
-                    stats.shed_final += 1;
-                    think_next(events, seq);
-                }
-                RetryDecision::DeadlineExceeded => {
-                    stats.retry.deadline_denied += 1;
-                    stats.shed_final += 1;
-                    think_next(events, seq);
-                }
-                RetryDecision::BudgetExhausted => {
-                    stats.retry.budget_denied += 1;
-                    stats.shed_final += 1;
-                    think_next(events, seq);
-                }
-            }
-        }
-        Disposition::Shed(_) => {
-            stats.shed_final += 1;
-            think_next(events, seq);
-        }
-    }
+    assignments: &BTreeMap<TenantId, (NodeId, String)>,
+    shard_router: &ShardRouter,
+    index: &NodeIndex,
+) -> Vec<usize> {
+    plan.clients
+        .iter()
+        .map(|c| {
+            let home = match assignments.get(&c.tenant) {
+                Some((node, _)) => *node,
+                None => shard_router.assign(c.tenant, &c.model),
+            };
+            index[home]
+        })
+        .collect()
 }
 
 impl ServeFabric {
@@ -413,84 +580,30 @@ impl ServeFabric {
     /// demand/supply feedback loop in isolation); provision the fabric
     /// without them.
     pub fn run_closed_loop(&mut self, plan: &ClientPlan) -> Result<ClosedLoopReport, ServeError> {
-        if self
-            .nodes()
-            .iter()
-            .any(|n| n.plane.family_names().is_empty())
-        {
-            return Err(ServeError::NoFamilies);
-        }
+        self.require_families()?;
         let refunded_before = self.refunded_total();
         let serve_cfg = self.serve_config().clone();
         let observe_cfg = self.observe_config().clone();
         let fault_plan = self.fault_plan().clone();
-        let mut stats = ClosedLoopStats::default();
         let mut trace: Vec<Request> = Vec::new();
 
-        let per_node: Vec<(NodeId, crate::stats::ServeStats)> = {
+        let (per_node, stats) = {
             let (nodes, shard_router, assignments, _traffic) = self.split_live();
-            struct Ctx<'n> {
-                id: NodeId,
-                plane: &'n mut ServePlane,
-                engine: ServeEngine<'n>,
-            }
-            let mut ctxs: Vec<Ctx> = nodes
+            let mut ctxs: Vec<NodeCtx> = nodes
                 .iter_mut()
                 .map(|node| {
-                    let FabricNode {
-                        id,
-                        plane,
-                        telemetry,
-                    } = node;
-                    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
-                    if observe_cfg.enabled {
-                        engine.set_observer(Some(Box::new(NodeObserver::new(
-                            *id,
-                            observe_cfg.clone(),
-                        ))));
-                    }
-                    engine.set_faults(NodeFaults::for_node(&fault_plan, *id, false));
-                    engine.set_completion_tap(true);
-                    Ctx {
-                        id: *id,
-                        plane,
-                        engine,
-                    }
+                    let mut ctx = NodeCtx::new(node, &serve_cfg, &observe_cfg, &fault_plan);
+                    ctx.engine.set_completion_tap(true);
+                    ctx
                 })
                 .collect();
-            let index: BTreeMap<NodeId, usize> =
-                ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
-
-            let mut events: BTreeMap<(u64, u64), IssueEvent> = BTreeMap::new();
-            let mut seq: u64 = 0;
-            let mut pending: BTreeMap<RequestId, PendingReq> = BTreeMap::new();
-            let mut budgets: BTreeMap<TenantId, RetryBudget> = BTreeMap::new();
-            let mut retry_rng = StdRng::seed_from_u64(plan.retry.seed);
-            let mut client_rngs: Vec<StdRng> = Vec::with_capacity(plan.clients.len());
-            let mut client_seqs: Vec<u64> = vec![0; plan.clients.len()];
-
-            for (i, spec) in plan.clients.iter().enumerate() {
-                let mut rng = client_rng(plan.seed, i);
-                let at = exp_gap_us(&mut rng, spec.think_mean_us);
-                if at < plan.duration_us {
-                    let request =
-                        make_request(i, spec, &mut rng, at, plan.feature_dim, &mut client_seqs[i]);
-                    events.insert(
-                        (at, seq),
-                        IssueEvent {
-                            client: i,
-                            attempt: 0,
-                            first_issue_us: at,
-                            request,
-                        },
-                    );
-                    seq += 1;
-                }
-                client_rngs.push(rng);
-            }
+            let index = NodeIndex::new(ctxs.iter().map(|c| c.id));
+            let home_of = client_homes(plan, assignments, shard_router, &index);
+            let mut pool = ClientPool::new(plan, plan.retry.seed, |_| true);
+            let mut completions: Vec<Completion> = Vec::new();
 
             loop {
-                let next_issue = events.keys().next().copied();
+                let next_issue = pool.next_issue_at();
                 let next_timer = ctxs
                     .iter()
                     .enumerate()
@@ -504,68 +617,38 @@ impl ServeFabric {
                     (None, None) => break,
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
-                    (Some((at, _)), Some((t, _))) => t <= at,
+                    (Some(at), Some((t, _))) => t <= at,
                 };
-                let completions: Vec<Completion> = if fire_timer {
+                let ctx = if fire_timer {
                     let (t, node) = next_timer.expect("matched above");
                     let ctx = &mut ctxs[node];
                     ctx.engine.run_timers_through(ctx.plane, t, true);
-                    ctx.engine.take_completions()
+                    ctx
                 } else {
-                    let key = next_issue.expect("matched above");
-                    let issue = events.remove(&key).expect("peeked");
-                    let request = issue.request;
-                    let home = match assignments.get(&request.tenant) {
-                        Some((node, _)) => *node,
-                        None => shard_router.assign(request.tenant, &request.model),
-                    };
-                    let ctx = &mut ctxs[index[&home]];
-                    ctx.engine
-                        .run_timers_through(ctx.plane, request.arrival_us, true);
+                    let at = next_issue.expect("matched above");
+                    let (client, request) = pool.pop_issue(at).expect("peeked");
+                    let ctx = &mut ctxs[home_of[client]];
+                    ctx.engine.run_timers_through(ctx.plane, at, true);
                     let _ = ctx.engine.on_arrival(ctx.plane, &request);
-                    if issue.attempt == 0 {
-                        stats.issued += 1;
-                    } else {
-                        stats.retries += 1;
-                    }
-                    pending.insert(
-                        request.id,
-                        PendingReq {
-                            client: issue.client,
-                            attempt: issue.attempt,
-                            first_issue_us: issue.first_issue_us,
-                            request: request.clone(),
-                        },
-                    );
                     trace.push(request);
-                    ctx.engine.take_completions()
+                    ctx
                 };
-                for completion in &completions {
-                    on_completion(
-                        completion,
-                        completion.at_us,
-                        plan,
-                        &mut pending,
-                        &mut events,
-                        &mut seq,
-                        &mut client_rngs,
-                        &mut client_seqs,
-                        &mut budgets,
-                        &mut retry_rng,
-                        &mut stats,
-                    );
+                ctx.engine.drain_completions_into(&mut completions);
+                for completion in completions.drain(..) {
+                    pool.resolve(&completion, completion.at_us);
                 }
             }
-            debug_assert!(pending.is_empty(), "every delivery resolves exactly once");
-            ctxs.into_iter()
+            debug_assert!(pool.is_drained(), "every delivery resolves exactly once");
+            let per_node: Vec<(NodeId, crate::stats::ServeStats)> = ctxs
+                .into_iter()
                 .map(|ctx| {
-                    let Ctx { id, plane, engine } = ctx;
+                    let NodeCtx { id, plane, engine } = ctx;
                     (id, engine.finish(plane))
                 })
-                .collect()
+                .collect();
+            (per_node, pool.into_stats())
         };
         let fabric = self.assemble_report(per_node, refunded_before, Vec::new());
-        stats.finalize();
         Ok(ClosedLoopReport {
             fabric,
             clients: stats,
@@ -590,13 +673,7 @@ impl ServeFabric {
         queue_capacity: usize,
     ) -> Result<ClosedLoopLiveReport, ServeError> {
         use crate::exec::{node_worker, ExecMode, Ingest, IngestQueue};
-        if self
-            .nodes()
-            .iter()
-            .any(|n| n.plane.family_names().is_empty())
-        {
-            return Err(ServeError::NoFamilies);
-        }
+        self.require_families()?;
         let refunded_before = self.refunded_total();
         let serve_cfg = self.serve_config().clone();
         let observe_cfg = self.observe_config().clone();
@@ -612,26 +689,13 @@ impl ServeFabric {
 
         let (per_node, mut stats) = {
             let (nodes, shard_router, assignments, _traffic) = self.split_live();
-            let queues: Vec<IngestQueue<Ingest>> = nodes
+            let queues: Vec<IngestQueue<Ingest<'_>>> = nodes
                 .iter()
                 .map(|_| IngestQueue::new(queue_capacity))
                 .collect();
             let node_ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
-            let index_of: BTreeMap<NodeId, usize> =
-                nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-            // Static routing snapshot: closed-loop wall runs do not
-            // migrate tenants, so each client's home node is fixed.
-            let home_of: Vec<usize> = plan
-                .clients
-                .iter()
-                .map(|c| {
-                    let node = match assignments.get(&c.tenant) {
-                        Some((node, _)) => *node,
-                        None => shard_router.assign(c.tenant, &c.model),
-                    };
-                    index_of[&node]
-                })
-                .collect();
+            let index = NodeIndex::new(nodes.iter().map(|n| n.id));
+            let home_of = client_homes(plan, assignments, shard_router, &index);
             let mut txs = Vec::with_capacity(shards);
             let mut rxs = Vec::with_capacity(shards);
             for _ in 0..shards {
@@ -733,7 +797,7 @@ fn client_shard(
     shards: usize,
     plan: &ClientPlan,
     home_of: &[usize],
-    queues: &[crate::exec::IngestQueue<crate::exec::Ingest>],
+    queues: &[crate::exec::IngestQueue<crate::exec::Ingest<'_>>],
     rx: mpsc::Receiver<Completion>,
     wall: &WallClock,
 ) -> ClosedLoopStats {
@@ -742,127 +806,46 @@ fn client_shard(
     /// writing it off (a dead node's queue refuses pushes immediately;
     /// this guards the run against a wedged one).
     const GRACE_US: u64 = 2_000_000;
-    let mut stats = ClosedLoopStats::default();
-    let mut events: BTreeMap<(u64, u64), IssueEvent> = BTreeMap::new();
-    let mut seq: u64 = 0;
-    let mut pending: BTreeMap<RequestId, PendingReq> = BTreeMap::new();
-    let mut budgets: BTreeMap<TenantId, RetryBudget> = BTreeMap::new();
-    let mut retry_rng = StdRng::seed_from_u64(plan.retry.seed ^ shard as u64);
-    let mut client_rngs: Vec<StdRng> = (0..plan.clients.len())
-        .map(|i| client_rng(plan.seed, i))
-        .collect();
-    let mut client_seqs: Vec<u64> = vec![0; plan.clients.len()];
-
-    for (i, spec) in plan.clients.iter().enumerate() {
-        if i % shards != shard {
-            continue;
-        }
-        let at = exp_gap_us(&mut client_rngs[i], spec.think_mean_us);
-        if at < plan.duration_us {
-            let request = make_request(
-                i,
-                spec,
-                &mut client_rngs[i],
-                at,
-                plan.feature_dim,
-                &mut client_seqs[i],
-            );
-            events.insert(
-                (at, seq),
-                IssueEvent {
-                    client: i,
-                    attempt: 0,
-                    first_issue_us: at,
-                    request,
-                },
-            );
-            seq += 1;
-        }
-    }
-
+    let mut pool = ClientPool::new(plan, plan.retry.seed ^ shard as u64, |c| {
+        c % shards == shard
+    });
     let mut last_progress = wall.now_us();
     loop {
         // Deliver everything due: stamp the real push time (the worker
         // re-stamps at the gateway door) and push, blocking on full.
         let now = wall.now_us();
-        while let Some((&(at, k), _)) = events.iter().next() {
-            if at > now {
-                break;
-            }
-            let issue = events.remove(&(at, k)).expect("peeked");
-            let mut request = issue.request;
-            let push_us = wall.now_us();
-            request.arrival_us = push_us;
-            let id = request.id;
-            pending.insert(
-                id,
-                PendingReq {
-                    client: issue.client,
-                    attempt: issue.attempt,
-                    first_issue_us: if issue.attempt == 0 {
-                        push_us
-                    } else {
-                        issue.first_issue_us
-                    },
-                    request: request.clone(),
-                },
-            );
-            if issue.attempt == 0 {
-                stats.issued += 1;
-            } else {
-                stats.retries += 1;
-            }
-            if !queues[home_of[issue.client]].push(Ingest::Arrival(request)) {
+        while pool.next_issue_at().is_some_and(|at| at <= now) {
+            let (client, request) = pool.pop_issue(wall.now_us()).expect("peeked");
+            if !queues[home_of[client]].push(Ingest::Issued(Box::new(request))) {
                 // The home node is gone: the request can never resolve.
-                pending.remove(&id);
-                stats.lost += 1;
+                pool.write_off(client);
             }
             last_progress = wall.now_us();
         }
-        if events.is_empty() && pending.is_empty() {
+        if pool.is_drained() {
             break;
         }
-        let now = wall.now_us();
-        let until_next = events
-            .keys()
-            .next()
-            .map_or(50_000, |(at, _)| at.saturating_sub(now))
+        let until_next = pool
+            .next_issue_at()
+            .map_or(50_000, |at| at.saturating_sub(wall.now_us()))
             .clamp(1, 50_000);
         match rx.recv_timeout(Duration::from_micros(until_next)) {
             Ok(completion) => {
                 last_progress = wall.now_us();
-                on_completion(
-                    &completion,
-                    wall.now_us(),
-                    plan,
-                    &mut pending,
-                    &mut events,
-                    &mut seq,
-                    &mut client_rngs,
-                    &mut client_seqs,
-                    &mut budgets,
-                    &mut retry_rng,
-                    &mut stats,
-                );
+                pool.resolve(&completion, wall.now_us());
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if events.is_empty()
-                    && !pending.is_empty()
+                if pool.next_issue_at().is_none()
                     && wall.now_us().saturating_sub(last_progress) > GRACE_US
                 {
-                    stats.lost += pending.len() as u64;
-                    pending.clear();
+                    pool.write_off_outstanding();
                 }
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Every worker exited: nothing outstanding can resolve.
-                stats.lost += pending.len() as u64;
-                pending.clear();
-            }
+            // Every worker exited: nothing outstanding can resolve.
+            Err(mpsc::RecvTimeoutError::Disconnected) => pool.write_off_outstanding(),
         }
     }
-    stats.finalize();
-    stats
+    pool.into_stats()
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use crate::clock::{Clock, WallClock};
 use crate::controller::{ControlAction, ControlSample, ControllerView, FleetController};
 use crate::fabric::{
     absorb_failover, adopt_destination, drain_source, merge_triggers, FabricReport, FleetTrigger,
-    HandoffPackage, MigrationPhase, MigrationRecord, MigrationSpec, ServeFabric,
+    HandoffPackage, MigrationPhase, MigrationRecord, MigrationSpec, NodeIndex, ServeFabric,
 };
 use crate::fault::{plan_evacuation, FailoverPackage, NodeFaults};
 use crate::observer::NodeObserver;
@@ -138,14 +138,37 @@ impl LiveReport {
     }
 }
 
-/// What flows through a node's ingest queue: ordinary arrivals plus the
-/// live-migration control entries. Controls ride *in stream position*,
-/// so a node thread executes them after exactly the same prefix of its
-/// traffic as the simulator would — that positional guarantee is what
-/// makes replay-mode migrations bit-identical.
-pub(crate) enum Ingest {
-    /// One routed inference request.
-    Arrival(Request),
+/// What flows through a node's ingest queue: arrivals plus the control
+/// entries of migration, failover and the fleet controller. Controls
+/// ride *in stream position*, so a node thread executes them after
+/// exactly the same prefix of its traffic as the simulator would — that
+/// positional guarantee is what makes replay-mode migrations
+/// bit-identical.
+///
+/// A slot is two words. The feeder of a replayed stream runs far ahead
+/// of the workers, so the ring (sized by the caller, up to the whole
+/// stream) is the live backend's largest transient allocation: arrivals
+/// are handed over by reference — the stream outlives the scoped workers
+/// — and everything rarer is boxed, so the handoff allocates nothing per
+/// request and the feeder never contends with a worker for the allocator.
+pub(crate) enum Ingest<'s> {
+    /// One routed request of the replayed stream.
+    Arrival(&'s Request),
+    /// One request a closed-loop client issued on the fly (there is no
+    /// stream to borrow it from).
+    Issued(Box<Request>),
+    /// A control entry.
+    Control(Box<Control>),
+}
+
+impl From<Control> for Ingest<'_> {
+    fn from(control: Control) -> Self {
+        Ingest::Control(Box::new(control))
+    }
+}
+
+/// The control entries of an ingest queue (see [`Ingest`]).
+pub(crate) enum Control {
     /// Migration source side: drain the tenant at `at_us` and send the
     /// sealed handoff package back to the coordinating feeder.
     Drain {
@@ -156,13 +179,10 @@ pub(crate) enum Ingest {
         reply: mpsc::Sender<HandoffPackage>,
     },
     /// Migration destination side: attach the account and re-enqueue the
-    /// spliced in-flight work. The package is boxed (as in
-    /// [`Ingest::Absorb`]): it embeds a whole quota partition, and an
-    /// inline payload would size every ring slot for the rare control
-    /// entry instead of for [`Ingest::Arrival`].
+    /// spliced in-flight work.
     Adopt {
         tenant: TenantId,
-        package: Box<HandoffPackage>,
+        package: HandoffPackage,
     },
     /// Injected [`crate::FaultKind::Crash`]: tear this node down at
     /// `at_us` — resolve queued and in-flight work as refunded failover
@@ -179,7 +199,7 @@ pub(crate) enum Ingest {
     /// cannot cooperate, so the survivor seals the chain).
     Absorb {
         to: NodeId,
-        package: Box<FailoverPackage>,
+        package: FailoverPackage,
     },
     /// Orphan refund: return one prepaid query to a tenant homed here
     /// whose in-flight request died on a crashed peer (it had migrated
@@ -198,9 +218,8 @@ pub(crate) enum Ingest {
     SetBrownoutFloor { level: usize, at_us: u64 },
 }
 
-// The ring allocates `capacity` slots of this size and the feeder→worker
-// handoff streams through them: keep the slot sized by `Arrival(Request)`.
-const _: () = assert!(std::mem::size_of::<Ingest>() <= 96);
+// The ring allocates `capacity` slots of this size up front.
+const _: () = assert!(std::mem::size_of::<Ingest>() <= 16);
 
 /// Result of a queue pop with an optional timer deadline.
 enum Popped<T> {
@@ -673,7 +692,7 @@ pub(crate) fn node_worker(
     serve_cfg: &ServeConfig,
     observer: Option<Box<NodeObserver>>,
     faults: Option<NodeFaults>,
-    queue: &IngestQueue<Ingest>,
+    queue: &IngestQueue<Ingest<'_>>,
     mode: ExecMode,
     wall: &WallClock,
     control: bool,
@@ -688,42 +707,63 @@ pub(crate) fn node_worker(
     engine.set_faults(faults);
     engine.set_control_tap(control);
     engine.set_completion_tap(completions.is_some());
-    let flush = |engine: &mut ServeEngine<'_>, sink: &Option<crate::closedloop::CompletionSink>| {
+    let mut drained = Vec::new();
+    let mut flush = |engine: &mut ServeEngine<'_>,
+                     sink: &Option<crate::closedloop::CompletionSink>| {
         if let Some(sink) = sink {
-            for completion in engine.take_completions() {
+            engine.drain_completions_into(&mut drained);
+            for completion in drained.drain(..) {
                 sink.forward(completion);
             }
         }
     };
+    // Replay reads the stream's own timestamps; wall mode stamps the
+    // request at the gateway door, so latency and batch deadlines measure
+    // real elapsed time from here.
+    let arrive = |engine: &mut ServeEngine<'_>, plane: &mut ServePlane, request: &Request| {
+        engine.run_timers_through(plane, request.arrival_us, true);
+        let _ = engine.on_arrival(plane, request);
+    };
+    let door_stamped = |mut request: Request| {
+        request.arrival_us = wall.now_us();
+        request
+    };
+    // A control's logical instant in replay mode, the real one in wall mode.
+    let at = |logical_us: u64| match mode {
+        ExecMode::Replay => logical_us,
+        ExecMode::Wall => wall.now_us(),
+    };
     // `true` keeps the loop running; `false` means the node just crashed
     // (cooperatively) and the worker must exit with what it has.
-    let handle = |engine: &mut ServeEngine<'_>, plane: &mut ServePlane, item: Ingest| -> bool {
-        match item {
-            Ingest::Arrival(mut request) => {
-                let now = match mode {
-                    ExecMode::Replay => request.arrival_us,
-                    ExecMode::Wall => {
-                        // Stamped at the gateway door: latency and batch
-                        // deadlines measure real elapsed time from here.
-                        let now = wall.now_us();
-                        request.arrival_us = now;
-                        now
-                    }
-                };
-                engine.run_timers_through(plane, now, true);
-                let _ = engine.on_arrival(plane, &request);
+    let handle = |engine: &mut ServeEngine<'_>, plane: &mut ServePlane, item: Ingest<'_>| -> bool {
+        let control = match (item, mode) {
+            (Ingest::Arrival(request), ExecMode::Replay) => {
+                arrive(engine, plane, request);
+                return true;
             }
-            Ingest::Drain {
+            (Ingest::Arrival(request), ExecMode::Wall) => {
+                arrive(engine, plane, &door_stamped(request.clone()));
+                return true;
+            }
+            (Ingest::Issued(request), ExecMode::Replay) => {
+                arrive(engine, plane, &request);
+                return true;
+            }
+            (Ingest::Issued(request), ExecMode::Wall) => {
+                arrive(engine, plane, &door_stamped(*request));
+                return true;
+            }
+            (Ingest::Control(control), _) => *control,
+        };
+        match control {
+            Control::Drain {
                 tenant,
                 from,
                 to,
                 at_us,
                 reply,
             } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
+                let now = at(at_us);
                 engine.run_timers_through(plane, now, true);
                 if let Some(package) = drain_source(engine, plane, tenant, from, to, now) {
                     // A closed reply channel means the feeder gave up
@@ -731,53 +771,32 @@ pub(crate) fn node_worker(
                     let _ = reply.send(package);
                 }
             }
-            Ingest::Adopt { tenant, package } => {
-                let at_us = match mode {
-                    ExecMode::Replay => package.handoff_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                adopt_destination(engine, plane, tenant, *package, at_us);
+            Control::Adopt { tenant, package } => {
+                let at_us = at(package.handoff_us);
+                adopt_destination(engine, plane, tenant, package, at_us);
             }
-            Ingest::Crash { node, at_us, reply } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
+            Control::Crash { node, at_us, reply } => {
+                let now = at(at_us);
                 engine.run_timers_through(plane, now, true);
                 let evacuated = engine.evacuate(plane, node, now);
                 let _ = reply.send(evacuated);
                 return false;
             }
-            Ingest::Absorb { to, package } => {
-                let at_us = match mode {
-                    ExecMode::Replay => package.at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                absorb_failover(engine, plane, *package, to, at_us);
+            Control::Absorb { to, package } => {
+                let at_us = at(package.at_us);
+                absorb_failover(engine, plane, package, to, at_us);
             }
-            Ingest::Refund { tenant, at_us } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.refund_orphan(plane, tenant, now);
+            Control::Refund { tenant, at_us } => {
+                engine.refund_orphan(plane, tenant, at(at_us));
             }
-            Ingest::Sample { at_us, reply } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.run_timers_through(plane, now, true);
+            Control::Sample { at_us, reply } => {
+                engine.run_timers_through(plane, at(at_us), true);
                 // A closed reply channel means the feeder gave up; the
                 // drop is safe either way.
                 let _ = reply.send(engine.take_control_sample(plane));
             }
-            Ingest::SetBrownoutFloor { level, at_us } => {
-                let now = match mode {
-                    ExecMode::Replay => at_us,
-                    ExecMode::Wall => wall.now_us(),
-                };
-                engine.run_timers_through(plane, now, true);
+            Control::SetBrownoutFloor { level, at_us } => {
+                engine.run_timers_through(plane, at(at_us), true);
                 engine.set_brownout_floor(level);
             }
         }
@@ -876,11 +895,11 @@ pub fn run_fabric_live_migrating(
     let mut next_tick = tick_interval;
 
     let (nodes, shard_router, assignments, traffic) = fabric.split_live();
-    let queues: Vec<IngestQueue<Ingest>> = nodes
+    let queues: Vec<IngestQueue<Ingest<'_>>> = nodes
         .iter()
         .map(|_| IngestQueue::new(cfg.queue_capacity))
         .collect();
-    let index_of: BTreeMap<_, _> = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+    let index_of = NodeIndex::new(nodes.iter().map(|n| n.id));
 
     type JoinOutcome = std::thread::Result<Result<ServeStats, ServeError>>;
     let results: Vec<JoinOutcome> = std::thread::scope(|s| {
@@ -939,20 +958,21 @@ pub fn run_fabric_live_migrating(
             // Wall mode: the tenant's not-yet-ingested arrivals leave the
             // source's queue now and follow the account (replay keeps
             // them — the simulator's node already owns them).
-            let held: Vec<Ingest> = if mode == ExecMode::Wall {
-                queues[index_of[&from]]
+            let held: Vec<Ingest<'_>> = if mode == ExecMode::Wall {
+                queues[index_of[from]]
                     .splice(|i| matches!(i, Ingest::Arrival(r) if r.tenant == spec.tenant))
             } else {
                 Vec::new()
             };
             let (reply, rx) = mpsc::channel();
-            let accepted = queues[index_of[&from]].push(Ingest::Drain {
+            let drain = Control::Drain {
                 tenant: spec.tenant,
                 from,
                 to: spec.to,
                 at_us,
                 reply,
-            });
+            };
+            let accepted = queues[index_of[from]].push(drain.into());
             if !accepted {
                 // Source worker already exited (error/panic); the node's
                 // failure surfaces after the join. The migration never
@@ -966,10 +986,11 @@ pub fn run_fabric_live_migrating(
                 return record;
             };
             record.absorb(&package);
-            if !queues[index_of[&spec.to]].push(Ingest::Adopt {
+            let adopt = Control::Adopt {
                 tenant: spec.tenant,
-                package: Box::new(package),
-            }) {
+                package,
+            };
+            if !queues[index_of[spec.to]].push(adopt.into()) {
                 // Destination worker already exited; the account is gone
                 // with its queue and the node's failure ends the run.
                 return record;
@@ -979,7 +1000,7 @@ pub fn run_fabric_live_migrating(
             shard_router.pin(spec.tenant, spec.to);
             record.queue_spliced = held.len();
             for item in held {
-                let _ = queues[index_of[&spec.to]].push(item);
+                let _ = queues[index_of[spec.to]].push(item);
             }
             record.phase = MigrationPhase::Resumed;
             record
@@ -999,7 +1020,7 @@ pub fn run_fabric_live_migrating(
                 return; // a duplicate crash of a dead node is a no-op
             }
             let (reply, rx) = mpsc::channel();
-            if !queues[index_of[&node]].push(Ingest::Crash { node, at_us, reply }) {
+            if !queues[index_of[node]].push(Control::Crash { node, at_us, reply }.into()) {
                 // The worker already died for real (error/panic closed its
                 // queue): nothing to evacuate — its loss surfaces as a
                 // NodeFailure after the join.
@@ -1014,8 +1035,7 @@ pub fn run_fabric_live_migrating(
             debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
             for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
                 debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-                let package = Box::new(package);
-                if !queues[index_of[&dest]].push(Ingest::Absorb { to: dest, package }) {
+                if !queues[index_of[dest]].push(Control::Absorb { to: dest, package }.into()) {
                     continue; // survivor itself already dead for real
                 }
                 assignments.insert(tenant, (dest, family));
@@ -1023,10 +1043,11 @@ pub fn run_fabric_live_migrating(
             }
             for orphan in orphans {
                 if let Some((home, _)) = assignments.get(&orphan.tenant) {
-                    let _ = queues[index_of[home]].push(Ingest::Refund {
+                    let refund = Control::Refund {
                         tenant: orphan.tenant,
                         at_us,
-                    });
+                    };
+                    let _ = queues[index_of[*home]].push(refund.into());
                 }
             }
         };
@@ -1069,7 +1090,7 @@ pub fn run_fabric_live_migrating(
             let mut snapshots = Vec::new();
             for node in shard_router.nodes().to_vec() {
                 let (reply, rx) = mpsc::channel();
-                if !queues[index_of[&node.id]].push(Ingest::Sample { at_us, reply }) {
+                if !queues[index_of[node.id]].push(Control::Sample { at_us, reply }.into()) {
                     continue; // worker genuinely died; skip it this tick
                 }
                 let Ok(sample) = rx.recv() else { continue };
@@ -1087,10 +1108,11 @@ pub fn run_fabric_live_migrating(
             for action in actions {
                 match action {
                     ControlAction::Brownout { node, floor } => {
-                        let _ = queues[index_of[&node]].push(Ingest::SetBrownoutFloor {
+                        let nudge = Control::SetBrownoutFloor {
                             level: floor,
                             at_us,
-                        });
+                        };
+                        let _ = queues[index_of[node]].push(nudge.into());
                     }
                     ControlAction::Migrate { tenant, to, .. } => {
                         let spec = crate::controller::spec_of(tenant, to, at_us);
@@ -1166,7 +1188,7 @@ pub fn run_fabric_live_migrating(
             // or panic) and closed its queue; keep feeding the healthy
             // nodes — the dead node's result surfaces after the join, with
             // the undeliverable count attached.
-            if !queues[index_of[&home]].push(Ingest::Arrival(request.clone())) {
+            if !queues[index_of[home]].push(Ingest::Arrival(request)) {
                 *lost.entry(home).or_default() += 1;
             }
         }

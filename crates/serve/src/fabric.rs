@@ -56,10 +56,69 @@ use tinymlops_registry::{ModelId, ModelRecord};
 /// One node's replay context inside the interleaved fabric loop: its
 /// serving stack plus the event engine driving it (the engine borrows
 /// the node's telemetry sink for the duration of the run).
-struct NodeCtx<'n> {
-    id: NodeId,
-    plane: &'n mut ServePlane,
-    engine: ServeEngine<'n>,
+pub(crate) struct NodeCtx<'n> {
+    pub(crate) id: NodeId,
+    pub(crate) plane: &'n mut ServePlane,
+    pub(crate) engine: ServeEngine<'n>,
+}
+
+impl<'n> NodeCtx<'n> {
+    /// Arm one node's engine for a simulator run: observer and the node's
+    /// view of the fault plan attached, taps left to the driver. The
+    /// simulator never arms dispatch panics: a panic in its
+    /// single-threaded loop would kill the whole run instead of one
+    /// worker.
+    pub(crate) fn new(
+        node: &'n mut FabricNode,
+        serve_cfg: &ServeConfig,
+        observe_cfg: &ObserveConfig,
+        fault_plan: &FaultPlan,
+    ) -> Self {
+        let FabricNode {
+            id,
+            plane,
+            telemetry,
+        } = node;
+        let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
+        if observe_cfg.enabled {
+            engine.set_observer(Some(Box::new(NodeObserver::new(*id, observe_cfg.clone()))));
+        }
+        engine.set_faults(NodeFaults::for_node(fault_plan, *id, false));
+        NodeCtx {
+            id: *id,
+            plane,
+            engine,
+        }
+    }
+}
+
+/// Dense `NodeId → position` table over a run's node slice. Node ids are
+/// small and stable across join/leave, so the per-delivery home lookup is
+/// one indexed load instead of a tree walk. An id the run does not know
+/// panics here or (an id inside a gap maps to `usize::MAX`) at the slice
+/// access behind it — a routing bug, as with the map this replaced.
+pub(crate) struct NodeIndex(Vec<usize>);
+
+impl NodeIndex {
+    pub(crate) fn new(ids: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut positions = Vec::new();
+        for (position, id) in ids.into_iter().enumerate() {
+            let id = id as usize;
+            if positions.len() <= id {
+                positions.resize(id + 1, usize::MAX);
+            }
+            positions[id] = position;
+        }
+        NodeIndex(positions)
+    }
+}
+
+impl std::ops::Index<NodeId> for NodeIndex {
+    type Output = usize;
+
+    fn index(&self, id: NodeId) -> &usize {
+        &self.0[id as usize]
+    }
 }
 
 /// Disjoint mutable borrows of two slice elements (source and
@@ -79,7 +138,7 @@ fn two_muts<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 /// walking the full drain/handoff state machine at logical time `at_us`.
 fn execute_migration(
     ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
+    index: &NodeIndex,
     assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
     shard_router: &mut ShardRouter,
     spec: &MigrationSpec,
@@ -96,7 +155,7 @@ fn execute_migration(
         record.phase = MigrationPhase::Resumed;
         return record;
     }
-    let (src, dst) = two_muts(ctxs, index[&from], index[&spec.to]);
+    let (src, dst) = two_muts(ctxs, index[from], index[spec.to]);
     // Mark-source-draining: bring the source to the trigger instant.
     // New work cannot reach it past this point (the routing flip below
     // is atomic within this same event), so the drain set is closed.
@@ -421,7 +480,7 @@ pub(crate) fn merge_triggers<'s>(
 #[allow(clippy::too_many_arguments)]
 fn execute_crash(
     ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
+    index: &NodeIndex,
     assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
     shard_router: &mut ShardRouter,
     traffic: &TrafficLedger,
@@ -433,7 +492,7 @@ fn execute_crash(
     if !dead.insert(node) {
         return; // a duplicate crash of a dead node is a no-op
     }
-    let ctx = &mut ctxs[index[&node]];
+    let ctx = &mut ctxs[index[node]];
     ctx.engine.run_timers_through(ctx.plane, at_us, true);
     let (packages, orphans) = ctx.engine.evacuate(ctx.plane, node, at_us);
     shard_router.remove_node(node);
@@ -441,14 +500,14 @@ fn execute_crash(
     debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
     for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
         debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-        let dst = &mut ctxs[index[&dest]];
+        let dst = &mut ctxs[index[dest]];
         absorb_failover(&mut dst.engine, dst.plane, package, dest, at_us);
         assignments.insert(tenant, (dest, family));
         shard_router.pin(tenant, dest);
     }
     for orphan in orphans {
         if let Some((home, _)) = assignments.get(&orphan.tenant) {
-            let hctx = &mut ctxs[index[home]];
+            let hctx = &mut ctxs[index[*home]];
             hctx.engine.refund_orphan(hctx.plane, orphan.tenant, at_us);
         }
     }
@@ -466,7 +525,7 @@ fn execute_crash(
 #[allow(clippy::too_many_arguments)]
 fn execute_control_tick(
     ctxs: &mut [NodeCtx<'_>],
-    index: &BTreeMap<NodeId, usize>,
+    index: &NodeIndex,
     assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
     shard_router: &mut ShardRouter,
     controller: &mut FleetController,
@@ -481,7 +540,7 @@ fn execute_control_tick(
     let active: Vec<ShardNode> = shard_router.nodes().to_vec();
     let mut snapshots = Vec::with_capacity(active.len());
     for node in &active {
-        let ctx = &mut ctxs[index[&node.id]];
+        let ctx = &mut ctxs[index[node.id]];
         ctx.engine.run_timers_through(ctx.plane, at_us, true);
         snapshots.push((node.id, ctx.engine.take_control_sample(ctx.plane)));
     }
@@ -496,7 +555,7 @@ fn execute_control_tick(
     for action in actions {
         match action {
             ControlAction::Brownout { node, floor } => {
-                ctxs[index[&node]].engine.set_brownout_floor(floor);
+                ctxs[index[node]].engine.set_brownout_floor(floor);
             }
             ControlAction::Migrate { tenant, to, .. } => {
                 records.push(execute_migration(
@@ -1134,9 +1193,7 @@ impl ServeFabric {
             }
         }
         self.validate_fault_plan()?;
-        if self.nodes.iter().any(|n| n.plane.family_names().is_empty()) {
-            return Err(ServeError::NoFamilies);
-        }
+        self.require_families()?;
         let refunded_before: u64 = self.refunded_total();
         let serve_cfg = self.serve_cfg.clone();
         let observe_cfg = self.observe_cfg.clone();
@@ -1169,32 +1226,12 @@ impl ServeFabric {
             let mut ctxs: Vec<NodeCtx> = nodes
                 .iter_mut()
                 .map(|node| {
-                    let FabricNode {
-                        id,
-                        plane,
-                        telemetry,
-                    } = node;
-                    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
-                    if observe_cfg.enabled {
-                        engine.set_observer(Some(Box::new(NodeObserver::new(
-                            *id,
-                            observe_cfg.clone(),
-                        ))));
-                    }
-                    // The simulator never arms dispatch panics: a panic in
-                    // this single-threaded loop would kill the whole run
-                    // instead of one worker.
-                    engine.set_faults(NodeFaults::for_node(&fault_plan, *id, false));
-                    engine.set_control_tap(controller_on);
-                    NodeCtx {
-                        id: *id,
-                        plane,
-                        engine,
-                    }
+                    let mut ctx = NodeCtx::new(node, &serve_cfg, &observe_cfg, &fault_plan);
+                    ctx.engine.set_control_tap(controller_on);
+                    ctx
                 })
                 .collect();
-            let index: BTreeMap<NodeId, usize> =
-                ctxs.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+            let index = NodeIndex::new(ctxs.iter().map(|c| c.id));
             let mut dead: BTreeSet<NodeId> = BTreeSet::new();
 
             // Retry machinery (inert without a policy): scheduled
@@ -1225,7 +1262,7 @@ impl ServeFabric {
                     Some((node, _)) => *node,
                     None => shard_router.assign(request.tenant, &request.model),
                 };
-                let ctx = &mut ctxs[index[&home]];
+                let ctx = &mut ctxs[index[home]];
                 ctx.engine
                     .run_timers_through(ctx.plane, request.arrival_us, true);
                 let shed = ctx.engine.on_arrival(ctx.plane, request);
@@ -1243,7 +1280,14 @@ impl ServeFabric {
                         let budget = budgets
                             .entry(request.tenant)
                             .or_insert_with(|| RetryBudget::new(policy, now_us));
-                        match schedule_retry(policy, budget, request, attempt + 1, now_us, rng) {
+                        match schedule_retry(
+                            policy,
+                            budget,
+                            request.deadline_abs_us(),
+                            attempt + 1,
+                            now_us,
+                            rng,
+                        ) {
                             RetryDecision::At(at) => {
                                 let mut again = request.clone();
                                 // Keep the *absolute* deadline: the clock
@@ -1616,6 +1660,15 @@ impl ServeFabric {
             crashed.len() < self.nodes.len() || self.nodes.is_empty(),
             "a fault plan cannot crash every node"
         );
+        Ok(())
+    }
+
+    /// Reject a run on a fabric where some node has no model family
+    /// installed (shared by every driver before it starts).
+    pub(crate) fn require_families(&self) -> Result<(), ServeError> {
+        if self.nodes.iter().any(|n| n.plane.family_names().is_empty()) {
+            return Err(ServeError::NoFamilies);
+        }
         Ok(())
     }
 

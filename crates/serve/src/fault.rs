@@ -32,7 +32,7 @@
 //! ladder ([`BrownoutConfig`]) that steps overloaded tenants down to
 //! cheaper quantized variants before shedding them.
 
-use crate::request::{Request, ShedReason, TenantId};
+use crate::request::{ShedReason, TenantId};
 use crate::shard::{NodeId, ShardRouter, TrafficLedger};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -449,13 +449,14 @@ pub enum RetryDecision {
     BudgetExhausted,
 }
 
-/// Decide whether (and when) to retry `request` after its `attempt`-th
-/// failure at `now_us`. Checks are ordered so doomed retries never burn
-/// budget: attempts, then deadline, then the token bucket.
+/// Decide whether (and when) to retry a request with absolute deadline
+/// `deadline_abs_us` after its `attempt`-th failure at `now_us`. Checks
+/// are ordered so doomed retries never burn budget: attempts, then
+/// deadline, then the token bucket.
 pub fn schedule_retry(
     policy: &RetryPolicy,
     budget: &mut RetryBudget,
-    request: &Request,
+    deadline_abs_us: u64,
     attempt: u32,
     now_us: u64,
     rng: &mut StdRng,
@@ -464,7 +465,7 @@ pub fn schedule_retry(
         return RetryDecision::AttemptsExhausted;
     }
     let at = now_us.saturating_add(policy.backoff_us(attempt, rng));
-    if at >= request.deadline_abs_us() {
+    if at >= deadline_abs_us {
         return RetryDecision::DeadlineExceeded;
     }
     if !budget.try_take(now_us) {
@@ -476,6 +477,7 @@ pub fn schedule_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Request;
     use rand::SeedableRng;
     use tinymlops_registry::{ModelFormat, ModelId, SemVer};
 
@@ -669,15 +671,36 @@ mod tests {
         // fits, but a request shed at 2500 cannot fit another.
         let r = request(1_000, 3_000);
         assert_eq!(
-            schedule_retry(&policy, &mut bucket, &r, 1, 1_000, &mut rng),
+            schedule_retry(
+                &policy,
+                &mut bucket,
+                r.deadline_abs_us(),
+                1,
+                1_000,
+                &mut rng
+            ),
             RetryDecision::At(3_000)
         );
         assert_eq!(
-            schedule_retry(&policy, &mut bucket, &r, 1, 2_500, &mut rng),
+            schedule_retry(
+                &policy,
+                &mut bucket,
+                r.deadline_abs_us(),
+                1,
+                2_500,
+                &mut rng
+            ),
             RetryDecision::DeadlineExceeded
         );
         assert_eq!(
-            schedule_retry(&policy, &mut bucket, &r, 9, 1_000, &mut rng),
+            schedule_retry(
+                &policy,
+                &mut bucket,
+                r.deadline_abs_us(),
+                9,
+                1_000,
+                &mut rng
+            ),
             RetryDecision::AttemptsExhausted
         );
     }
@@ -694,17 +717,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let r = request(0, 1_000_000);
         assert!(matches!(
-            schedule_retry(&policy, &mut bucket, &r, 1, 0, &mut rng),
+            schedule_retry(&policy, &mut bucket, r.deadline_abs_us(), 1, 0, &mut rng),
             RetryDecision::At(_)
         ));
         assert_eq!(
-            schedule_retry(&policy, &mut bucket, &r, 1, 0, &mut rng),
+            schedule_retry(&policy, &mut bucket, r.deadline_abs_us(), 1, 0, &mut rng),
             RetryDecision::BudgetExhausted
         );
         // A doomed retry (past deadline) must not have taken a token.
         let mut fresh = RetryBudget::new(&policy, 0);
         let doomed = request(0, 1);
-        let _ = schedule_retry(&policy, &mut fresh, &doomed, 1, 0, &mut rng);
+        let _ = schedule_retry(
+            &policy,
+            &mut fresh,
+            doomed.deadline_abs_us(),
+            1,
+            0,
+            &mut rng,
+        );
         assert!((fresh.tokens() - 1.0).abs() < 1e-9, "deadline check first");
     }
 }

@@ -28,9 +28,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 use tinymlops_deploy::Requirements;
 use tinymlops_device::Fleet;
 use tinymlops_nn::Sequential;
-use tinymlops_observe::{CounterId, HistId, Telemetry, TimerId};
+use tinymlops_observe::{CounterId, HistId, LogHistogram, Telemetry, TimerId};
 use tinymlops_quant::QuantizedModel;
 use tinymlops_registry::{ModelId, ModelRecord};
+use tinymlops_tensor::stats::RunningStats;
 use tinymlops_tensor::Tensor;
 
 /// Serving-plane configuration.
@@ -148,10 +149,11 @@ impl ServePlane {
 }
 
 /// Heap-ordered engine timer.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
-    /// Deadline-triggered flush check for a family queue.
-    Flush(String),
+    /// Deadline-triggered flush check for a family queue (index into
+    /// the engine's family table).
+    Flush(u32),
     /// A dispatched batch completes (index into the in-flight slab).
     BatchDone(usize),
     /// Periodic fleet churn.
@@ -164,10 +166,8 @@ struct InFlight {
     device: u32,
 }
 
-/// Pre-registered telemetry handles for the serving hot path. Metric
-/// names are interned once at engine construction; per-event emission is
-/// then an index into the sink's fast lane — no map lookup and, for shed
-/// counters, no per-event `format!` allocation.
+/// Pre-registered handles for the engine's fixed `serve.*` metric set,
+/// interned once at engine construction.
 struct ServeMetrics {
     served: CounterId,
     latency_ms: TimerId,
@@ -180,18 +180,83 @@ struct ServeMetrics {
     shed: [CounterId; 6],
 }
 
-impl ServeMetrics {
-    fn register(t: &Telemetry) -> Self {
-        let shed = ShedReason::all().map(|r| t.counter_id(&format!("serve.shed.{}", r.name())));
-        ServeMetrics {
-            served: t.counter_id("serve.served"),
-            latency_ms: t.timer_id("serve.latency_ms"),
-            latency_us: t.hist_id("serve.latency_us"),
-            admitted: t.counter_id("serve.admitted"),
-            refunded: t.counter_id("serve.refunded"),
-            batches: t.counter_id("serve.batches"),
-            batch_size: t.timer_id("serve.batch_size"),
-            shed,
+/// The engine's shard of its node's telemetry. An engine is the only
+/// writer of its metric set for the whole run, so events accumulate in
+/// plain fields and fold into the shared sink once, when the shard drops
+/// — at [`ServeEngine::finish`], or while a live worker unwinds, so a
+/// dead node's counters still land. Samples enter each accumulator in
+/// event order and the sink's lanes are empty between drains, so the
+/// fold is bit-identical to per-event recording.
+struct TelemetryShard<'t> {
+    sink: &'t Telemetry,
+    ids: ServeMetrics,
+    served: u64,
+    admitted: u64,
+    refunded: u64,
+    batches: u64,
+    /// Indexed by [`ShedReason::index`].
+    shed: [u64; 6],
+    latency_ms: RunningStats,
+    batch_size: RunningStats,
+    latency_us: LogHistogram,
+}
+
+impl<'t> TelemetryShard<'t> {
+    fn new(sink: &'t Telemetry) -> Self {
+        let shed = ShedReason::all().map(|r| sink.counter_id(&format!("serve.shed.{}", r.name())));
+        TelemetryShard {
+            sink,
+            ids: ServeMetrics {
+                served: sink.counter_id("serve.served"),
+                latency_ms: sink.timer_id("serve.latency_ms"),
+                latency_us: sink.hist_id("serve.latency_us"),
+                admitted: sink.counter_id("serve.admitted"),
+                refunded: sink.counter_id("serve.refunded"),
+                batches: sink.counter_id("serve.batches"),
+                batch_size: sink.timer_id("serve.batch_size"),
+                shed,
+            },
+            served: 0,
+            admitted: 0,
+            refunded: 0,
+            batches: 0,
+            shed: [0; 6],
+            latency_ms: RunningStats::new(),
+            batch_size: RunningStats::new(),
+            latency_us: LogHistogram::new(),
+        }
+    }
+
+    fn on_served(&mut self, latency_us: u64) {
+        self.served += 1;
+        self.latency_ms.push(latency_us as f64 / 1000.0);
+        self.latency_us.record(latency_us);
+    }
+}
+
+impl Drop for TelemetryShard<'_> {
+    fn drop(&mut self) {
+        let ids = &self.ids;
+        let counters = [
+            (ids.served, self.served),
+            (ids.admitted, self.admitted),
+            (ids.refunded, self.refunded),
+            (ids.batches, self.batches),
+        ];
+        for (id, n) in counters
+            .into_iter()
+            .chain(ids.shed.into_iter().zip(self.shed))
+        {
+            if n > 0 {
+                self.sink.add_id(id, n);
+            }
+        }
+        if self.latency_ms.count() > 0 {
+            self.sink.merge_timer_id(ids.latency_ms, &self.latency_ms);
+            self.sink.merge_hist_id(ids.latency_us, &self.latency_us);
+        }
+        if self.batch_size.count() > 0 {
+            self.sink.merge_timer_id(ids.batch_size, &self.batch_size);
         }
     }
 }
@@ -207,12 +272,15 @@ impl ServeMetrics {
 /// replay is bit-identical to the simulated one.
 pub(crate) struct ServeEngine<'t> {
     cfg: ServeConfig,
-    telemetry: Option<&'t Telemetry>,
-    metrics: Option<ServeMetrics>,
+    /// None without a sink — emission then costs nothing at all.
+    tele: Option<TelemetryShard<'t>>,
     observer: Option<Box<NodeObserver>>,
     stats: ServeStats,
     timers: BinaryHeap<Reverse<(u64, u64, Timer)>>,
     seq: u64,
+    /// Families a flush timer was ever armed for; [`Timer::Flush`]
+    /// carries an index into this table so timers stay `Copy`.
+    families: Vec<String>,
     inflight: Vec<Option<InFlight>>,
     /// Injected faults for this node (None unless a [`crate::FaultPlan`]
     /// is enabled — the disabled plane carries no state at all).
@@ -249,12 +317,12 @@ impl<'t> ServeEngine<'t> {
     pub(crate) fn new(cfg: ServeConfig, telemetry: Option<&'t Telemetry>) -> Self {
         let mut engine = ServeEngine {
             cfg,
-            telemetry,
-            metrics: telemetry.map(ServeMetrics::register),
+            tele: telemetry.map(TelemetryShard::new),
             observer: None,
             stats: ServeStats::new(),
             timers: BinaryHeap::new(),
             seq: 0,
+            families: Vec::new(),
             inflight: Vec::new(),
             faults: None,
             brownout_level: 0,
@@ -305,18 +373,19 @@ impl<'t> ServeEngine<'t> {
     /// Arm (or disarm) the completion tap. Armed, every resolved request
     /// — served, shed at admission, shed downstream, or evacuated — is
     /// appended to a log a closed-loop driver drains with
-    /// [`ServeEngine::take_completions`]; disarmed (the default) the
-    /// response path carries no state at all.
+    /// [`ServeEngine::drain_completions_into`]; disarmed (the default)
+    /// the response path carries no state at all.
     pub(crate) fn set_completion_tap(&mut self, on: bool) {
         self.completions = on.then(Vec::new);
     }
 
-    /// Drain the completion log (empty when the tap is disarmed).
-    pub(crate) fn take_completions(&mut self) -> Vec<Completion> {
-        self.completions
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Move the completion log onto the end of `out` (nothing when the
+    /// tap is disarmed). Both buffers keep their capacity, so a driver
+    /// draining after every event allocates nothing in steady state.
+    pub(crate) fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        if let Some(log) = &mut self.completions {
+            out.append(log);
+        }
     }
 
     fn log_completion(&mut self, request: &Request, disposition: Disposition, at_us: u64) {
@@ -361,13 +430,26 @@ impl<'t> ServeEngine<'t> {
         }
     }
 
-    /// Telemetry sink plus interned handles when emission is on (they are
-    /// `Some` together by construction).
-    fn tele(&self) -> Option<(&'t Telemetry, &ServeMetrics)> {
-        match (self.telemetry, &self.metrics) {
-            (Some(t), Some(m)) => Some((t, m)),
-            _ => None,
+    /// Count one shed of `reason` in the telemetry shard; `refunded` when
+    /// the shed also returned a prepaid query (downstream sheds do).
+    fn count_shed(&mut self, reason: ShedReason, refunded: bool) {
+        if let Some(t) = &mut self.tele {
+            t.shed[reason.index()] += 1;
+            t.refunded += u64::from(refunded);
         }
+    }
+
+    /// Index of `family` in the flush-timer family table (interned on
+    /// first use — a handful of names per run).
+    fn family_index(&mut self, family: &str) -> u32 {
+        let idx = match self.families.iter().position(|f| f == family) {
+            Some(idx) => idx,
+            None => {
+                self.families.push(family.to_string());
+                self.families.len() - 1
+            }
+        };
+        idx as u32
     }
 
     /// Record a live-migration handoff touching this node (`to_peer` true
@@ -416,7 +498,10 @@ impl<'t> ServeEngine<'t> {
             let Reverse((now, _, timer)) = self.timers.pop().expect("peeked");
             match timer {
                 Timer::Flush(family) => {
-                    if let Some(batch) = plane.batcher.flush_due(&family, now) {
+                    let due = plane
+                        .batcher
+                        .flush_due(&self.families[family as usize], now);
+                    if let Some(batch) = due {
                         self.dispatch(plane, batch, now);
                     }
                 }
@@ -439,10 +524,8 @@ impl<'t> ServeEngine<'t> {
                             *tap.served_by_tenant.entry(r.tenant).or_default() += 1;
                             tap.latencies_us.push(latency);
                         }
-                        if let Some((t, m)) = self.tele() {
-                            t.incr_id(m.served);
-                            t.record_id(m.latency_ms, latency as f64 / 1000.0);
-                            t.record_hist_id(m.latency_us, latency);
+                        if let Some(t) = &mut self.tele {
+                            t.on_served(latency);
                         }
                         if let Some(obs) = self.observer.as_deref_mut() {
                             obs.on_complete(done.done_us, r, latency);
@@ -487,17 +570,15 @@ impl<'t> ServeEngine<'t> {
                 if let Some(tap) = &mut self.tap {
                     tap.shed += 1;
                 }
-                if let Some((t, m)) = self.tele() {
-                    t.incr_id(m.shed[reason.index()]);
-                }
+                self.count_shed(reason, false);
                 if let Some(obs) = self.observer.as_deref_mut() {
                     obs.on_shed(now, request.tenant, request.id, reason);
                 }
                 Some(reason)
             }
             Ok(()) => {
-                if let Some((t, m)) = self.tele() {
-                    t.incr_id(m.admitted);
+                if let Some(t) = &mut self.tele {
+                    t.admitted += 1;
                 }
                 let outcome = plane.batcher.push(request.clone());
                 if let Some(obs) = self.observer.as_deref_mut() {
@@ -510,7 +591,8 @@ impl<'t> ServeEngine<'t> {
                     PushOutcome::Queued {
                         flush_at_us: Some(flush_at_us),
                     } => {
-                        self.arm(flush_at_us, Timer::Flush(request.model.clone()));
+                        let family = self.family_index(&request.model);
+                        self.arm(flush_at_us, Timer::Flush(family));
                     }
                     PushOutcome::Queued { flush_at_us: None } => {}
                 }
@@ -555,6 +637,7 @@ impl<'t> ServeEngine<'t> {
         let spliced = plane.batcher.splice_tenant(tenant);
         if !spliced.is_empty() {
             for (family, at_us) in plane.batcher.flush_deadlines() {
+                let family = self.family_index(&family);
                 self.arm(at_us, Timer::Flush(family));
             }
         }
@@ -586,7 +669,7 @@ impl<'t> ServeEngine<'t> {
         now_us: u64,
     ) {
         for request in spliced {
-            let family = request.model.clone();
+            let family = self.family_index(&request.model);
             match plane.batcher.push(request) {
                 PushOutcome::Flushed(batch) => self.dispatch(plane, batch, now_us),
                 PushOutcome::Queued {
@@ -641,17 +724,13 @@ impl<'t> ServeEngine<'t> {
             if let Some(tap) = &mut self.tap {
                 tap.shed += 1;
             }
-            if let Some((t, m)) = self.tele() {
-                t.incr_id(m.shed[ShedReason::Failover.index()]);
-            }
             if let Some(obs) = self.observer.as_deref_mut() {
                 obs.on_shed(at_us, r.tenant, r.id, ShedReason::Failover);
             }
-            if plane.gateway.tenant(r.tenant).is_some() {
+            let attached = plane.gateway.tenant(r.tenant).is_some();
+            self.count_shed(ShedReason::Failover, attached);
+            if attached {
                 plane.gateway.resolve_shed(r.tenant, at_us / 1000);
-                if let Some((t, m)) = self.tele() {
-                    t.incr_id(m.refunded);
-                }
             } else {
                 orphans.push(r);
             }
@@ -681,13 +760,14 @@ impl<'t> ServeEngine<'t> {
     /// already counted on the dead node; only the refund lands here.
     pub(crate) fn refund_orphan(&mut self, plane: &mut ServePlane, tenant: TenantId, at_us: u64) {
         plane.gateway.refund_orphan(tenant, at_us / 1000);
-        if let Some((t, m)) = self.tele() {
-            t.incr_id(m.refunded);
+        if let Some(t) = &mut self.tele {
+            t.refunded += 1;
         }
     }
 
     /// Drain every remaining timer (no more arrivals will come) and
-    /// return the statistics accumulator. The drain never waits:
+    /// return the statistics accumulator; dropping the engine here folds
+    /// its telemetry shard into the node's sink. The drain never waits:
     /// remaining completion timestamps are already decided, so a
     /// wall-clock driver does not sleep out a saturated run's queued
     /// service time just to record it.
@@ -712,23 +792,24 @@ impl<'t> ServeEngine<'t> {
         // Expired-before-dispatch requests are shed, not executed. They
         // were admitted (and charged) at the door, so the shed refunds the
         // prepaid query through the audit chain.
-        let (live, expired): (Vec<Request>, Vec<Request>) = batch
-            .requests
-            .into_iter()
-            .partition(|r| r.deadline_abs_us() >= now);
-        for r in &expired {
-            plane.gateway.resolve_shed(r.tenant, now / 1000);
-            self.log_completion(r, Disposition::Shed(ShedReason::DeadlineExpired), now);
-            self.stats.on_shed(ShedReason::DeadlineExpired);
-            if let Some(tap) = &mut self.tap {
-                tap.shed += 1;
-            }
-            if let Some((t, m)) = self.tele() {
-                t.incr_id(m.shed[ShedReason::DeadlineExpired.index()]);
-                t.incr_id(m.refunded);
-            }
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_shed(now, r.tenant, r.id, ShedReason::DeadlineExpired);
+        // Almost every batch is all live: its member vector is reused as
+        // is, and only a batch that holds an expired member is split.
+        let mut live = batch.requests;
+        if live.iter().any(|r| r.deadline_abs_us() < now) {
+            let (kept, expired): (Vec<Request>, Vec<Request>) =
+                live.into_iter().partition(|r| r.deadline_abs_us() >= now);
+            live = kept;
+            for r in &expired {
+                plane.gateway.resolve_shed(r.tenant, now / 1000);
+                self.log_completion(r, Disposition::Shed(ShedReason::DeadlineExpired), now);
+                self.stats.on_shed(ShedReason::DeadlineExpired);
+                if let Some(tap) = &mut self.tap {
+                    tap.shed += 1;
+                }
+                self.count_shed(ShedReason::DeadlineExpired, true);
+                if let Some(obs) = self.observer.as_deref_mut() {
+                    obs.on_shed(now, r.tenant, r.id, ShedReason::DeadlineExpired);
+                }
             }
         }
         if live.is_empty() {
@@ -770,10 +851,7 @@ impl<'t> ServeEngine<'t> {
                 if let Some(tap) = &mut self.tap {
                     tap.shed += 1;
                 }
-                if let Some((t, m)) = self.tele() {
-                    t.incr_id(m.shed[ShedReason::NoRoute.index()]);
-                    t.incr_id(m.refunded);
-                }
+                self.count_shed(ShedReason::NoRoute, true);
                 if let Some(obs) = self.observer.as_deref_mut() {
                     obs.on_shed(now, r.tenant, r.id, ShedReason::NoRoute);
                 }
@@ -781,9 +859,9 @@ impl<'t> ServeEngine<'t> {
             return;
         };
         self.stats.on_batch(live.len());
-        if let Some((t, m)) = self.tele() {
-            t.incr_id(m.batches);
-            t.record_id(m.batch_size, live.len() as f64);
+        if let Some(t) = &mut self.tele {
+            t.batches += 1;
+            t.batch_size.push(live.len() as f64);
         }
 
         // Cache: a miss charges the artifact load time before execution.

@@ -289,6 +289,34 @@ fn panicked_worker_is_contained_even_at_capacity_one_with_a_racing_drain() {
         report.failures[0].reason
     );
     assert_eq!(records.len(), 1, "the migration record still comes back");
+    // The dead node's telemetry shard folds into its sink while the
+    // worker unwinds, so its pre-panic admissions still reach the fleet
+    // report: the merged counter equals every account's lifetime
+    // admissions — the dead node's included, plus the migrating account's
+    // if it left its source and was lost with the dead destination.
+    let admitted_on = |dead: bool| -> u64 {
+        f.nodes()
+            .iter()
+            .filter(|n| (n.id == 1) == dead)
+            .flat_map(|n| n.plane.gateway.accounts())
+            .map(|(_, account)| account.admitted)
+            .sum()
+    };
+    assert!(admitted_on(true) > 0, "node 1 admitted work before it died");
+    let lost_in_handoff = if f.home_node(survivor_tenant).is_some()
+        && f.nodes()
+            .iter()
+            .all(|n| n.plane.gateway.tenant(survivor_tenant).is_none())
+    {
+        records[0].admitted_before_handoff
+    } else {
+        0
+    };
+    assert_eq!(
+        report.fabric.telemetry.counters["serve.admitted"],
+        admitted_on(true) + admitted_on(false) + lost_in_handoff,
+        "the unwind flush landed the dead node's counters"
+    );
     // Survivors' books stay exact: each untouched account's net spend
     // equals its served count, and its chain still verifies.
     for node in f.nodes() {

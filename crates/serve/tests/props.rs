@@ -96,6 +96,46 @@ proptest! {
         prop_assert_eq!(total, arrivals.len(), "no request lost or duplicated");
     }
 
+    /// A family the batcher has never seen: the first push opens its
+    /// queue and reports the deadline to arm, pushes 2..n share that
+    /// timer (`None`), and the n-th returns a size-triggered batch named
+    /// after the family — whatever other families are already queued.
+    #[test]
+    fn unseen_family_opens_a_queue_then_fills_to_a_named_size_batch(
+        max_batch in 2usize..10,
+        max_delay_us in 100u64..5_000,
+        seen in proptest::collection::vec(0u8..3, 0..8),
+        gaps in proptest::collection::vec(0u64..50, 10..11),
+        start_us in 0u64..1_000_000,
+    ) {
+        let mut batcher = MicroBatcher::new(BatchPolicy { max_batch, max_delay_us });
+        // Other families, kept below the size trigger, sorting on both
+        // sides of the new name.
+        for (id, family) in seen.iter().take(max_batch - 1).enumerate() {
+            batcher.push(request(1_000 + id as u64, 9, ["a", "m", "z"][*family as usize], 0));
+        }
+        let queued_elsewhere = batcher.pending();
+        let mut now = start_us;
+        for n in 1..=max_batch {
+            now += gaps[n - 1];
+            match batcher.push(request(n as u64, 1, "fresh", now)) {
+                PushOutcome::Queued { flush_at_us } => {
+                    prop_assert!(n < max_batch, "push {} of {} must flush", n, max_batch);
+                    let opened = (n == 1).then(|| start_us + gaps[0] + max_delay_us);
+                    prop_assert_eq!(flush_at_us, opened, "push {}", n);
+                }
+                PushOutcome::Flushed(batch) => {
+                    prop_assert_eq!(n, max_batch, "flushed early");
+                    prop_assert_eq!(batch.trigger, tinymlops_serve::FlushTrigger::Size);
+                    prop_assert_eq!(batch.model.as_str(), "fresh");
+                    let ids: Vec<u64> = batch.requests.iter().map(|r| r.id).collect();
+                    prop_assert_eq!(ids, (1..=max_batch as u64).collect::<Vec<_>>());
+                }
+            }
+        }
+        prop_assert_eq!(batcher.pending(), queued_elsewhere, "other queues untouched");
+    }
+
     /// Concatenating flushed batches preserves, per tenant, the exact
     /// arrival order (FIFO fairness: batching never reorders a tenant's
     /// own requests).

@@ -45,6 +45,10 @@ if run_stage test; then
     cargo test -q
     banner "workspace tests"
     cargo test --workspace -q
+    # The allocation budget holds for optimised builds only (the debug
+    # run above skips it with a note), so run that one binary in release.
+    banner "allocation budget (release)"
+    cargo test --release -q -p tinymlops_serve --test alloc_budget
     # Outside the workspace, so not covered above: every benchmark
     # workload at smoke scale with all output checks on.
     banner "benchmark self-tests (opsbench)"

@@ -119,4 +119,15 @@ fn audit_chain_format_is_pinned() {
         "6c35ecf278906cb799b391fbba8734fd00f5d403c9aa7c376b05354086519a33"
     );
     log.verify(&key).unwrap();
+    // The `u64::MAX` payload saturates the count instead of overflowing
+    // it, so the backend reconciles the chain in debug builds too.
+    let mut backend = SyncServer::new();
+    backend.provision(9, key);
+    let outcome = backend.sync(9, &log).expect("golden chain reconciles");
+    assert_eq!(outcome.log_len, 8);
+    assert_eq!(
+        outcome.new_queries,
+        u64::MAX - 2,
+        "saturated queries net of the refund"
+    );
 }
