@@ -1510,7 +1510,8 @@ fn bench_serving_controlled(quick: bool, entries: &mut Vec<Entry>) {
 /// `speedup_vs_baseline` is mutex/lock-free (≥ 1 means the replacement
 /// is no slower — the acceptance gate for the swap).
 fn bench_ingest_queue(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_serve::{IngestQueue, MutexIngestQueue};
+    use tinymlops_bench::MutexIngestQueue;
+    use tinymlops_serve::IngestQueue;
 
     let items: u64 = if quick { 20_000 } else { 200_000 };
     let capacity = 256;

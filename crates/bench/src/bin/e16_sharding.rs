@@ -14,7 +14,7 @@
 //! `--quick` shrinks the replay to CI-smoke size (the JSON artifacts are
 //! still written with the same schema).
 
-use tinymlops_bench::{fmt, print_table, save_json, synthetic_family, time_ms};
+use tinymlops_bench::{fmt, print_table, save_json, serve_sharded, synthetic_family, time_ms};
 use tinymlops_core::{Platform, PlatformConfig};
 use tinymlops_nn::data::synth_digits;
 use tinymlops_nn::model::mlp;
@@ -191,7 +191,7 @@ fn main() {
         );
     }
     let mut platform = published_platform(fleet_size);
-    let (report, wall_ms) = time_ms(|| platform.serve_traffic_sharded(&p, &cfg).expect("serve"));
+    let (report, wall_ms) = time_ms(|| serve_sharded(&mut platform, &p, &cfg, &[]));
     assert!(report.per_node.len() >= 3, "at least three serving nodes");
     let headers = [
         "node", "tenants", "served", "rps", "p50 ms", "p95 ms", "p99 ms", "shed %", "cache %",
@@ -211,9 +211,7 @@ fn main() {
     );
 
     // E16b: determinism — a fresh platform + fabric replays bit-identically.
-    let again = published_platform(fleet_size)
-        .serve_traffic_sharded(&p, &cfg)
-        .expect("serve");
+    let again = serve_sharded(&mut published_platform(fleet_size), &p, &cfg, &[]);
     assert_eq!(report, again, "same seed ⇒ identical fabric report");
     println!("\nE16b determinism: {stream_len} requests across {nodes} nodes replayed twice → identical ✓");
 

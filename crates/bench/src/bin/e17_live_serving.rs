@@ -16,7 +16,7 @@
 //! `--quick` shrinks the replay to CI-smoke size (the JSON artifacts are
 //! still written with the same schema).
 
-use tinymlops_bench::{fmt, print_table, save_json, time_ms};
+use tinymlops_bench::{fmt, print_table, save_json, serve_live, serve_sharded, time_ms};
 use tinymlops_core::{Platform, PlatformConfig};
 use tinymlops_nn::data::synth_digits;
 use tinymlops_nn::model::mlp;
@@ -139,13 +139,10 @@ fn main() {
     // platforms, and the reports must be *equal*: counters, shed
     // breakdowns, refunds, percentiles, merged telemetry — everything.
     let mut sim_platform = published_platform(fleet_size);
-    let (sim_report, sim_wall_ms) =
-        time_ms(|| sim_platform.serve_traffic_sharded(&p, &cfg).expect("sim"));
+    let (sim_report, sim_wall_ms) = time_ms(|| serve_sharded(&mut sim_platform, &p, &cfg, &[]));
     let mut live_platform = published_platform(fleet_size);
     let exec_cfg = ExecConfig::default();
-    let live = live_platform
-        .serve_traffic_live(&p, &cfg, &exec_cfg)
-        .expect("live");
+    let live = serve_live(&mut live_platform, &p, &cfg, &[], &exec_cfg);
     let identical = live.fabric == sim_report;
     assert!(
         identical,
@@ -220,16 +217,16 @@ fn main() {
     );
     let wall_stream_len = wall_plan.generate().len();
     let mut wall_platform = published_platform(if quick { 12 } else { 30 });
-    let wall_live = wall_platform
-        .serve_traffic_live(
-            &wall_plan,
-            &cfg,
-            &ExecConfig {
-                mode: ExecMode::Wall,
-                queue_capacity: 256,
-            },
-        )
-        .expect("wall run");
+    let wall_live = serve_live(
+        &mut wall_platform,
+        &wall_plan,
+        &cfg,
+        &[],
+        &ExecConfig {
+            mode: ExecMode::Wall,
+            queue_capacity: 256,
+        },
+    );
     let fleet = &wall_live.fabric.fleet;
     assert_eq!(
         fleet.served + fleet.shed_total,

@@ -161,13 +161,19 @@ fn main() {
         trigger_us: duration_us * 3 / 4,
     });
 
-    let (sim_report, sim_records) = sim_fabric.run_migrating(&stream, &specs).expect("sim run");
+    sim_fabric.schedule_migrations(&specs).expect("specs valid");
+    let sim_report = sim_fabric.run(&stream).expect("sim run");
+    let sim_records = &sim_report.migrations;
     let mut live_platform = published_platform(fleet_size);
     let mut live_fabric = live_platform.build_fabric(&p, &cfg).expect("fabric");
-    let (live_report, live_records) = live_fabric
-        .run_live_migrating(&stream, &ExecConfig::default(), &specs)
+    live_fabric
+        .schedule_migrations(&specs)
+        .expect("specs valid");
+    let live_report = live_fabric
+        .run_live(&stream, &ExecConfig::default())
         .expect("live run");
-    let identical = live_report.fabric == sim_report && live_records == sim_records;
+    // Report equality covers the migration records.
+    let identical = live_report.fabric == sim_report;
     assert!(
         identical,
         "threaded migration replay must be bit-identical to the simulator"
@@ -202,7 +208,7 @@ fn main() {
     assert_eq!(checked, tenants as usize);
 
     let mut rows_a: Vec<Vec<String>> = Vec::new();
-    for r in &sim_records {
+    for r in sim_records {
         assert_eq!(r.phase, MigrationPhase::Resumed);
         // The account lives on the tenant's *final* home (a
         // twice-migrated tenant has interim hops).
@@ -320,9 +326,11 @@ fn main() {
             trigger_us: mid,
         })
         .collect();
-    let (drain_report, drain_records) = drain_fabric
-        .run_migrating(&stream, &drain_specs)
-        .expect("drain run");
+    drain_fabric
+        .schedule_migrations(&drain_specs)
+        .expect("specs valid");
+    let drain_report = drain_fabric.run(&stream).expect("drain run");
+    let drain_records = &drain_report.migrations;
     assert!(drain_records
         .iter()
         .all(|r| r.phase == MigrationPhase::Resumed));
@@ -454,16 +462,19 @@ fn main() {
         to: (wall_from + 1) % 3,
         trigger_us: wall_plan.duration_us / 2,
     }];
-    let (wall_live, wall_records) = wall_fabric
-        .run_live_migrating(
+    wall_fabric
+        .schedule_migrations(&wall_spec)
+        .expect("specs valid");
+    let wall_live = wall_fabric
+        .run_live(
             &wall_stream,
             &ExecConfig {
                 mode: ExecMode::Wall,
                 queue_capacity: 256,
             },
-            &wall_spec,
         )
         .expect("wall run");
+    let wall_records = &wall_live.fabric.migrations;
     assert_eq!(wall_records.len(), 1);
     assert_eq!(wall_records[0].phase, MigrationPhase::Resumed);
     assert_eq!(wall_fabric.home_node(1), Some(wall_spec[0].to));

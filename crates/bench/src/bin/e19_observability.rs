@@ -23,7 +23,7 @@
 //! `--quick` shrinks the replay to CI-smoke size (the JSON artifacts are
 //! still written with the same schema).
 
-use tinymlops_bench::{fmt, print_table, save_json, time_ms};
+use tinymlops_bench::{fmt, print_table, save_json, serve_live, serve_sharded, time_ms};
 use tinymlops_core::{Platform, PlatformConfig};
 use tinymlops_nn::data::synth_digits;
 use tinymlops_nn::model::mlp;
@@ -129,17 +129,9 @@ fn main() {
     // with tracing enabled must stay bit-identical to the simulator —
     // windows, alarms and flight-recorder contents included.
     let mut off_platform = published_platform(fleet_size);
-    let (off_report, off_wall_ms) = time_ms(|| {
-        off_platform
-            .serve_traffic_sharded(&p, &cfg_off)
-            .expect("sim off")
-    });
+    let (off_report, off_wall_ms) = time_ms(|| serve_sharded(&mut off_platform, &p, &cfg_off, &[]));
     let mut on_platform = published_platform(fleet_size);
-    let (on_report, on_wall_ms) = time_ms(|| {
-        on_platform
-            .serve_traffic_sharded(&p, &cfg_on)
-            .expect("sim on")
-    });
+    let (on_report, on_wall_ms) = time_ms(|| serve_sharded(&mut on_platform, &p, &cfg_on, &[]));
     assert_eq!(
         on_report.fleet, off_report.fleet,
         "observability must not perturb serving outcomes"
@@ -150,9 +142,7 @@ fn main() {
     assert!(!on_report.traces.is_empty(), "traces recorded when on");
 
     let mut live_platform = published_platform(fleet_size);
-    let live = live_platform
-        .serve_traffic_live(&p, &cfg_on, &ExecConfig::default())
-        .expect("live on");
+    let live = serve_live(&mut live_platform, &p, &cfg_on, &[], &ExecConfig::default());
     let identical = live.fabric == on_report;
     assert!(
         identical,
@@ -295,10 +285,8 @@ fn main() {
         trigger_us: if quick { 300_000 } else { 1_000_000 },
     }];
     let mut mig_platform = published_platform(if quick { 18 } else { 45 });
-    let (mig_report, mig_records) = mig_platform
-        .serve_traffic_migrating(&mig_plan, &cfg_trace, &specs)
-        .expect("migrating run");
-    assert_eq!(mig_records.len(), 1);
+    let mig_report = serve_sharded(&mut mig_platform, &mig_plan, &cfg_trace, &specs);
+    assert_eq!(mig_report.migrations.len(), 1);
     let win_arrivals: u64 = mig_report
         .windows
         .iter()
@@ -370,11 +358,15 @@ fn main() {
     // sides of the migration (drain at the source, adopt at the
     // destination).
     let mut live_mig_platform = published_platform(if quick { 18 } else { 45 });
-    let (live_mig, live_records) = live_mig_platform
-        .serve_traffic_live_migrating(&mig_plan, &cfg_trace, &ExecConfig::default(), &specs)
-        .expect("live migrating run");
+    let live_mig = serve_live(
+        &mut live_mig_platform,
+        &mig_plan,
+        &cfg_trace,
+        &specs,
+        &ExecConfig::default(),
+    );
+    assert_eq!(live_mig.fabric.migrations, mig_report.migrations);
     assert_eq!(live_mig.fabric, mig_report, "migrating parity with tracing");
-    assert_eq!(live_records, mig_records);
     let all_events: Vec<_> = live_mig
         .fabric
         .traces

@@ -159,7 +159,8 @@ fn main() {
     let cfg_on = controlled_cfg(true);
     let mut on = fabric(&cfg_on, fleet_size);
     on.provision(&base_plan);
-    let (report_on, records_on) = on.run_migrating(&stream, &[]).expect("controlled run");
+    let report_on = on.run(&stream).expect("controlled run");
+    let records_on = &report_on.migrations;
     let joins = report_on
         .control
         .iter()

@@ -33,6 +33,16 @@ impl Default for PlatformConfig {
     }
 }
 
+/// One model family as a serving node installs it.
+struct LoadedFamily {
+    /// The family's records at its latest base version, id order.
+    records: Vec<tinymlops_registry::ModelRecord>,
+    /// A real executable for every variant a router can pick, so
+    /// feature-carrying requests exercise actual nn/quant kernels rather
+    /// than only the virtual cost model.
+    executables: Vec<(ModelId, tinymlops_serve::ExecModel)>,
+}
+
 /// The TinyMLOps platform hub (Figure 1).
 pub struct Platform {
     /// Model store & versioning (§III-A).
@@ -251,11 +261,55 @@ impl Platform {
         self.seed
     }
 
+    /// Resolve family `name` at its latest base version.
+    fn load_family(&self, name: &str) -> Result<LoadedFamily, PlatformError> {
+        use tinymlops_registry::ModelFormat;
+        use tinymlops_serve::ExecModel;
+        let base = self
+            .registry
+            .latest_base(name)
+            .ok_or_else(|| tinymlops_serve::ServeError::UnknownFamily(name.to_string()))?;
+        let mut records = self.registry.family_at(name, base.version);
+        records.sort_by_key(|r| r.id);
+        let executables = records
+            .iter()
+            .filter_map(|record| {
+                let exec = match record.format {
+                    ModelFormat::F32 => ExecModel::F32(self.registry.load_model(record.id).ok()?),
+                    ModelFormat::Quantized { .. } => {
+                        ExecModel::Quantized(self.registry.load_quantized(record.id).ok()?)
+                    }
+                    _ => return None,
+                };
+                Some((record.id, exec))
+            })
+            .collect();
+        Ok(LoadedFamily {
+            records,
+            executables,
+        })
+    }
+
+    /// Sell a serving tenant its prepaid package through a real voucher
+    /// (issued, validated and ledger-checked, exactly like
+    /// [`Platform::sell_package`]). Returns the tenant's meter key and
+    /// the voucher to open and credit its gateway account with.
+    fn tenant_voucher(
+        &mut self,
+        tenant: &tinymlops_serve::TenantSpec,
+    ) -> Result<([u8; 32], Voucher), PlatformError> {
+        let key = tinymlops_ipp::encrypt::device_key(&self.master_key, tenant.id);
+        let voucher = self.issuer.issue(tenant.prepaid_queries, tenant.id);
+        tinymlops_meter::voucher::validate_for_device(&voucher, &self.voucher_key, tenant.id)?;
+        self.ledger.register(voucher.serial)?;
+        self.telemetry.incr("metering.packages_sold");
+        Ok((key, voucher))
+    }
+
     /// Assemble a serving plane over this platform's fleet and registry:
     /// every model family named by `plan` is installed (base + variants
-    /// at the latest version), tenants are provisioned with accounts and
-    /// prepaid quota through real vouchers (issued, ledger-checked and
-    /// validated, exactly like [`Platform::sell_package`]).
+    /// at the latest version, with real executables), tenants are
+    /// provisioned with accounts and prepaid quota through real vouchers.
     pub fn build_serving(
         &mut self,
         plan: &tinymlops_serve::LoadPlan,
@@ -265,49 +319,19 @@ impl Platform {
         let families: std::collections::BTreeSet<&str> =
             plan.tenants.iter().map(|t| t.model.as_str()).collect();
         for name in families {
-            let base = self
-                .registry
-                .latest_base(name)
-                .ok_or_else(|| tinymlops_serve::ServeError::UnknownFamily(name.to_string()))?;
-            let mut records = self.registry.family_at(name, base.version);
-            records.sort_by_key(|r| r.id);
-            // Install real executables for the variants a router can pick,
-            // so feature-carrying requests exercise actual nn/quant
-            // kernels rather than only the virtual cost model.
-            for record in &records {
-                match record.format {
-                    tinymlops_registry::ModelFormat::F32 => {
-                        if let Ok(model) = self.registry.load_model(record.id) {
-                            plane.install_executable(
-                                record.id,
-                                tinymlops_serve::ExecModel::F32(model),
-                            );
-                        }
-                    }
-                    tinymlops_registry::ModelFormat::Quantized { .. } => {
-                        if let Ok(q) = self.registry.load_quantized(record.id) {
-                            plane.install_executable(
-                                record.id,
-                                tinymlops_serve::ExecModel::Quantized(q),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+            let family = self.load_family(name)?;
+            for (id, exec) in family.executables {
+                plane.install_executable(id, exec);
             }
-            plane.install_family(name, records);
+            plane.install_family(name, family.records);
         }
         let now_ms = self.clock.now().0;
         for tenant in &plan.tenants {
-            let key = tinymlops_ipp::encrypt::device_key(&self.master_key, tenant.id);
+            let (key, voucher) = self.tenant_voucher(tenant)?;
             plane.gateway.register_tenant(tenant.id, key);
-            let voucher = self.issuer.issue(tenant.prepaid_queries, tenant.id);
-            tinymlops_meter::voucher::validate_for_device(&voucher, &self.voucher_key, tenant.id)?;
-            self.ledger.register(voucher.serial)?;
             plane
                 .gateway
                 .credit(tenant.id, voucher.quota, voucher.serial, now_ms)?;
-            self.telemetry.incr("metering.packages_sold");
         }
         Ok(plane)
     }
@@ -328,18 +352,22 @@ impl Platform {
     }
 
     /// Assemble a multi-node serving fabric over this platform's fleet:
-    /// the fleet is partitioned into one device sub-fleet per node, every
-    /// family named by `plan` is installed on every node (with real
-    /// executables, as in [`Platform::build_serving`]), and each tenant is
-    /// provisioned on its shard-router-assigned home node with prepaid
-    /// quota through real vouchers.
+    /// the fleet is partitioned into one device sub-fleet per node
+    /// (standby nodes of the controller's elasticity pool included — they
+    /// are full planes, just outside the routing topology), every family
+    /// named by `plan` is installed on every node (with real executables,
+    /// as in [`Platform::build_serving`]), and each tenant is provisioned
+    /// on its shard-router-assigned home node with prepaid quota through
+    /// real vouchers.
+    ///
+    /// The fabric is then driven directly — `schedule_migrations`, `run`,
+    /// `run_with_retries`, `run_live`, the closed-loop drivers — and an
+    /// open-loop report folded back with [`Platform::absorb_serving`].
     pub fn build_fabric(
         &mut self,
         plan: &tinymlops_serve::LoadPlan,
         cfg: &tinymlops_serve::FabricConfig,
     ) -> Result<tinymlops_serve::ServeFabric, PlatformError> {
-        // Standby nodes (controller elasticity pool) get device fleets
-        // too — they are full planes, just outside the routing topology.
         let fleets = self
             .fleet
             .partition(cfg.node_weights.len() + cfg.controller.standby_weights.len());
@@ -347,161 +375,36 @@ impl Platform {
         let families: std::collections::BTreeSet<&str> =
             plan.tenants.iter().map(|t| t.model.as_str()).collect();
         for name in families {
-            let base = self
-                .registry
-                .latest_base(name)
-                .ok_or_else(|| tinymlops_serve::ServeError::UnknownFamily(name.to_string()))?;
-            let mut records = self.registry.family_at(name, base.version);
-            records.sort_by_key(|r| r.id);
-            for record in &records {
-                match record.format {
-                    tinymlops_registry::ModelFormat::F32 => {
-                        if let Ok(model) = self.registry.load_model(record.id) {
-                            fabric.install_executable(
-                                record.id,
-                                tinymlops_serve::ExecModel::F32(model),
-                            );
-                        }
-                    }
-                    tinymlops_registry::ModelFormat::Quantized { .. } => {
-                        if let Ok(q) = self.registry.load_quantized(record.id) {
-                            fabric.install_executable(
-                                record.id,
-                                tinymlops_serve::ExecModel::Quantized(q),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+            let family = self.load_family(name)?;
+            for (id, exec) in family.executables {
+                fabric.install_executable(id, exec);
             }
-            fabric.install_family(name, records);
+            fabric.install_family(name, family.records);
         }
         let now_ms = self.clock.now().0;
         for tenant in &plan.tenants {
-            let key = tinymlops_ipp::encrypt::device_key(&self.master_key, tenant.id);
+            let (key, voucher) = self.tenant_voucher(tenant)?;
             fabric.register_tenant(tenant.id, &tenant.model, key);
-            let voucher = self.issuer.issue(tenant.prepaid_queries, tenant.id);
-            tinymlops_meter::voucher::validate_for_device(&voucher, &self.voucher_key, tenant.id)?;
-            self.ledger.register(voucher.serial)?;
             fabric.credit(tenant.id, voucher.quota, voucher.serial, now_ms)?;
-            self.telemetry.incr("metering.packages_sold");
         }
         Ok(fabric)
     }
 
-    /// Replay a traffic plan through a freshly built serving fabric
-    /// ([`Platform::build_fabric`]): the shard router fans tenants out to
-    /// their home nodes, each node replays its share on its own
-    /// discrete-event clock, and the merged fleet report's counters land
-    /// in this platform's telemetry. Deterministic per plan seed.
-    pub fn serve_traffic_sharded(
-        &mut self,
-        plan: &tinymlops_serve::LoadPlan,
-        cfg: &tinymlops_serve::FabricConfig,
-    ) -> Result<tinymlops_serve::FabricReport, PlatformError> {
-        let mut fabric = self.build_fabric(plan, cfg)?;
-        let stream = plan.generate();
-        let report = fabric.run(&stream)?;
-        // Counters *and* merged timer summaries land in the platform
-        // sink (summaries via `Telemetry::record_summary`, so fleet
-        // latency statistics no longer stop at the fabric report).
+    /// Fold a fabric run into this platform's telemetry: the merged fleet
+    /// counters *and* timer summaries (via `Telemetry::record_summary`, so
+    /// fleet latency statistics do not stop at the fabric report), plus
+    /// `serve.migrations` and `serve.alarms` when the run had any. Works
+    /// for either backend (`LiveReport::fabric` for a threaded run).
+    pub fn absorb_serving(&self, report: &tinymlops_serve::FabricReport) {
         self.telemetry.absorb_report(&report.telemetry);
-        if !report.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.alarms.len() as u64);
+        for (counter, n) in [
+            ("serve.migrations", report.migrations.len()),
+            ("serve.alarms", report.alarms.len()),
+        ] {
+            if n > 0 {
+                self.telemetry.add(counter, n as u64);
+            }
         }
-        Ok(report)
-    }
-
-    /// Serve a traffic plan on the wall-clock concurrent backend: a
-    /// freshly built fabric ([`Platform::build_fabric`]) where every
-    /// serving node runs on its own OS thread behind a bounded ingest
-    /// queue ([`tinymlops_serve::exec`]). With
-    /// [`tinymlops_serve::ExecMode::Replay`] (the default) the fleet
-    /// report is bit-identical to [`Platform::serve_traffic_sharded`]
-    /// for the same plan, while the returned
-    /// [`tinymlops_serve::LiveReport`] additionally measures real
-    /// elapsed time for the threaded pipeline. Merged counters and timer
-    /// summaries land in this platform's telemetry, exactly as in the
-    /// simulated path.
-    pub fn serve_traffic_live(
-        &mut self,
-        plan: &tinymlops_serve::LoadPlan,
-        cfg: &tinymlops_serve::FabricConfig,
-        exec: &tinymlops_serve::ExecConfig,
-    ) -> Result<tinymlops_serve::LiveReport, PlatformError> {
-        let mut fabric = self.build_fabric(plan, cfg)?;
-        let stream = plan.generate();
-        let report = fabric.run_live(&stream, exec)?;
-        self.telemetry.absorb_report(&report.fabric.telemetry);
-        if !report.fabric.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.fabric.alarms.len() as u64);
-        }
-        Ok(report)
-    }
-
-    /// Replay a traffic plan through a freshly built fabric while
-    /// executing operator-triggered live migrations
-    /// ([`tinymlops_serve::MigrationSpec`]) at their scheduled stream
-    /// instants: tenants move between serving nodes *with requests in
-    /// flight* — queued work spliced, dispatched work drained in place,
-    /// the quota partition and audit chain handed off atomically under a
-    /// `meter` handoff entry. Returns the fleet report plus one
-    /// [`tinymlops_serve::MigrationRecord`] per spec; deterministic per
-    /// plan seed.
-    pub fn serve_traffic_migrating(
-        &mut self,
-        plan: &tinymlops_serve::LoadPlan,
-        cfg: &tinymlops_serve::FabricConfig,
-        specs: &[tinymlops_serve::MigrationSpec],
-    ) -> Result<
-        (
-            tinymlops_serve::FabricReport,
-            Vec<tinymlops_serve::MigrationRecord>,
-        ),
-        PlatformError,
-    > {
-        let mut fabric = self.build_fabric(plan, cfg)?;
-        let stream = plan.generate();
-        let (report, records) = fabric.run_migrating(&stream, specs)?;
-        self.telemetry.absorb_report(&report.telemetry);
-        self.telemetry.add("serve.migrations", records.len() as u64);
-        if !report.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.alarms.len() as u64);
-        }
-        Ok((report, records))
-    }
-
-    /// [`Platform::serve_traffic_migrating`] on the wall-clock backend:
-    /// the migrations execute across live node threads (drain/adopt
-    /// control entries through the bounded ingest queues). With
-    /// [`tinymlops_serve::ExecMode::Replay`] the report *and* the
-    /// migration records are bit-identical to the simulated path.
-    pub fn serve_traffic_live_migrating(
-        &mut self,
-        plan: &tinymlops_serve::LoadPlan,
-        cfg: &tinymlops_serve::FabricConfig,
-        exec: &tinymlops_serve::ExecConfig,
-        specs: &[tinymlops_serve::MigrationSpec],
-    ) -> Result<
-        (
-            tinymlops_serve::LiveReport,
-            Vec<tinymlops_serve::MigrationRecord>,
-        ),
-        PlatformError,
-    > {
-        let mut fabric = self.build_fabric(plan, cfg)?;
-        let stream = plan.generate();
-        let (report, records) = fabric.run_live_migrating(&stream, exec, specs)?;
-        self.telemetry.absorb_report(&report.fabric.telemetry);
-        self.telemetry.add("serve.migrations", records.len() as u64);
-        if !report.fabric.alarms.is_empty() {
-            self.telemetry
-                .add("serve.alarms", report.fabric.alarms.len() as u64);
-        }
-        Ok((report, records))
     }
 }
 
@@ -539,6 +442,24 @@ mod tests {
             },
         );
         (model, train, test)
+    }
+
+    /// Six `digits` tenants at `rate_rps` each for one second.
+    fn six_tenant_plan(rate_rps: f64, prepaid_queries: u64) -> tinymlops_serve::LoadPlan {
+        tinymlops_serve::LoadPlan {
+            tenants: (0..6u32)
+                .map(|i| tinymlops_serve::TenantSpec {
+                    id: i + 1,
+                    rate_rps,
+                    model: "digits".into(),
+                    prepaid_queries,
+                    deadline_us: 500_000,
+                })
+                .collect(),
+            duration_us: 1_000_000,
+            seed: 33,
+            feature_dim: 0,
+        }
     }
 
     #[test]
@@ -643,27 +564,23 @@ mod tests {
 
     #[test]
     fn sharded_fabric_serves_published_family_end_to_end() {
-        use tinymlops_serve::{FabricConfig, LoadPlan, TenantSpec};
+        use tinymlops_serve::FabricConfig;
         let mut p = platform();
         let (model, train, test) = trained();
         p.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
-        let plan = LoadPlan {
-            tenants: (0..6u32)
-                .map(|i| TenantSpec {
-                    id: i + 1,
-                    rate_rps: 150.0,
-                    model: "digits".into(),
-                    prepaid_queries: 1_000,
-                    deadline_us: 500_000,
-                })
-                .collect(),
-            duration_us: 1_000_000,
-            seed: 33,
-            feature_dim: 0,
-        };
+        let plan = six_tenant_plan(150.0, 1_000);
         let cfg = FabricConfig::default();
-        let report = p.serve_traffic_sharded(&plan, &cfg).unwrap();
+        let serve_sharded = |p: &mut Platform| {
+            let report = p
+                .build_fabric(&plan, &cfg)
+                .unwrap()
+                .run(&plan.generate())
+                .unwrap();
+            p.absorb_serving(&report);
+            report
+        };
+        let report = serve_sharded(&mut p);
         assert!(
             report.fleet.served > 200,
             "traffic flowed: {}",
@@ -697,38 +614,30 @@ mod tests {
         let mut q = platform();
         q.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
-        assert_eq!(q.serve_traffic_sharded(&plan, &cfg).unwrap(), report);
+        assert_eq!(serve_sharded(&mut q), report);
     }
 
     #[test]
     fn live_backend_matches_sim_replay_and_folds_timers() {
-        use tinymlops_serve::{ExecConfig, FabricConfig, LoadPlan, TenantSpec};
+        use tinymlops_serve::{ExecConfig, FabricConfig};
         let mut p = platform();
         let (model, train, test) = trained();
         p.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
-        let plan = LoadPlan {
-            tenants: (0..6u32)
-                .map(|i| TenantSpec {
-                    id: i + 1,
-                    rate_rps: 150.0,
-                    model: "digits".into(),
-                    prepaid_queries: 1_000,
-                    deadline_us: 500_000,
-                })
-                .collect(),
-            duration_us: 1_000_000,
-            seed: 33,
-            feature_dim: 0,
-        };
+        let plan = six_tenant_plan(150.0, 1_000);
         let cfg = FabricConfig::default();
-        let sim_report = p.serve_traffic_sharded(&plan, &cfg).unwrap();
+        let stream = plan.generate();
+        let sim_report = p.build_fabric(&plan, &cfg).unwrap().run(&stream).unwrap();
+        p.absorb_serving(&sim_report);
         let mut q = platform();
         q.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
         let live = q
-            .serve_traffic_live(&plan, &cfg, &ExecConfig::default())
+            .build_fabric(&plan, &cfg)
+            .unwrap()
+            .run_live(&stream, &ExecConfig::default())
             .unwrap();
+        q.absorb_serving(&live.fabric);
         assert_eq!(
             live.fabric, sim_report,
             "threaded replay is bit-identical to the simulator"
@@ -749,27 +658,12 @@ mod tests {
 
     #[test]
     fn triggered_migration_moves_tenant_and_stays_bit_exact() {
-        use tinymlops_serve::{
-            ExecConfig, FabricConfig, LoadPlan, MigrationPhase, MigrationSpec, TenantSpec,
-        };
+        use tinymlops_serve::{ExecConfig, FabricConfig, MigrationPhase, MigrationSpec};
         let mut p = platform();
         let (model, train, test) = trained();
         p.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
-        let plan = LoadPlan {
-            tenants: (0..6u32)
-                .map(|i| TenantSpec {
-                    id: i + 1,
-                    rate_rps: 300.0,
-                    model: "digits".into(),
-                    prepaid_queries: 10_000,
-                    deadline_us: 500_000,
-                })
-                .collect(),
-            duration_us: 1_000_000,
-            seed: 33,
-            feature_dim: 0,
-        };
+        let plan = six_tenant_plan(300.0, 10_000);
         let cfg = FabricConfig::default();
         // Find tenant 1's hash-derived home so the spec moves it for real.
         let probe = p.build_fabric(&plan, &cfg).unwrap();
@@ -781,7 +675,12 @@ mod tests {
             to,
             trigger_us: 400_000,
         }];
-        let (report, records) = p.serve_traffic_migrating(&plan, &cfg, &specs).unwrap();
+        let stream = plan.generate();
+        let mut fabric = p.build_fabric(&plan, &cfg).unwrap();
+        fabric.schedule_migrations(&specs).unwrap();
+        let report = fabric.run(&stream).unwrap();
+        p.absorb_serving(&report);
+        let records = &report.migrations;
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].phase, MigrationPhase::Resumed);
         assert_eq!((records[0].from, records[0].to), (from, to));
@@ -791,11 +690,13 @@ mod tests {
         let mut q = platform();
         q.publish("digits", &model, SemVer::new(1, 0, 0), &train, &test)
             .unwrap();
-        let (live, live_records) = q
-            .serve_traffic_live_migrating(&plan, &cfg, &ExecConfig::default(), &specs)
+        let mut live_fabric = q.build_fabric(&plan, &cfg).unwrap();
+        live_fabric.schedule_migrations(&specs).unwrap();
+        let live = live_fabric
+            .run_live(&stream, &ExecConfig::default())
             .unwrap();
+        assert_eq!(live.fabric.migrations, report.migrations);
         assert_eq!(live.fabric, report);
-        assert_eq!(live_records, records.clone());
     }
 
     #[test]

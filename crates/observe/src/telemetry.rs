@@ -600,7 +600,7 @@ mod tests {
     #[test]
     fn record_summary_matches_recording_the_samples() {
         // One sink sees raw samples; the other absorbs per-node summaries
-        // (the `serve_traffic_sharded` / live-mode path). They must agree.
+        // (the `Platform::absorb_serving` path). They must agree.
         let raw = Telemetry::new();
         let folded = Telemetry::new();
         folded.record("serve.latency_ms", 5.0); // pre-existing local data

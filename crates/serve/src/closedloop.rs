@@ -34,18 +34,16 @@
 //!   conservation laws, like [`crate::ExecMode::Wall`].
 
 use crate::clock::{Clock, WallClock};
-use crate::fabric::{FabricReport, NodeCtx, NodeIndex, RetryStats, ServeFabric};
-use crate::fault::{
-    retryable, schedule_retry, NodeFaults, RetryBudget, RetryDecision, RetryPolicy,
-};
-use crate::observer::NodeObserver;
+use crate::coordinator::Routing;
+use crate::exec::{run_workers, ExecMode, Ingest, IngestQueue, LiveSetup};
+use crate::fabric::{FabricReport, NodeIndex, RetryStats, ServeFabric, SimNodes};
+use crate::fault::{retryable, schedule_retry, RetryBudget, RetryDecision, RetryPolicy};
 use crate::request::{Completion, Disposition, Request, RequestId, TenantId};
-use crate::shard::{NodeId, ShardRouter};
 use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -544,21 +542,10 @@ fn make_request(
 /// and no delivery walks the assignment table. Unknown tenants are still
 /// routed (by the same hash as the open loop) so the owning gateway
 /// records the denial.
-fn client_homes(
-    plan: &ClientPlan,
-    assignments: &BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &ShardRouter,
-    index: &NodeIndex,
-) -> Vec<usize> {
+fn client_homes(plan: &ClientPlan, routing: &Routing<'_>, index: &NodeIndex) -> Vec<usize> {
     plan.clients
         .iter()
-        .map(|c| {
-            let home = match assignments.get(&c.tenant) {
-                Some((node, _)) => *node,
-                None => shard_router.assign(c.tenant, &c.model),
-            };
-            index[home]
-        })
+        .map(|c| index[routing.home_of(c.tenant, &c.model)])
         .collect()
 }
 
@@ -575,83 +562,63 @@ impl ServeFabric {
     /// bit-for-bit. Fully deterministic: same plan (and seed), same
     /// trace, same report.
     ///
-    /// Scheduled fault-plan triggers and the elasticity controller do
-    /// not fire in this driver (closed-loop runs measure the
-    /// demand/supply feedback loop in isolation); provision the fabric
-    /// without them.
+    /// Cross-node events — scheduled migrations, fault-plan crashes, the
+    /// elasticity controller — do not fire in this driver (closed-loop
+    /// runs measure the demand/supply feedback loop in isolation): a
+    /// pending migration schedule stays pending for the next open-loop
+    /// run, and the fabric is best provisioned without the other two.
     pub fn run_closed_loop(&mut self, plan: &ClientPlan) -> Result<ClosedLoopReport, ServeError> {
-        self.require_families()?;
+        self.preflight()?;
         let refunded_before = self.refunded_total();
-        let serve_cfg = self.serve_config().clone();
-        let observe_cfg = self.observe_config().clone();
-        let fault_plan = self.fault_plan().clone();
         let mut trace: Vec<Request> = Vec::new();
+        let (nodes, policy, routing) = self.split();
+        let mut sim = SimNodes::arm(nodes, policy, |engine| engine.set_completion_tap(true));
+        let home_of = client_homes(plan, &routing, &sim.index);
+        let mut pool = ClientPool::new(plan, plan.retry.seed, |_| true);
+        let mut completions: Vec<Completion> = Vec::new();
 
-        let (per_node, stats) = {
-            let (nodes, shard_router, assignments, _traffic) = self.split_live();
-            let mut ctxs: Vec<NodeCtx> = nodes
-                .iter_mut()
-                .map(|node| {
-                    let mut ctx = NodeCtx::new(node, &serve_cfg, &observe_cfg, &fault_plan);
-                    ctx.engine.set_completion_tap(true);
-                    ctx
-                })
-                .collect();
-            let index = NodeIndex::new(ctxs.iter().map(|c| c.id));
-            let home_of = client_homes(plan, assignments, shard_router, &index);
-            let mut pool = ClientPool::new(plan, plan.retry.seed, |_| true);
-            let mut completions: Vec<Completion> = Vec::new();
-
-            loop {
-                let next_issue = pool.next_issue_at();
-                let next_timer = ctxs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, c)| c.engine.next_timer_us().map(|t| (t, i)))
-                    .min();
-                // Timers due at or before the next issue fire first —
-                // the same order `run_timers_through` imposes inside the
-                // open-loop replay, which is what makes the trace
-                // replayable bit-for-bit.
-                let fire_timer = match (next_issue, next_timer) {
-                    (None, None) => break,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (Some(at), Some((t, _))) => t <= at,
-                };
-                let ctx = if fire_timer {
-                    let (t, node) = next_timer.expect("matched above");
-                    let ctx = &mut ctxs[node];
-                    ctx.engine.run_timers_through(ctx.plane, t, true);
-                    ctx
-                } else {
-                    let at = next_issue.expect("matched above");
-                    let (client, request) = pool.pop_issue(at).expect("peeked");
-                    let ctx = &mut ctxs[home_of[client]];
-                    ctx.engine.run_timers_through(ctx.plane, at, true);
-                    let _ = ctx.engine.on_arrival(ctx.plane, &request);
-                    trace.push(request);
-                    ctx
-                };
-                ctx.engine.drain_completions_into(&mut completions);
-                for completion in completions.drain(..) {
-                    pool.resolve(&completion, completion.at_us);
-                }
+        loop {
+            let next_issue = pool.next_issue_at();
+            let next_timer = sim
+                .ctxs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| c.engine.next_timer_us().map(|t| (t, i)))
+                .min();
+            // Timers due at or before the next issue fire first — the
+            // same order `run_timers_through` imposes inside the open-loop
+            // replay, which is what makes the trace replayable
+            // bit-for-bit.
+            let fire_timer = match (next_issue, next_timer) {
+                (None, None) => break,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+                (Some(at), Some((t, _))) => t <= at,
+            };
+            let ctx = if fire_timer {
+                let (t, node) = next_timer.expect("matched above");
+                let ctx = &mut sim.ctxs[node];
+                ctx.engine.run_timers_through(ctx.plane, t, true);
+                ctx
+            } else {
+                let at = next_issue.expect("matched above");
+                let (client, request) = pool.pop_issue(at).expect("peeked");
+                let ctx = &mut sim.ctxs[home_of[client]];
+                ctx.engine.run_timers_through(ctx.plane, at, true);
+                let _ = ctx.engine.on_arrival(ctx.plane, &request);
+                trace.push(request);
+                ctx
+            };
+            ctx.engine.drain_completions_into(&mut completions);
+            for completion in completions.drain(..) {
+                pool.resolve(&completion, completion.at_us);
             }
-            debug_assert!(pool.is_drained(), "every delivery resolves exactly once");
-            let per_node: Vec<(NodeId, crate::stats::ServeStats)> = ctxs
-                .into_iter()
-                .map(|ctx| {
-                    let NodeCtx { id, plane, engine } = ctx;
-                    (id, engine.finish(plane))
-                })
-                .collect();
-            (per_node, pool.into_stats())
-        };
-        let fabric = self.assemble_report(per_node, refunded_before, Vec::new());
+        }
+        debug_assert!(pool.is_drained(), "every delivery resolves exactly once");
+        let per_node = sim.finish();
         Ok(ClosedLoopReport {
-            fabric,
-            clients: stats,
+            fabric: self.assemble_report(per_node, refunded_before, None),
+            clients: pool.into_stats(),
             trace,
         })
     }
@@ -672,12 +639,8 @@ impl ServeFabric {
         plan: &ClientPlan,
         queue_capacity: usize,
     ) -> Result<ClosedLoopLiveReport, ServeError> {
-        use crate::exec::{node_worker, ExecMode, Ingest, IngestQueue};
-        self.require_families()?;
+        self.preflight()?;
         let refunded_before = self.refunded_total();
-        let serve_cfg = self.serve_config().clone();
-        let observe_cfg = self.observe_config().clone();
-        let fault_plan = self.fault_plan().clone();
         let wall = WallClock::new();
         let start = std::time::Instant::now();
 
@@ -687,102 +650,51 @@ impl ServeFabric {
             .min(plan.clients.len())
             .max(1);
 
-        let (per_node, mut stats) = {
-            let (nodes, shard_router, assignments, _traffic) = self.split_live();
-            let queues: Vec<IngestQueue<Ingest<'_>>> = nodes
-                .iter()
-                .map(|_| IngestQueue::new(queue_capacity))
-                .collect();
-            let node_ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
-            let index = NodeIndex::new(nodes.iter().map(|n| n.id));
-            let home_of = client_homes(plan, assignments, shard_router, &index);
-            let mut txs = Vec::with_capacity(shards);
-            let mut rxs = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (tx, rx) = mpsc::channel();
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            let sink = CompletionSink { senders: txs };
-
-            type JoinOutcome = std::thread::Result<Result<crate::stats::ServeStats, ServeError>>;
-            let (node_results, shard_stats): (Vec<JoinOutcome>, Vec<ClosedLoopStats>) =
-                std::thread::scope(|s| {
-                    let node_handles: Vec<_> = nodes
-                        .iter_mut()
-                        .zip(&queues)
-                        .map(|(node, queue)| {
-                            let serve_cfg = &serve_cfg;
-                            let wall = &wall;
-                            let observer = observe_cfg
-                                .enabled
-                                .then(|| Box::new(NodeObserver::new(node.id, observe_cfg.clone())));
-                            let faults = NodeFaults::for_node(&fault_plan, node.id, false);
-                            let plane = &mut node.plane;
-                            let telemetry = &node.telemetry;
-                            let sink = sink.clone();
-                            s.spawn(move || {
-                                node_worker(
-                                    plane,
-                                    telemetry,
-                                    serve_cfg,
-                                    observer,
-                                    faults,
-                                    queue,
-                                    ExecMode::Wall,
-                                    wall,
-                                    false,
-                                    Some(sink),
-                                )
-                            })
-                        })
-                        .collect();
-                    // The scope's copy of the senders is dropped here so
-                    // shard receivers disconnect once every worker exits.
-                    drop(sink);
-                    let shard_handles: Vec<_> = rxs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, rx)| {
-                            let queues = &queues;
-                            let home_of = &home_of;
-                            let wall = &wall;
-                            s.spawn(move || {
-                                client_shard(shard, shards, plan, home_of, queues, rx, wall)
-                            })
-                        })
-                        .collect();
-                    let shard_stats = shard_handles
-                        .into_iter()
-                        .map(|h| h.join().expect("client shards do not panic"))
-                        .collect();
-                    // All clients are done: no more pushes, ever. Close
-                    // the queues so the workers drain out and exit.
-                    for queue in &queues {
-                        queue.close();
-                    }
-                    let node_results = node_handles.into_iter().map(|h| h.join()).collect();
-                    (node_results, shard_stats)
-                });
-
-            let mut per_node = Vec::with_capacity(node_results.len());
-            for (node_id, outcome) in node_ids.into_iter().zip(node_results) {
-                match outcome {
-                    Ok(Ok(node_stats)) => per_node.push((node_id, node_stats)),
-                    Ok(Err(err)) => return Err(err),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            let mut stats = ClosedLoopStats::default();
-            for shard in &shard_stats {
-                stats.merge(shard);
-            }
-            (per_node, stats)
+        let (nodes, policy, routing) = self.split();
+        let index = NodeIndex::new(nodes.iter().map(|n| n.id));
+        let home_of = client_homes(plan, &routing, &index);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
+        let live = LiveSetup {
+            policy,
+            mode: ExecMode::Wall,
+            wall: &wall,
+            control_tap: false,
+            allow_panics: false,
+            completions: Some(CompletionSink { senders }),
         };
-        let fabric = self.assemble_report(per_node, refunded_before, Vec::new());
+        let (outcomes, shard_stats) = run_workers(nodes, queue_capacity, live, |queues| {
+            // All shards done means no more pushes, ever: the harness then
+            // closes the queues and the workers drain out.
+            std::thread::scope(|s| {
+                let shard_handles: Vec<_> = receivers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, rx)| {
+                        let (home_of, wall) = (&home_of, &wall);
+                        s.spawn(move || {
+                            client_shard(shard, shards, plan, home_of, queues, rx, wall)
+                        })
+                    })
+                    .collect();
+                shard_handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client shards do not panic"))
+                    .collect::<Vec<ClosedLoopStats>>()
+            })
+        });
+        // A node worker that panicked under a closed loop is a bug, not a
+        // modelled fault: re-raise it.
+        let per_node = outcomes
+            .into_iter()
+            .map(|(id, outcome)| (id, outcome.unwrap_or_else(|p| std::panic::resume_unwind(p))))
+            .collect();
+        let mut stats = ClosedLoopStats::default();
+        for shard in &shard_stats {
+            stats.merge(shard);
+        }
         stats.finalize();
         Ok(ClosedLoopLiveReport {
-            fabric,
+            fabric: self.assemble_report(per_node, refunded_before, None),
             clients: stats,
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
         })
@@ -797,11 +709,10 @@ fn client_shard(
     shards: usize,
     plan: &ClientPlan,
     home_of: &[usize],
-    queues: &[crate::exec::IngestQueue<crate::exec::Ingest<'_>>],
+    queues: &[IngestQueue<Ingest<'_>>],
     rx: mpsc::Receiver<Completion>,
     wall: &WallClock,
 ) -> ClosedLoopStats {
-    use crate::exec::Ingest;
     /// Give outstanding work this long past its last sign of life before
     /// writing it off (a dead node's queue refuses pushes immediately;
     /// this guards the run against a wedged one).

@@ -2,7 +2,7 @@
 //!
 //! Everything a self-managing fleet needs already exists as an
 //! operator-triggered primitive — live migration
-//! ([`crate::ServeFabric::run_migrating`]), node join/drain (e18),
+//! ([`crate::ServeFabric::schedule_migrations`]), node join/drain (e18),
 //! brownout degradation ([`crate::fault::degrade_records`]) — and the
 //! observability plane computes every signal (queue depths, shed rates,
 //! p99, per-tenant served work). The [`FleetController`] closes the

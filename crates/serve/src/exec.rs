@@ -27,39 +27,32 @@
 //!   but the conservation laws (served + shed = arrivals, refunds match
 //!   downstream sheds, quota balances) still hold exactly.
 //!
-//! **Live migration** rides the same queues: a scheduled
-//! [`crate::MigrationSpec`] makes the feeder inject a drain control
-//! entry into the source node's queue (in stream position, so the drain
-//! set is exactly what the simulator's would be), wait for the node
-//! thread to splice its batcher and detach the account, then hand the
-//! sealed handoff package (account + spliced work) to the destination's
-//! queue before any of the tenant's rerouted traffic. Replay-mode migrations
-//! are bit-identical to [`crate::ServeFabric::run_migrating`]; wall-mode
+//! **Cross-node events** — scheduled migrations, injected crashes,
+//! controller ticks — ride the same queues. The ingest feeder drives the
+//! fabric's one `coordinator` state machine over a queued transport: each
+//! protocol step is a control entry pushed *in stream position* onto the
+//! target node's queue, so the node acts on it after exactly the prefix
+//! of traffic the simulator's node would have seen, and replay-mode
+//! records are bit-identical to [`crate::ServeFabric::run`]'s. Wall-mode
 //! migrations additionally splice the tenant's not-yet-ingested arrivals
 //! out of the source's [`IngestQueue`] ([`IngestQueue::splice`]) so even
 //! queued-but-unseen work follows the account without dropping or
 //! double-billing.
 
 use crate::clock::{Clock, WallClock};
-use crate::controller::{ControlAction, ControlSample, ControllerView, FleetController};
-use crate::fabric::{
-    absorb_failover, adopt_destination, drain_source, merge_triggers, FabricReport, FleetTrigger,
-    HandoffPackage, MigrationPhase, MigrationRecord, MigrationSpec, NodeIndex, ServeFabric,
-};
-use crate::fault::{plan_evacuation, FailoverPackage, NodeFaults};
-use crate::observer::NodeObserver;
+use crate::closedloop::CompletionSink;
+use crate::coordinator::{NodeOp, NodeReply, Transport, Unreachable};
+use crate::fabric::{FabricNode, FabricReport, NodeIndex, NodePolicy, ServeFabric};
 use crate::request::{Request, TenantId};
 use crate::shard::NodeId;
-use crate::sim::{ServeConfig, ServeEngine, ServePlane};
+use crate::sim::{ServeEngine, ServePlane};
 use crate::stats::ServeStats;
 use crate::ServeError;
 use crossbeam::queue::ArrayQueue;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tinymlops_observe::Telemetry;
 
 /// How the live executor treats time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,11 +132,10 @@ impl LiveReport {
 }
 
 /// What flows through a node's ingest queue: arrivals plus the control
-/// entries of migration, failover and the fleet controller. Controls
-/// ride *in stream position*, so a node thread executes them after
-/// exactly the same prefix of its traffic as the simulator would — that
-/// positional guarantee is what makes replay-mode migrations
-/// bit-identical.
+/// entries of the cross-node protocol. Controls ride *in stream
+/// position*, so a node thread executes them after exactly the same
+/// prefix of its traffic as the simulator would — that positional
+/// guarantee is what makes replay-mode migrations bit-identical.
 ///
 /// A slot is two words. The feeder of a replayed stream runs far ahead
 /// of the workers, so the ring (sized by the caller, up to the whole
@@ -161,61 +153,11 @@ pub(crate) enum Ingest<'s> {
     Control(Box<Control>),
 }
 
-impl From<Control> for Ingest<'_> {
-    fn from(control: Control) -> Self {
-        Ingest::Control(Box::new(control))
-    }
-}
-
-/// The control entries of an ingest queue (see [`Ingest`]).
-pub(crate) enum Control {
-    /// Migration source side: drain the tenant at `at_us` and send the
-    /// sealed handoff package back to the coordinating feeder.
-    Drain {
-        tenant: TenantId,
-        from: NodeId,
-        to: NodeId,
-        at_us: u64,
-        reply: mpsc::Sender<HandoffPackage>,
-    },
-    /// Migration destination side: attach the account and re-enqueue the
-    /// spliced in-flight work.
-    Adopt {
-        tenant: TenantId,
-        package: HandoffPackage,
-    },
-    /// Injected [`crate::FaultKind::Crash`]: tear this node down at
-    /// `at_us` — resolve queued and in-flight work as refunded failover
-    /// sheds, send the evacuated accounts (plus orphaned requests of
-    /// tenants that had already migrated away) back to the coordinating
-    /// feeder, and exit the worker loop.
-    Crash {
-        node: NodeId,
-        at_us: u64,
-        reply: mpsc::Sender<(Vec<FailoverPackage>, Vec<Request>)>,
-    },
-    /// Failover landing side: reconstruct an evacuated tenant account
-    /// from its [`FailoverPackage`] (emergency handoff — the dead source
-    /// cannot cooperate, so the survivor seals the chain).
-    Absorb {
-        to: NodeId,
-        package: FailoverPackage,
-    },
-    /// Orphan refund: return one prepaid query to a tenant homed here
-    /// whose in-flight request died on a crashed peer (it had migrated
-    /// off that peer with work still dispatched there).
-    Refund { tenant: TenantId, at_us: u64 },
-    /// Controller tick: advance to `at_us`, sample-and-reset the control
-    /// tap, and reply to the coordinating feeder. Rides in stream
-    /// position, so the sampled counters are bit-identical to the
-    /// simulator's tick at the same logical instant.
-    Sample {
-        at_us: u64,
-        reply: mpsc::Sender<ControlSample>,
-    },
-    /// Controller brownout nudge: floor (or lift, at 0) this node's
-    /// degradation ladder.
-    SetBrownoutFloor { level: usize, at_us: u64 },
+/// One step of the coordinator's protocol in a node's queue: the op, and
+/// where to send the answer when the coordinating feeder waits for one.
+pub(crate) struct Control {
+    op: NodeOp,
+    reply: Option<mpsc::Sender<NodeReply>>,
 }
 
 // The ring allocates `capacity` slots of this size up front.
@@ -240,9 +182,8 @@ enum Popped<T> {
 /// slow node stalls its producer instead of hiding behind RAM) or a
 /// consumer against an empty one; sleepers register in counters behind
 /// `SeqCst` fences (Dekker-style), so the waking side skips the lock
-/// entirely while nobody sleeps. The retired mutex/condvar design
-/// survives as [`MutexIngestQueue`] — the baseline the b01
-/// `ingest_queue` group measures this ring against.
+/// entirely while nobody sleeps. The b01 `ingest_queue` group measures
+/// this ring against a plain mutex/condvar queue kept in `crates/bench`.
 ///
 /// Closing has two flavors with different race disciplines:
 ///
@@ -576,91 +517,6 @@ impl<T> IngestQueue<T> {
     }
 }
 
-struct MutexQueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// The retired mutex/condvar ingest queue, kept as the measurable
-/// baseline for the lock-free [`IngestQueue`]: the b01 `ingest_queue`
-/// group runs the same handoff workload through both and reports the
-/// paired difference (the same way `Dispatch::Spawn` survives as the
-/// thread pool's baseline). Not used by the serving path.
-pub struct MutexIngestQueue<T> {
-    state: Mutex<MutexQueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> MutexIngestQueue<T> {
-    /// A queue holding at most `capacity` items.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        MutexIngestQueue {
-            state: Mutex::new(MutexQueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueue, blocking while the queue is full. Returns `false` (and
-    /// drops the item) iff the queue is closed.
-    pub fn push(&self, item: T) -> bool {
-        let mut state = self.state.lock().unwrap();
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap();
-        }
-        if state.closed {
-            return false;
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Dequeue, blocking until an item arrives or the queue closes.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).unwrap();
-        }
-    }
-
-    /// Close the queue: pending items still drain, then pops return
-    /// `None` and pushes are refused.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// `true` when nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Closes a node's ingest queue when its worker exits — normally a no-op
 /// (the feeder closed it first and the queue is empty), but on an early
 /// error return or a panic it flips the queue to refuse further pushes
@@ -675,42 +531,52 @@ impl<T> Drop for CloseOnExit<'_, T> {
     }
 }
 
+/// What a live run arms on every node worker.
+#[derive(Clone)]
+pub(crate) struct LiveSetup<'a> {
+    /// The fabric's per-node policy (engine config, observer, faults).
+    pub(crate) policy: NodePolicy<'a>,
+    /// Time policy.
+    pub(crate) mode: ExecMode,
+    /// The run's shared wall clock.
+    pub(crate) wall: &'a WallClock,
+    /// Arm the control tap (the run's coordinator ticks a controller).
+    pub(crate) control_tap: bool,
+    /// Arm `DispatchPanic` events — the genuine-death path the simulator
+    /// cannot model.
+    pub(crate) allow_panics: bool,
+    /// Arm the completion tap and forward every resolution (served, shed,
+    /// failover) as it happens — the response leg of the closed-loop
+    /// drivers ([`crate::closedloop`]). The tap is pure observation, so a
+    /// sink never changes a serving decision.
+    pub(crate) completions: Option<CompletionSink>,
+}
+
 /// One node thread: drain the ingest queue through the shared engine.
-/// Returns `Ok` with honest statistics even when the node is torn down
-/// mid-run by an injected crash (the evacuation resolves everything it
-/// owed first); only a genuine panic loses state.
-///
-/// With a `completions` sink the engine's completion tap is armed and
-/// every resolution (served, shed, failover) is forwarded as it happens
-/// — the response leg of the closed-loop drivers
-/// ([`crate::closedloop`]). The tap is pure observation, so a sink
-/// never changes a serving decision.
-#[allow(clippy::too_many_arguments)] // internal worker plumbing, not an API
-pub(crate) fn node_worker(
-    plane: &mut ServePlane,
-    telemetry: &Telemetry,
-    serve_cfg: &ServeConfig,
-    observer: Option<Box<NodeObserver>>,
-    faults: Option<NodeFaults>,
+/// Returns honest statistics even when the node is torn down mid-run by
+/// an injected crash (the evacuation resolves everything it owed first);
+/// only a genuine panic loses state.
+fn node_worker(
+    node: &mut FabricNode,
     queue: &IngestQueue<Ingest<'_>>,
-    mode: ExecMode,
-    wall: &WallClock,
-    control: bool,
-    completions: Option<crate::closedloop::CompletionSink>,
-) -> Result<ServeStats, ServeError> {
+    live: LiveSetup<'_>,
+) -> ServeStats {
     let _close_guard = CloseOnExit(queue);
-    if plane.family_names().is_empty() {
-        return Err(ServeError::NoFamilies);
-    }
-    let mut engine = ServeEngine::new(serve_cfg.clone(), Some(telemetry));
-    engine.set_observer(observer);
-    engine.set_faults(faults);
-    engine.set_control_tap(control);
+    let LiveSetup {
+        policy,
+        mode,
+        wall,
+        control_tap,
+        allow_panics,
+        completions,
+    } = live;
+    let plane = &mut node.plane;
+    let mut engine = policy.engine(node.id, &node.telemetry, allow_panics);
+    engine.set_control_tap(control_tap);
     engine.set_completion_tap(completions.is_some());
     let mut drained = Vec::new();
-    let mut flush = |engine: &mut ServeEngine<'_>,
-                     sink: &Option<crate::closedloop::CompletionSink>| {
-        if let Some(sink) = sink {
+    let mut flush = |engine: &mut ServeEngine<'_>| {
+        if let Some(sink) = &completions {
             engine.drain_completions_into(&mut drained);
             for completion in drained.drain(..) {
                 sink.forward(completion);
@@ -736,491 +602,219 @@ pub(crate) fn node_worker(
     // `true` keeps the loop running; `false` means the node just crashed
     // (cooperatively) and the worker must exit with what it has.
     let handle = |engine: &mut ServeEngine<'_>, plane: &mut ServePlane, item: Ingest<'_>| -> bool {
-        let control = match (item, mode) {
-            (Ingest::Arrival(request), ExecMode::Replay) => {
-                arrive(engine, plane, request);
-                return true;
-            }
+        match (item, mode) {
+            (Ingest::Arrival(request), ExecMode::Replay) => arrive(engine, plane, request),
             (Ingest::Arrival(request), ExecMode::Wall) => {
                 arrive(engine, plane, &door_stamped(request.clone()));
-                return true;
             }
-            (Ingest::Issued(request), ExecMode::Replay) => {
-                arrive(engine, plane, &request);
-                return true;
-            }
+            (Ingest::Issued(request), ExecMode::Replay) => arrive(engine, plane, &request),
             (Ingest::Issued(request), ExecMode::Wall) => {
                 arrive(engine, plane, &door_stamped(*request));
-                return true;
             }
-            (Ingest::Control(control), _) => *control,
-        };
-        match control {
-            Control::Drain {
-                tenant,
-                from,
-                to,
-                at_us,
-                reply,
-            } => {
-                let now = at(at_us);
-                engine.run_timers_through(plane, now, true);
-                if let Some(package) = drain_source(engine, plane, tenant, from, to, now) {
+            (Ingest::Control(control), _) => {
+                let Control { op, reply } = *control;
+                let crashed = matches!(op, NodeOp::Crash { .. });
+                let answer = op.apply(engine, plane, at);
+                if let Some(reply) = reply {
                     // A closed reply channel means the feeder gave up
                     // (its own error path); the drop is safe either way.
-                    let _ = reply.send(package);
+                    let _ = reply.send(answer);
                 }
-            }
-            Control::Adopt { tenant, package } => {
-                let at_us = at(package.handoff_us);
-                adopt_destination(engine, plane, tenant, package, at_us);
-            }
-            Control::Crash { node, at_us, reply } => {
-                let now = at(at_us);
-                engine.run_timers_through(plane, now, true);
-                let evacuated = engine.evacuate(plane, node, now);
-                let _ = reply.send(evacuated);
-                return false;
-            }
-            Control::Absorb { to, package } => {
-                let at_us = at(package.at_us);
-                absorb_failover(engine, plane, package, to, at_us);
-            }
-            Control::Refund { tenant, at_us } => {
-                engine.refund_orphan(plane, tenant, at(at_us));
-            }
-            Control::Sample { at_us, reply } => {
-                engine.run_timers_through(plane, at(at_us), true);
-                // A closed reply channel means the feeder gave up; the
-                // drop is safe either way.
-                let _ = reply.send(engine.take_control_sample(plane));
-            }
-            Control::SetBrownoutFloor { level, at_us } => {
-                engine.run_timers_through(plane, at(at_us), true);
-                engine.set_brownout_floor(level);
+                return !crashed;
             }
         }
         true
     };
-    match mode {
-        ExecMode::Replay => {
-            while let Some(item) = queue.pop() {
+    loop {
+        // Only wall mode wakes for due flushes and completions; replay
+        // runs its timers off the stream's own timestamps.
+        let wake_at = match mode {
+            ExecMode::Replay => None,
+            ExecMode::Wall => engine.next_timer_us(),
+        };
+        match queue.pop_until(wake_at, wall) {
+            Popped::Item(item) => {
                 let keep_going = handle(&mut engine, plane, item);
-                flush(&mut engine, &completions);
+                flush(&mut engine);
                 if !keep_going {
                     break;
                 }
             }
-        }
-        ExecMode::Wall => loop {
-            match queue.pop_until(engine.next_timer_us(), wall) {
-                Popped::Item(item) => {
-                    let keep_going = handle(&mut engine, plane, item);
-                    flush(&mut engine, &completions);
-                    if !keep_going {
-                        break;
-                    }
-                }
-                Popped::TimerDue => {
-                    engine.run_timers_through(plane, wall.now_us(), true);
-                    flush(&mut engine, &completions);
-                }
-                Popped::Closed => break,
+            Popped::TimerDue => {
+                engine.run_timers_through(plane, wall.now_us(), true);
+                flush(&mut engine);
             }
-        },
+            Popped::Closed => break,
+        }
     }
     if completions.is_some() {
         // Resolve everything still queued or in flight *before* the
         // engine is consumed, so the tap observes the final drain too
         // (`finish` below then finds nothing left to do).
         engine.run_timers_through(plane, u64::MAX, false);
-        flush(&mut engine, &completions);
+        flush(&mut engine);
     }
-    Ok(engine.finish(plane))
+    engine.finish(plane)
 }
 
-/// Run `stream` through `fabric` with one OS thread per serving node.
-///
-/// The calling thread is the ingest feeder: it routes each request to its
-/// tenant's home node (same placement as [`ServeFabric::run`]) and pushes
-/// it onto that node's bounded queue, pacing against the wall clock in
-/// [`ExecMode::Wall`]. Node threads drain concurrently; their per-node
-/// accumulators merge into the same exact fleet report the simulator
-/// produces.
-pub fn run_fabric_live(
-    fabric: &mut ServeFabric,
-    stream: &[Request],
-    cfg: &ExecConfig,
-) -> Result<LiveReport, ServeError> {
-    run_fabric_live_migrating(fabric, stream, cfg, &[]).map(|(report, _)| report)
-}
-
-/// [`run_fabric_live`] plus scheduled live migrations: the feeder
-/// doubles as migration coordinator, injecting drain/adopt control
-/// entries into the node queues at the specs' stream positions (see
-/// [`ServeFabric::run_live_migrating`]).
-pub fn run_fabric_live_migrating(
-    fabric: &mut ServeFabric,
-    stream: &[Request],
-    cfg: &ExecConfig,
-    specs: &[MigrationSpec],
-) -> Result<(LiveReport, Vec<MigrationRecord>), ServeError> {
-    for spec in specs {
-        if fabric.home_node(spec.tenant).is_none() {
-            return Err(ServeError::UnknownTenant(spec.tenant));
-        }
-        if !fabric.nodes().iter().any(|n| n.id == spec.to) {
-            return Err(ServeError::UnknownNode(spec.to));
-        }
-    }
-    fabric.validate_fault_plan()?;
-    let refunded_before = fabric.refunded_total();
-    let serve_cfg = fabric.serve_config().clone();
-    let observe_cfg = fabric.observe_config().clone();
-    let fault_plan = fabric.fault_plan().clone();
-    let load_factor = fabric.load_factor();
-    let mode = cfg.mode;
-    let wall = WallClock::new();
-    let start = Instant::now();
-    let triggers = merge_triggers(&fault_plan, specs);
-    let mut records: Vec<MigrationRecord> = Vec::with_capacity(specs.len());
-    let mut lost: BTreeMap<NodeId, u64> = BTreeMap::new();
-    // The controller mirror: same policy, same standby pool, ticking at
-    // the same logical instants as the simulator's interleaved loop.
-    let controller_cfg = fabric.controller_config().clone();
-    let controller_on = controller_cfg.enabled;
-    let max_total_pending = serve_cfg.gateway.max_total_pending;
-    let mut controller = FleetController::new(controller_cfg, fabric.take_standby());
-    let tick_interval = controller.config().interval_us.max(1);
-    let mut next_tick = tick_interval;
-
-    let (nodes, shard_router, assignments, traffic) = fabric.split_live();
-    let queues: Vec<IngestQueue<Ingest<'_>>> = nodes
+/// The live harness, shared by [`ServeFabric::run_live`] and
+/// [`ServeFabric::run_closed_loop_wall`]: one bounded ingest queue and one
+/// scoped worker thread per node, `drive` feeding the queues from the
+/// calling thread, then close-all and join. Returns each node's join
+/// outcome (`Err` carries a worker's panic payload — what to do with a
+/// dead worker is the caller's policy) next to what `drive` returned.
+/// Call only after [`ServeFabric::preflight`] passed.
+pub(crate) fn run_workers<'s, R>(
+    nodes: &mut [FabricNode],
+    queue_capacity: usize,
+    live: LiveSetup<'_>,
+    drive: impl FnOnce(&[IngestQueue<Ingest<'s>>]) -> R,
+) -> (Vec<(NodeId, std::thread::Result<ServeStats>)>, R) {
+    let queues: Vec<IngestQueue<Ingest<'s>>> = nodes
         .iter()
-        .map(|_| IngestQueue::new(cfg.queue_capacity))
+        .map(|_| IngestQueue::new(queue_capacity))
         .collect();
-    let index_of = NodeIndex::new(nodes.iter().map(|n| n.id));
-
-    type JoinOutcome = std::thread::Result<Result<ServeStats, ServeError>>;
-    let results: Vec<JoinOutcome> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = nodes
             .iter_mut()
             .zip(&queues)
             .map(|(node, queue)| {
-                let serve_cfg = &serve_cfg;
-                let wall = &wall;
-                let observer = observe_cfg
-                    .enabled
-                    .then(|| Box::new(NodeObserver::new(node.id, observe_cfg.clone())));
-                // Live workers are allowed to arm `DispatchPanic` events —
-                // the genuine-death path the simulator cannot model.
-                let faults = NodeFaults::for_node(&fault_plan, node.id, true);
-                let plane = &mut node.plane;
-                let telemetry = &node.telemetry;
-                s.spawn(move || {
-                    node_worker(
-                        plane,
-                        telemetry,
-                        serve_cfg,
-                        observer,
-                        faults,
-                        queue,
-                        mode,
-                        wall,
-                        controller_on,
-                        None,
-                    )
-                })
+                let live = live.clone();
+                (node.id, s.spawn(move || node_worker(node, queue, live)))
             })
             .collect();
-
-        // The feeder: route at ingest time, in arrival order, executing
-        // scheduled migrations and injected crashes at their stream
-        // positions (same merged trigger order as the simulator). Unknown
-        // tenants are still routed (by the same hash) so the owning
-        // gateway records the denial, exactly as in the simulator.
-        let mut pending = triggers.iter().peekable();
-        let mut dead: BTreeSet<NodeId> = BTreeSet::new();
-        let migrate = |spec: &MigrationSpec,
-                       at_us: u64,
-                       assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                       shard_router: &mut crate::ShardRouter|
-         -> MigrationRecord {
-            let (from, family) = assignments
-                .get(&spec.tenant)
-                .cloned()
-                .expect("specs are validated before the run starts");
-            let mut record = MigrationRecord::planned(spec, from, at_us);
-            if from == spec.to {
-                record.phase = MigrationPhase::Resumed;
-                return record;
-            }
-            // Wall mode: the tenant's not-yet-ingested arrivals leave the
-            // source's queue now and follow the account (replay keeps
-            // them — the simulator's node already owns them).
-            let held: Vec<Ingest<'_>> = if mode == ExecMode::Wall {
-                queues[index_of[from]]
-                    .splice(|i| matches!(i, Ingest::Arrival(r) if r.tenant == spec.tenant))
-            } else {
-                Vec::new()
-            };
-            let (reply, rx) = mpsc::channel();
-            let drain = Control::Drain {
-                tenant: spec.tenant,
-                from,
-                to: spec.to,
-                at_us,
-                reply,
-            };
-            let accepted = queues[index_of[from]].push(drain.into());
-            if !accepted {
-                // Source worker already exited (error/panic); the node's
-                // failure surfaces after the join. The migration never
-                // started draining.
-                return record;
-            }
-            record.phase = MigrationPhase::Draining;
-            let Ok(package) = rx.recv() else {
-                // Source worker died mid-drain; its error surfaces after
-                // the join.
-                return record;
-            };
-            record.absorb(&package);
-            let adopt = Control::Adopt {
-                tenant: spec.tenant,
-                package,
-            };
-            if !queues[index_of[spec.to]].push(adopt.into()) {
-                // Destination worker already exited; the account is gone
-                // with its queue and the node's failure ends the run.
-                return record;
-            }
-            record.phase = MigrationPhase::HandedOff;
-            assignments.insert(spec.tenant, (spec.to, family));
-            shard_router.pin(spec.tenant, spec.to);
-            record.queue_spliced = held.len();
-            for item in held {
-                let _ = queues[index_of[spec.to]].push(item);
-            }
-            record.phase = MigrationPhase::Resumed;
-            record
-        };
-        // Injected crash: the live mirror of the simulator's
-        // `execute_crash`. The dying worker evacuates cooperatively and
-        // replies with the exported accounts; the feeder re-homes them via
-        // the same pure `plan_evacuation` the simulator uses, so every
-        // account lands on the same survivor in both backends.
-        let crash = |node: NodeId,
-                     at_us: u64,
-                     assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                     shard_router: &mut crate::ShardRouter,
-                     traffic: &crate::TrafficLedger,
-                     dead: &mut BTreeSet<NodeId>| {
-            if !dead.insert(node) {
-                return; // a duplicate crash of a dead node is a no-op
-            }
-            let (reply, rx) = mpsc::channel();
-            if !queues[index_of[node]].push(Control::Crash { node, at_us, reply }.into()) {
-                // The worker already died for real (error/panic closed its
-                // queue): nothing to evacuate — its loss surfaces as a
-                // NodeFailure after the join.
-                return;
-            }
-            let Ok((packages, orphans)) = rx.recv() else {
-                // Worker died between accepting the control and replying.
-                return;
-            };
-            shard_router.remove_node(node);
-            let moves = plan_evacuation(shard_router, assignments, traffic, node, load_factor);
-            debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
-            for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
-                debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-                if !queues[index_of[dest]].push(Control::Absorb { to: dest, package }.into()) {
-                    continue; // survivor itself already dead for real
-                }
-                assignments.insert(tenant, (dest, family));
-                shard_router.pin(tenant, dest);
-            }
-            for orphan in orphans {
-                if let Some((home, _)) = assignments.get(&orphan.tenant) {
-                    let refund = Control::Refund {
-                        tenant: orphan.tenant,
-                        at_us,
-                    };
-                    let _ = queues[index_of[*home]].push(refund.into());
-                }
-            }
-        };
-        let fire = |trigger: &(u64, FleetTrigger<'_>),
-                    at_us: u64,
-                    records: &mut Vec<MigrationRecord>,
-                    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                    shard_router: &mut crate::ShardRouter,
-                    traffic: &crate::TrafficLedger,
-                    dead: &mut BTreeSet<NodeId>| match trigger.1 {
-            FleetTrigger::Crash { node } => {
-                crash(node, at_us, assignments, shard_router, traffic, dead);
-            }
-            FleetTrigger::Migrate(spec) => {
-                if dead.contains(&spec.to) {
-                    // Destination died first: the migration never starts
-                    // (same freeze as the simulator).
-                    let from = assignments
-                        .get(&spec.tenant)
-                        .map(|(n, _)| *n)
-                        .unwrap_or(spec.to);
-                    records.push(MigrationRecord::planned(spec, from, at_us));
-                } else {
-                    records.push(migrate(spec, at_us, assignments, shard_router));
-                }
-            }
-        };
-        // Controller tick, the live mirror of the simulator's
-        // `execute_control_tick`: sample every live node in id order
-        // (Sample controls ride in stream position, so the counters are
-        // the simulator's), ask the same controller, apply the actions
-        // through the same migrate primitive and router mutations.
-        let tick = |at_us: u64,
-                    records: &mut Vec<MigrationRecord>,
-                    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-                    shard_router: &mut crate::ShardRouter,
-                    controller: &mut FleetController,
-                    traffic: &mut crate::TrafficLedger| {
-            let mut active: Vec<crate::ShardNode> = Vec::new();
-            let mut snapshots = Vec::new();
-            for node in shard_router.nodes().to_vec() {
-                let (reply, rx) = mpsc::channel();
-                if !queues[index_of[node.id]].push(Control::Sample { at_us, reply }.into()) {
-                    continue; // worker genuinely died; skip it this tick
-                }
-                let Ok(sample) = rx.recv() else { continue };
-                snapshots.push((node.id, sample));
-                active.push(node);
-            }
-            let actions = {
-                let view = ControllerView {
-                    active: &active,
-                    assignments: &*assignments,
-                    max_total_pending,
-                };
-                controller.tick(at_us, &snapshots, &view, traffic)
-            };
-            for action in actions {
-                match action {
-                    ControlAction::Brownout { node, floor } => {
-                        let nudge = Control::SetBrownoutFloor {
-                            level: floor,
-                            at_us,
-                        };
-                        let _ = queues[index_of[node]].push(nudge.into());
-                    }
-                    ControlAction::Migrate { tenant, to, .. } => {
-                        let spec = crate::controller::spec_of(tenant, to, at_us);
-                        records.push(migrate(&spec, at_us, assignments, shard_router));
-                    }
-                    ControlAction::Join {
-                        node,
-                        weight,
-                        moves,
-                    } => {
-                        shard_router.add_node(crate::ShardNode { id: node, weight });
-                        for (tenant, dest) in moves {
-                            let spec = crate::controller::spec_of(tenant, dest, at_us);
-                            records.push(migrate(&spec, at_us, assignments, shard_router));
-                        }
-                    }
-                    ControlAction::Drain { node, moves } => {
-                        for (tenant, dest) in moves {
-                            let spec = crate::controller::spec_of(tenant, dest, at_us);
-                            records.push(migrate(&spec, at_us, assignments, shard_router));
-                        }
-                        shard_router.remove_node(node);
-                    }
-                }
-            }
-        };
-
-        for request in stream {
-            loop {
-                let trig_at = pending
-                    .peek()
-                    .map(|(at, _)| *at)
-                    .filter(|at| *at <= request.arrival_us);
-                let tick_at =
-                    (controller_on && next_tick <= request.arrival_us).then_some(next_tick);
-                let fire_trigger = match (trig_at, tick_at) {
-                    (Some(t), Some(k)) => t <= k, // triggers win ties
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if !fire_trigger {
-                    tick(
-                        next_tick,
-                        &mut records,
-                        assignments,
-                        shard_router,
-                        &mut controller,
-                        traffic,
-                    );
-                    next_tick += tick_interval;
-                    continue;
-                }
-                let trigger = pending.next().expect("peeked");
-                fire(
-                    trigger,
-                    trigger.0,
-                    &mut records,
-                    assignments,
-                    shard_router,
-                    traffic,
-                    &mut dead,
-                );
-            }
-            let home = match assignments.get(&request.tenant) {
-                Some((node, _)) => *node,
-                None => shard_router.assign(request.tenant, &request.model),
-            };
-            if mode == ExecMode::Wall {
-                wall.advance_to(request.arrival_us);
-            }
-            // A `false` return means the node worker exited early (error
-            // or panic) and closed its queue; keep feeding the healthy
-            // nodes — the dead node's result surfaces after the join, with
-            // the undeliverable count attached.
-            if !queues[index_of[home]].push(Ingest::Arrival(request)) {
-                *lost.entry(home).or_default() += 1;
-            }
-        }
-        // Triggers past the last arrival execute at end of stream,
-        // mirroring the simulator.
-        let end_us = stream.last().map_or(0, |r| r.arrival_us);
-        for trigger in pending {
-            fire(
-                trigger,
-                end_us,
-                &mut records,
-                assignments,
-                shard_router,
-                traffic,
-                &mut dead,
-            );
-        }
+        // The harness's copy of the completion senders goes here, so a
+        // closed-loop shard's receiver disconnects once every worker exits.
+        drop(live);
+        let driven = drive(&queues);
         for queue in &queues {
             queue.close();
         }
-        handles.into_iter().map(|h| h.join()).collect()
-    });
+        let outcomes = handles
+            .into_iter()
+            .map(|(id, handle)| (id, handle.join()))
+            .collect();
+        (outcomes, driven)
+    })
+}
 
-    let node_ids: Vec<_> = fabric.nodes().iter().map(|n| n.id).collect();
-    let mut per_node = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (id, result) in node_ids.into_iter().zip(results) {
-        match result {
-            // A setup error (e.g. NoFamilies) still fails the whole run —
-            // that's a misconfiguration, not a fault.
-            Ok(stats) => per_node.push((id, stats?)),
-            Err(panic) => {
+/// The threaded backend's transport: an op is a boxed [`Control`] pushed
+/// onto the node's ingest queue. A refused push means the worker already
+/// exited (error or panic closed its queue); a dropped reply channel
+/// means it died between accepting the control and answering. Either way
+/// the node's failure surfaces after the join.
+struct Queued<'q, 's> {
+    queues: &'q [IngestQueue<Ingest<'s>>],
+    index: &'q NodeIndex,
+    mode: ExecMode,
+    /// Wall mode: arrivals spliced out of a draining source's queue,
+    /// waiting for the account to land on its new home.
+    held: Vec<Ingest<'s>>,
+}
+
+impl Queued<'_, '_> {
+    fn push(&self, node: NodeId, op: NodeOp, reply: Option<mpsc::Sender<NodeReply>>) -> bool {
+        let control = Box::new(Control { op, reply });
+        self.queues[self.index[node]].push(Ingest::Control(control))
+    }
+}
+
+impl Transport for Queued<'_, '_> {
+    fn call(&mut self, node: NodeId, op: NodeOp) -> Result<NodeReply, Unreachable> {
+        let (reply, answer) = mpsc::channel();
+        if !self.push(node, op, Some(reply)) {
+            return Err(Unreachable::Refused);
+        }
+        answer.recv().map_err(|_| Unreachable::ReplyDropped)
+    }
+
+    fn post(&mut self, node: NodeId, op: NodeOp) -> bool {
+        self.push(node, op, None)
+    }
+
+    fn hold_queued(&mut self, tenant: TenantId, from: NodeId) {
+        // Replay keeps them — the simulator's node already owns them.
+        if self.mode == ExecMode::Wall {
+            self.held = self.queues[self.index[from]]
+                .splice(|i| matches!(i, Ingest::Arrival(r) if r.tenant == tenant));
+        }
+    }
+
+    fn release_held(&mut self, to: NodeId) -> usize {
+        let moved = self.held.len();
+        for item in self.held.drain(..) {
+            let _ = self.queues[self.index[to]].push(item);
+        }
+        moved
+    }
+}
+
+impl ServeFabric {
+    /// Run an arrival-ordered stream through the fabric's wall-clock
+    /// backend: one OS thread per node behind bounded ingest queues. The
+    /// calling thread is the ingest feeder: it routes each request to its
+    /// tenant's home node (same placement as [`ServeFabric::run`]) and
+    /// pushes it onto that node's queue, pacing against the wall clock in
+    /// [`ExecMode::Wall`], and fires the run's cross-node events —
+    /// scheduled migrations ([`ServeFabric::schedule_migrations`]),
+    /// injected crashes, controller ticks — at their stream positions. In
+    /// [`ExecMode::Replay`] the returned fleet report, migration records
+    /// included, is bit-identical to [`ServeFabric::run`] on the same
+    /// stream; the wall-clock side of the [`LiveReport`] measures the real
+    /// threaded pipeline.
+    pub fn run_live(
+        &mut self,
+        stream: &[Request],
+        cfg: &ExecConfig,
+    ) -> Result<LiveReport, ServeError> {
+        self.preflight()?;
+        let refunded_before = self.refunded_total();
+        let mode = cfg.mode;
+        let wall = WallClock::new();
+        let start = Instant::now();
+        let (nodes, policy, mut coordinator) = self.arm_coordinator();
+        let index = NodeIndex::new(nodes.iter().map(|n| n.id));
+        let mut lost = vec![0u64; nodes.len()];
+        let live = LiveSetup {
+            policy,
+            mode,
+            wall: &wall,
+            control_tap: coordinator.samples_nodes(),
+            allow_panics: true,
+            completions: None,
+        };
+        let (outcomes, ()) = run_workers(nodes, cfg.queue_capacity, live, |queues| {
+            let mut transport = Queued {
+                queues,
+                index: &index,
+                mode,
+                held: Vec::new(),
+            };
+            for request in stream {
+                if coordinator.next_due_us() <= request.arrival_us {
+                    coordinator.fire_due(request.arrival_us, &mut transport);
+                }
+                // Route at ingest time, in arrival order.
+                let home = index[coordinator.home_of(request)];
+                if mode == ExecMode::Wall {
+                    wall.advance_to(request.arrival_us);
+                }
+                // A `false` return means the node worker panicked and
+                // closed its queue; keep feeding the healthy nodes — the
+                // dead node's result surfaces after the join, with the
+                // undeliverable count attached.
+                if !queues[home].push(Ingest::Arrival(request)) {
+                    lost[home] += 1;
+                }
+            }
+            let end_us = stream.last().map_or(0, |r| r.arrival_us);
+            coordinator.finish_stream(end_us, &mut transport);
+        });
+
+        let mut per_node = Vec::with_capacity(outcomes.len());
+        let mut failures = Vec::new();
+        for ((id, outcome), lost_requests) in outcomes.into_iter().zip(lost) {
+            let stats = outcome.unwrap_or_else(|panic| {
                 // A genuinely dead worker: report it structurally instead
                 // of poisoning the run. Its un-evacuated state is gone;
                 // the surviving nodes' merged report remains exact for
@@ -1233,24 +827,20 @@ pub fn run_fabric_live_migrating(
                 failures.push(NodeFailure {
                     node: id,
                     reason,
-                    lost_requests: lost.get(&id).copied().unwrap_or(0),
+                    lost_requests,
                 });
-                per_node.push((id, ServeStats::default()));
-            }
+                ServeStats::default()
+            });
+            per_node.push((id, stats));
         }
-    }
-    let (control, standby) = controller.into_parts();
-    fabric.restore_standby(standby);
-    let fabric_report = fabric.assemble_report(per_node, refunded_before, control);
-    Ok((
-        LiveReport {
-            fabric: fabric_report,
+        let log = coordinator.finish();
+        Ok(LiveReport {
+            fabric: self.assemble_report(per_node, refunded_before, Some(log)),
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
             requests: stream.len(),
             failures,
-        },
-        records,
-    ))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1409,20 +999,6 @@ mod tests {
             q.close(); // releases the consumer either way, so the scope joins
             assert_eq!(woke, Ok(2), "push after a stale wake latch woke nobody");
         });
-    }
-
-    #[test]
-    fn mutex_baseline_queue_matches_semantics() {
-        let q = MutexIngestQueue::new(4);
-        assert!(q.push(1u64));
-        assert!(q.push(2));
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
-        q.close();
-        assert!(!q.push(3), "closed queue refuses pushes");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "then reports closed");
     }
 
     #[test]

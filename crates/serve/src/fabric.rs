@@ -24,18 +24,19 @@
 //!   out of the source batcher, dispatched work drains in place, and
 //!   the whole quota partition moves atomically with a
 //!   [`tinymlops_meter::EntryKind::Handoff`] chain entry
-//!   ([`ServeFabric::run_migrating`]; the threaded analogue is
-//!   [`ServeFabric::run_live_migrating`]).
+//!   ([`ServeFabric::schedule_migrations`]; the next run on either
+//!   backend executes the schedule and reports one [`MigrationRecord`]
+//!   per move in [`FabricReport::migrations`]).
 //! * **Bounded load** — placement caps each node's tenant count at
 //!   [`FabricConfig::load_factor`] × its fair share; hot tenants
 //!   overflow to their next-best rendezvous node.
 
-use crate::controller::{
-    ControlAction, ControlRecord, ControllerConfig, ControllerView, FleetController,
+use crate::controller::{ControlRecord, ControllerConfig, FleetController};
+use crate::coordinator::{
+    Coordinator, CoordinatorLog, HandoffPackage, NodeOp, NodeReply, Routing, Transport, Unreachable,
 };
 use crate::fault::{
-    plan_evacuation, retryable, schedule_retry, FailoverPackage, FaultPlan, NodeFaults,
-    RetryBudget, RetryDecision, RetryPolicy,
+    retryable, schedule_retry, FaultPlan, NodeFaults, RetryBudget, RetryDecision, RetryPolicy,
 };
 use crate::observer::{NodeObserver, ObserveConfig};
 use crate::request::{Request, ShedReason, TenantId};
@@ -53,42 +54,94 @@ use tinymlops_observe::{
 };
 use tinymlops_registry::{ModelId, ModelRecord};
 
-/// One node's replay context inside the interleaved fabric loop: its
-/// serving stack plus the event engine driving it (the engine borrows
-/// the node's telemetry sink for the duration of the run).
+/// The per-node policy every engine of a run is armed from.
+#[derive(Clone, Copy)]
+pub(crate) struct NodePolicy<'f> {
+    serve: &'f ServeConfig,
+    observe: &'f ObserveConfig,
+    fault: &'f FaultPlan,
+}
+
+impl NodePolicy<'_> {
+    /// A fresh engine for node `id` recording into `telemetry`: observer
+    /// and the node's view of the fault plan attached, taps left to the
+    /// driver. `allow_panics` arms dispatch panics — threaded workers
+    /// only: a panic in the simulator's single-threaded loop would kill
+    /// the whole run instead of one worker.
+    pub(crate) fn engine<'n>(
+        &self,
+        id: NodeId,
+        telemetry: &'n Telemetry,
+        allow_panics: bool,
+    ) -> ServeEngine<'n> {
+        let mut engine = ServeEngine::new(self.serve.clone(), Some(telemetry));
+        if self.observe.enabled {
+            engine.set_observer(Some(Box::new(NodeObserver::new(id, self.observe.clone()))));
+        }
+        engine.set_faults(NodeFaults::for_node(self.fault, id, allow_panics));
+        engine
+    }
+}
+
+/// One node's replay context inside a simulator driver: its serving
+/// stack plus the event engine driving it (the engine borrows the node's
+/// telemetry sink for the duration of the run).
 pub(crate) struct NodeCtx<'n> {
     pub(crate) id: NodeId,
     pub(crate) plane: &'n mut ServePlane,
     pub(crate) engine: ServeEngine<'n>,
 }
 
-impl<'n> NodeCtx<'n> {
-    /// Arm one node's engine for a simulator run: observer and the node's
-    /// view of the fault plan attached, taps left to the driver. The
-    /// simulator never arms dispatch panics: a panic in its
-    /// single-threaded loop would kill the whole run instead of one
-    /// worker.
-    pub(crate) fn new(
-        node: &'n mut FabricNode,
-        serve_cfg: &ServeConfig,
-        observe_cfg: &ObserveConfig,
-        fault_plan: &FaultPlan,
+/// A simulator run's nodes: one armed engine per node plus the id →
+/// position table over them. Doubles as the coordinator's direct
+/// transport — every node is an engine in this thread, so an op is a call
+/// and a node is never unreachable.
+pub(crate) struct SimNodes<'n> {
+    pub(crate) ctxs: Vec<NodeCtx<'n>>,
+    pub(crate) index: NodeIndex,
+}
+
+impl<'n> SimNodes<'n> {
+    /// Arm one engine per node (`tap` arms the driver's tap on each).
+    pub(crate) fn arm(
+        nodes: &'n mut [FabricNode],
+        policy: NodePolicy<'_>,
+        tap: impl Fn(&mut ServeEngine<'n>),
     ) -> Self {
-        let FabricNode {
-            id,
-            plane,
-            telemetry,
-        } = node;
-        let mut engine = ServeEngine::new(serve_cfg.clone(), Some(&*telemetry));
-        if observe_cfg.enabled {
-            engine.set_observer(Some(Box::new(NodeObserver::new(*id, observe_cfg.clone()))));
-        }
-        engine.set_faults(NodeFaults::for_node(fault_plan, *id, false));
-        NodeCtx {
-            id: *id,
-            plane,
-            engine,
-        }
+        let ctxs: Vec<NodeCtx<'n>> = nodes
+            .iter_mut()
+            .map(|node| {
+                let mut engine = policy.engine(node.id, &node.telemetry, false);
+                tap(&mut engine);
+                NodeCtx {
+                    id: node.id,
+                    plane: &mut node.plane,
+                    engine,
+                }
+            })
+            .collect();
+        let index = NodeIndex::new(ctxs.iter().map(|c| c.id));
+        SimNodes { ctxs, index }
+    }
+
+    /// The context of node `id`.
+    pub(crate) fn node(&mut self, id: NodeId) -> &mut NodeCtx<'n> {
+        &mut self.ctxs[self.index[id]]
+    }
+
+    /// Finish every engine into its node's statistics, node order kept.
+    pub(crate) fn finish(self) -> Vec<(NodeId, ServeStats)> {
+        self.ctxs
+            .into_iter()
+            .map(|ctx| (ctx.id, ctx.engine.finish(ctx.plane)))
+            .collect()
+    }
+}
+
+impl Transport for SimNodes<'_> {
+    fn call(&mut self, node: NodeId, op: NodeOp) -> Result<NodeReply, Unreachable> {
+        let ctx = self.node(node);
+        Ok(op.apply(&mut ctx.engine, ctx.plane, |logical_us| logical_us))
     }
 }
 
@@ -119,65 +172,6 @@ impl std::ops::Index<NodeId> for NodeIndex {
     fn index(&self, id: NodeId) -> &usize {
         &self.0[id as usize]
     }
-}
-
-/// Disjoint mutable borrows of two slice elements (source and
-/// destination node of a migration).
-fn two_muts<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j, "migration source and destination must differ");
-    if i < j {
-        let (a, b) = xs.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = xs.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
-}
-
-/// Execute one migration inside the simulator's interleaved loop,
-/// walking the full drain/handoff state machine at logical time `at_us`.
-fn execute_migration(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &NodeIndex,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    spec: &MigrationSpec,
-    at_us: u64,
-) -> MigrationRecord {
-    let (from, family) = assignments
-        .get(&spec.tenant)
-        .cloned()
-        .expect("specs are validated before the run starts");
-    let mut record = MigrationRecord::planned(spec, from, at_us);
-    if from == spec.to {
-        // Already home (e.g. a repeated migration of the same tenant):
-        // nothing drains, nothing moves, the routing is already right.
-        record.phase = MigrationPhase::Resumed;
-        return record;
-    }
-    let (src, dst) = two_muts(ctxs, index[from], index[spec.to]);
-    // Mark-source-draining: bring the source to the trigger instant.
-    // New work cannot reach it past this point (the routing flip below
-    // is atomic within this same event), so the drain set is closed.
-    src.engine.run_timers_through(src.plane, at_us, true);
-    record.phase = MigrationPhase::Draining;
-    let package = drain_source(
-        &mut src.engine,
-        src.plane,
-        spec.tenant,
-        from,
-        spec.to,
-        at_us,
-    )
-    .expect("validated tenant has an account on its home node");
-    record.absorb(&package);
-    adopt_destination(&mut dst.engine, dst.plane, spec.tenant, package, at_us);
-    record.phase = MigrationPhase::HandedOff;
-    // Flip + pin the assignment; the tenant resumes on its new home.
-    assignments.insert(spec.tenant, (spec.to, family));
-    shard_router.pin(spec.tenant, spec.to);
-    record.phase = MigrationPhase::Resumed;
-    record
 }
 
 /// Fabric construction parameters.
@@ -230,9 +224,10 @@ impl Default for FabricConfig {
     }
 }
 
-/// One scheduled live migration: move `tenant`'s account (and any
-/// in-flight work) to node `to`, starting the drain at `trigger_us` in
-/// the traffic stream's logical time.
+/// One scheduled live migration ([`ServeFabric::schedule_migrations`]):
+/// move `tenant`'s account (and any in-flight work) to node `to`,
+/// starting the drain at `trigger_us` in the traffic stream's logical
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationSpec {
     /// The tenant to move.
@@ -303,11 +298,8 @@ pub struct MigrationRecord {
 }
 
 impl MigrationRecord {
-    /// The record skeleton both backends start from: spec echoed, phase
-    /// [`MigrationPhase::Planned`], nothing moved yet. Keeping this (and
-    /// [`MigrationRecord::absorb`]) in one place is what keeps the
-    /// simulator's and the live coordinator's records field-for-field
-    /// identical as the struct evolves.
+    /// The record skeleton a migration starts from: spec echoed, phase
+    /// [`MigrationPhase::Planned`], nothing moved yet.
     pub(crate) fn planned(spec: &MigrationSpec, from: NodeId, at_us: u64) -> Self {
         MigrationRecord {
             tenant: spec.tenant,
@@ -329,275 +321,6 @@ impl MigrationRecord {
         self.spliced = package.spliced.len();
         self.drained_in_flight = package.drained_in_flight;
         self.admitted_before_handoff = package.admitted_before_handoff;
-    }
-}
-
-/// Everything that travels in one atomic handoff: the whole tenant
-/// account (balance, counters, sealed audit chain — with the
-/// [`tinymlops_meter::EntryKind::Handoff`] entry already appended) plus
-/// the spliced not-yet-dispatched requests.
-pub(crate) struct HandoffPackage {
-    pub(crate) account: crate::gateway::TenantAccount,
-    pub(crate) spliced: Vec<Request>,
-    pub(crate) from: NodeId,
-    pub(crate) handoff_us: u64,
-    pub(crate) drained_in_flight: usize,
-    pub(crate) admitted_before_handoff: u64,
-}
-
-/// Source-side drain: splice queued work, shed in-flight dispatched
-/// requests from the detaching account's pending count (they finish on
-/// the source), seal the re-homing into the audit chain, and detach.
-/// Shared verbatim by the simulator and the live node workers — the
-/// protocol exists once. Returns `None` when the tenant has no account
-/// here (a routing bug surfaced by the caller).
-pub(crate) fn drain_source(
-    engine: &mut ServeEngine<'_>,
-    plane: &mut ServePlane,
-    tenant: TenantId,
-    from: NodeId,
-    to: NodeId,
-    handoff_us: u64,
-) -> Option<HandoffPackage> {
-    let spliced = engine.splice_tenant(plane, tenant);
-    let drained_in_flight = engine.inflight_pending(tenant);
-    let mut account = plane.gateway.remove_tenant(tenant)?;
-    // Dispatched batches keep running on the source and resolve there
-    // (as no-ops against the departed account), so the account leaves
-    // carrying only the spliced requests as pending work.
-    account.pending = account.pending.saturating_sub(drained_in_flight);
-    let admitted_before_handoff = account.admitted;
-    account.quota.handoff(from, to, handoff_us / 1000);
-    engine.observe_handoff(handoff_us, tenant, to, true);
-    Some(HandoffPackage {
-        account,
-        spliced,
-        from,
-        handoff_us,
-        drained_in_flight,
-        admitted_before_handoff,
-    })
-}
-
-/// Destination-side adopt: bring the node to the handoff instant, attach
-/// the account, and re-enqueue the spliced requests (pre-admitted — they
-/// bypass the gateway, so nothing is billed twice). Shared by the
-/// simulator and the live node workers.
-pub(crate) fn adopt_destination(
-    engine: &mut ServeEngine<'_>,
-    plane: &mut ServePlane,
-    tenant: TenantId,
-    package: HandoffPackage,
-    at_us: u64,
-) {
-    engine.run_timers_through(plane, at_us, true);
-    engine.observe_handoff(at_us, tenant, package.from, false);
-    plane.gateway.adopt_tenant(tenant, package.account);
-    engine.adopt_spliced(plane, package.spliced, at_us);
-}
-
-/// Emergency-handoff landing side: reconstruct a crashed node's tenant
-/// account on a survivor from its [`FailoverPackage`]. Unlike the
-/// cooperative [`adopt_destination`] there is no source left to seal the
-/// chain — the *survivor* extends it with a domain-separated
-/// [`tinymlops_meter::EntryKind::Failover`] entry, then rebuilds the
-/// account from the census counters with `pending == 0` (the dead node
-/// resolved all pending work as refunded failover sheds before
-/// exporting). Shared by the simulator loop and the live node workers.
-pub(crate) fn absorb_failover(
-    engine: &mut ServeEngine<'_>,
-    plane: &mut ServePlane,
-    package: FailoverPackage,
-    to: NodeId,
-    at_us: u64,
-) {
-    engine.run_timers_through(plane, at_us, true);
-    engine.observe_handoff(at_us, package.tenant, package.from, false);
-    let FailoverPackage {
-        tenant,
-        mut quota,
-        admitted,
-        shed,
-        refunded,
-        from,
-        at_us: _,
-    } = package;
-    quota.failover(from, to, at_us / 1000);
-    plane.gateway.adopt_tenant(
-        tenant,
-        crate::gateway::TenantAccount {
-            quota,
-            pending: 0,
-            admitted,
-            shed,
-            refunded,
-        },
-    );
-}
-
-/// A cross-node event in the interleaved run loop: an injected node crash
-/// or a scheduled live migration.
-pub(crate) enum FleetTrigger<'s> {
-    /// Injected [`crate::FaultKind::Crash`] of a node.
-    Crash {
-        /// The node that dies.
-        node: NodeId,
-    },
-    /// A scheduled [`MigrationSpec`].
-    Migrate(&'s MigrationSpec),
-}
-
-/// Merge a fault plan's crash events with the migration schedule into one
-/// trigger sequence ordered by (time, crashes-first, schedule order).
-/// Both drivers — the simulator's interleaved loop and the live ingest
-/// feeder — consume this exact sequence, which is what makes crash
-/// recovery replay bit-identically across backends.
-pub(crate) fn merge_triggers<'s>(
-    plan: &FaultPlan,
-    specs: &'s [MigrationSpec],
-) -> Vec<(u64, FleetTrigger<'s>)> {
-    let mut keyed: Vec<(u64, u8, usize, FleetTrigger<'s>)> = Vec::new();
-    for (i, (node, at_us)) in plan.crashes().enumerate() {
-        keyed.push((at_us, 0, i, FleetTrigger::Crash { node }));
-    }
-    for (i, spec) in specs.iter().enumerate() {
-        keyed.push((spec.trigger_us, 1, i, FleetTrigger::Migrate(spec)));
-    }
-    keyed.sort_by_key(|(at, rank, idx, _)| (*at, *rank, *idx));
-    keyed.into_iter().map(|(at, _, _, t)| (at, t)).collect()
-}
-
-/// Execute one injected node crash inside the simulator's interleaved
-/// loop: bring the dying node to the crash instant, evacuate it (pending
-/// work resolved as refunded failover sheds, accounts exported), drop it
-/// from the shard topology, re-home every evacuated tenant onto a
-/// survivor under bounded load ([`plan_evacuation`]) and pin it there,
-/// and route orphaned refunds — in-flight work of tenants that had
-/// already migrated away — to their accounts' current homes. The live
-/// feeder performs the same steps over the ingest queues; placement
-/// parity rests on `plan_evacuation` being a pure function of the
-/// surviving topology.
-#[allow(clippy::too_many_arguments)]
-fn execute_crash(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &NodeIndex,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    traffic: &TrafficLedger,
-    dead: &mut BTreeSet<NodeId>,
-    load_factor: f64,
-    node: NodeId,
-    at_us: u64,
-) {
-    if !dead.insert(node) {
-        return; // a duplicate crash of a dead node is a no-op
-    }
-    let ctx = &mut ctxs[index[node]];
-    ctx.engine.run_timers_through(ctx.plane, at_us, true);
-    let (packages, orphans) = ctx.engine.evacuate(ctx.plane, node, at_us);
-    shard_router.remove_node(node);
-    let moves = plan_evacuation(shard_router, assignments, traffic, node, load_factor);
-    debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
-    for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
-        debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-        let dst = &mut ctxs[index[dest]];
-        absorb_failover(&mut dst.engine, dst.plane, package, dest, at_us);
-        assignments.insert(tenant, (dest, family));
-        shard_router.pin(tenant, dest);
-    }
-    for orphan in orphans {
-        if let Some((home, _)) = assignments.get(&orphan.tenant) {
-            let hctx = &mut ctxs[index[*home]];
-            hctx.engine.refund_orphan(hctx.plane, orphan.tenant, at_us);
-        }
-    }
-}
-
-/// Execute one controller tick inside the simulator's interleaved loop:
-/// advance every *live* node (the shard topology, id order) to the tick
-/// instant, sample its control tap, ask the controller for actions, and
-/// apply them with the same primitives an operator would use —
-/// [`execute_migration`] for tenant moves, router add/remove for
-/// join/drain, an engine brownout floor for nudges. The live ingest
-/// feeder performs identical steps at the same logical instants, which
-/// is what makes controller decisions (and the migration records they
-/// produce) bit-identical across backends under replay.
-#[allow(clippy::too_many_arguments)]
-fn execute_control_tick(
-    ctxs: &mut [NodeCtx<'_>],
-    index: &NodeIndex,
-    assignments: &mut BTreeMap<TenantId, (NodeId, String)>,
-    shard_router: &mut ShardRouter,
-    controller: &mut FleetController,
-    traffic: &mut TrafficLedger,
-    records: &mut Vec<MigrationRecord>,
-    max_total_pending: usize,
-    at_us: u64,
-) {
-    // Sample the live topology in id order. Dead nodes already left the
-    // router; standby nodes have not entered it — neither is sampled,
-    // so the controller can only ever see (and target) online nodes.
-    let active: Vec<ShardNode> = shard_router.nodes().to_vec();
-    let mut snapshots = Vec::with_capacity(active.len());
-    for node in &active {
-        let ctx = &mut ctxs[index[node.id]];
-        ctx.engine.run_timers_through(ctx.plane, at_us, true);
-        snapshots.push((node.id, ctx.engine.take_control_sample(ctx.plane)));
-    }
-    let actions = {
-        let view = ControllerView {
-            active: &active,
-            assignments: &*assignments,
-            max_total_pending,
-        };
-        controller.tick(at_us, &snapshots, &view, traffic)
-    };
-    for action in actions {
-        match action {
-            ControlAction::Brownout { node, floor } => {
-                ctxs[index[node]].engine.set_brownout_floor(floor);
-            }
-            ControlAction::Migrate { tenant, to, .. } => {
-                records.push(execute_migration(
-                    ctxs,
-                    index,
-                    assignments,
-                    shard_router,
-                    &crate::controller::spec_of(tenant, to, at_us),
-                    at_us,
-                ));
-            }
-            ControlAction::Join {
-                node,
-                weight,
-                moves,
-            } => {
-                shard_router.add_node(ShardNode { id: node, weight });
-                for (tenant, dest) in moves {
-                    records.push(execute_migration(
-                        ctxs,
-                        index,
-                        assignments,
-                        shard_router,
-                        &crate::controller::spec_of(tenant, dest, at_us),
-                        at_us,
-                    ));
-                }
-            }
-            ControlAction::Drain { node, moves } => {
-                for (tenant, dest) in moves {
-                    records.push(execute_migration(
-                        ctxs,
-                        index,
-                        assignments,
-                        shard_router,
-                        &crate::controller::spec_of(tenant, dest, at_us),
-                        at_us,
-                    ));
-                }
-                shard_router.remove_node(node);
-            }
-        }
     }
 }
 
@@ -659,6 +382,11 @@ pub struct FabricReport {
     /// when the controller is disabled (or armed but idle), so a
     /// controller-off report is byte-identical to a pre-controller one.
     pub control: Vec<ControlRecord>,
+    /// One record per migration the run executed — operator-scheduled
+    /// ([`ServeFabric::schedule_migrations`]) and controller-initiated
+    /// alike — in execution order. Empty when nothing moved. In
+    /// [`crate::ExecMode::Replay`] bit-identical across backends.
+    pub migrations: Vec<MigrationRecord>,
 }
 
 impl FabricReport {
@@ -707,6 +435,83 @@ pub struct RetryStats {
     pub budget_denied: u64,
 }
 
+/// The retry loop closed at the simulator driver (inert without a
+/// policy): a transient admission-time shed becomes a re-delivery queued
+/// by (due time, insertion seq), so same-instant retries pop in schedule
+/// order.
+struct RetryLoop<'p> {
+    policy: Option<&'p RetryPolicy>,
+    rng: StdRng,
+    budgets: BTreeMap<TenantId, RetryBudget>,
+    queue: BTreeMap<(u64, u64), (Request, u32)>,
+    seq: u64,
+    stats: RetryStats,
+}
+
+impl<'p> RetryLoop<'p> {
+    fn new(policy: Option<&'p RetryPolicy>) -> Self {
+        RetryLoop {
+            policy,
+            rng: StdRng::seed_from_u64(policy.map_or(0, |p| p.seed)),
+            budgets: BTreeMap::new(),
+            queue: BTreeMap::new(),
+            seq: 0,
+            stats: RetryStats::default(),
+        }
+    }
+
+    /// Take the earliest re-delivery due at or before `through_us`, with
+    /// the number of retries it already consumed.
+    fn pop_due(&mut self, through_us: u64) -> Option<(Request, u32)> {
+        let (&key, _) = self.queue.first_key_value()?;
+        (key.0 <= through_us).then(|| self.queue.remove(&key).expect("peeked"))
+    }
+
+    /// One delivery to the request's home node: advance it to the
+    /// delivery instant, admit-or-shed, and (with a policy) turn a
+    /// transient shed into a scheduled re-delivery. The admission-time
+    /// copy inside the engine stays the only per-request clone.
+    fn deliver(&mut self, request: &Request, attempt: u32, ctx: &mut NodeCtx<'_>) {
+        let now_us = request.arrival_us;
+        ctx.engine.run_timers_through(ctx.plane, now_us, true);
+        let shed = ctx.engine.on_arrival(ctx.plane, request);
+        let Some(policy) = self.policy else {
+            return;
+        };
+        match shed {
+            None => {
+                if attempt > 0 {
+                    self.stats.succeeded += 1;
+                }
+            }
+            Some(reason) if retryable(reason) => {
+                let budget = self
+                    .budgets
+                    .entry(request.tenant)
+                    .or_insert_with(|| RetryBudget::new(policy, now_us));
+                let deadline_abs_us = request.deadline_abs_us();
+                let next = attempt + 1;
+                match schedule_retry(policy, budget, deadline_abs_us, next, now_us, &mut self.rng) {
+                    RetryDecision::At(at) => {
+                        let mut again = request.clone();
+                        // Keep the *absolute* deadline: the clock does
+                        // not restart because we retried.
+                        again.deadline_us = deadline_abs_us - at;
+                        again.arrival_us = at;
+                        self.queue.insert((at, self.seq), (again, next));
+                        self.seq += 1;
+                        self.stats.scheduled += 1;
+                    }
+                    RetryDecision::AttemptsExhausted => self.stats.attempts_exhausted += 1,
+                    RetryDecision::DeadlineExceeded => self.stats.deadline_denied += 1,
+                    RetryDecision::BudgetExhausted => self.stats.budget_denied += 1,
+                }
+            }
+            Some(_) => {}
+        }
+    }
+}
+
 /// The assembled multi-node serving fabric.
 pub struct ServeFabric {
     /// Tenant → node placement (weighted rendezvous + family affinity).
@@ -733,6 +538,8 @@ pub struct ServeFabric {
     /// load. Empty (the default) degrades placement to the old
     /// tenant-count measure *exactly*; only controller ticks feed it.
     traffic: TrafficLedger,
+    /// Validated migrations the next open-loop run will execute.
+    schedule: Vec<MigrationSpec>,
 }
 
 impl ServeFabric {
@@ -797,6 +604,7 @@ impl ServeFabric {
             controller_cfg: cfg.controller.clone(),
             standby,
             traffic: TrafficLedger::new(),
+            schedule: Vec::new(),
         }
     }
 
@@ -920,9 +728,7 @@ impl ServeFabric {
     /// `core::Platform` wires real vouchers instead.
     pub fn provision(&mut self, plan: &crate::loadgen::LoadPlan) {
         for t in &plan.tenants {
-            let mut key = [0u8; 32];
-            key[..4].copy_from_slice(&t.id.to_le_bytes());
-            self.register_tenant(t.id, &t.model, key);
+            self.register_tenant(t.id, &t.model, crate::testkit::test_meter_key(t.id));
             self.credit(t.id, t.prepaid_queries, u64::from(t.id), 0)
                 .expect("account just opened");
         }
@@ -953,13 +759,15 @@ impl ServeFabric {
 
     /// Remove a serving node (leave): its tenants are rebalanced onto the
     /// survivors (whole accounts move, audit chains intact), then the node
-    /// is dropped. Returns how many tenants moved.
+    /// is dropped — along with any scheduled migration onto it. Returns
+    /// how many tenants moved.
     pub fn remove_node(&mut self, id: NodeId) -> Result<usize, ServeError> {
         let Some(pos) = self.nodes.iter().position(|n| n.id == id) else {
             return Err(ServeError::UnknownNode(id));
         };
         assert!(self.nodes.len() > 1, "cannot remove the last node");
         self.shard_router.remove_node(id);
+        self.schedule.retain(|spec| spec.to != id);
         let moved = self.rebalance();
         let node = self.nodes.remove(pos);
         debug_assert_eq!(
@@ -1126,32 +934,40 @@ impl ServeFabric {
         Ok(checked)
     }
 
-    /// Replay an arrival-ordered stream through the fabric. The shard
-    /// router fans requests out to their tenants' home nodes; each node
-    /// runs its own discrete-event simulation (nodes share nothing, so
-    /// per-node replays compose deterministically); per-node stats and
-    /// telemetry are merged into the fleet view.
-    pub fn run(&mut self, stream: &[Request]) -> Result<FabricReport, ServeError> {
-        self.run_migrating(stream, &[]).map(|(report, _)| report)
+    /// Schedule live migrations for the *next* open-loop run
+    /// ([`ServeFabric::run`], [`ServeFabric::run_with_retries`] or
+    /// [`ServeFabric::run_live`]), which executes them at their trigger
+    /// instants — specs in trigger order, schedule order breaking ties,
+    /// triggers past the last arrival at end of stream — and reports one
+    /// [`MigrationRecord`] per spec in [`FabricReport::migrations`]. A
+    /// migration is a cross-node event in the run: drain the source, hand
+    /// off atomically, adopt at the destination, flip + pin the routing.
+    /// Every spec is validated first (known tenant, known destination
+    /// node); on an error nothing is scheduled. Repeated calls append.
+    /// The closed-loop drivers fire no cross-node events and leave a
+    /// pending schedule untouched.
+    pub fn schedule_migrations(&mut self, specs: &[MigrationSpec]) -> Result<(), ServeError> {
+        for spec in specs {
+            if !self.assignments.contains_key(&spec.tenant) {
+                return Err(ServeError::UnknownTenant(spec.tenant));
+            }
+            if !self.nodes.iter().any(|n| n.id == spec.to) {
+                return Err(ServeError::UnknownNode(spec.to));
+            }
+        }
+        self.schedule.extend_from_slice(specs);
+        Ok(())
     }
 
-    /// Replay an arrival-ordered stream while executing scheduled live
-    /// migrations ([`MigrationSpec`]) at their trigger instants. One
-    /// interleaved loop drives every node's event engine — each node
-    /// still sees exactly its own (timers, arrival) sequence, so with no
-    /// migrations this is bit-identical to the old per-node replay — and
-    /// a migration is a cross-node event in that loop: drain the source,
-    /// hand off atomically, adopt at the destination, flip + pin the
-    /// routing. Specs execute in trigger order (spec order breaks ties);
-    /// triggers past the last arrival execute at end of stream. Returns
-    /// the fleet report plus one [`MigrationRecord`] per spec.
-    pub fn run_migrating(
-        &mut self,
-        stream: &[Request],
-        specs: &[MigrationSpec],
-    ) -> Result<(FabricReport, Vec<MigrationRecord>), ServeError> {
-        self.run_interleaved(stream, specs, None)
-            .map(|(report, records, _)| (report, records))
+    /// Replay an arrival-ordered stream through the fabric. The shard
+    /// router fans requests out to their tenants' home nodes; one
+    /// interleaved loop drives every node's event engine (nodes share
+    /// nothing, so each still sees exactly its own timers-and-arrivals
+    /// sequence); cross-node events — scheduled migrations, injected
+    /// crashes, controller ticks — fire in stream position; per-node stats
+    /// and telemetry are merged into the fleet view.
+    pub fn run(&mut self, stream: &[Request]) -> Result<FabricReport, ServeError> {
+        self.run_interleaved(stream, None).map(|(report, _)| report)
     }
 
     /// Replay a stream with a closed retry loop at the driver: an
@@ -1168,347 +984,135 @@ impl ServeFabric {
         stream: &[Request],
         policy: &RetryPolicy,
     ) -> Result<(FabricReport, RetryStats), ServeError> {
-        self.run_interleaved(stream, &[], Some(policy))
-            .map(|(report, _, retries)| (report, retries))
+        self.run_interleaved(stream, Some(policy))
     }
 
-    /// The interleaved multi-node replay loop behind [`ServeFabric::run`],
-    /// [`ServeFabric::run_migrating`] and
-    /// [`ServeFabric::run_with_retries`]: one event cursor drives every
-    /// node's engine, cross-node triggers (injected crashes, scheduled
-    /// migrations) fire in stream position, and an optional retry policy
-    /// re-delivers transient sheds at their backoff times.
+    /// The interleaved multi-node replay loop behind [`ServeFabric::run`]
+    /// and [`ServeFabric::run_with_retries`]: one event cursor drives
+    /// every node's engine, the coordinator fires cross-node events in
+    /// stream position, and an optional retry policy re-delivers
+    /// transient sheds at their backoff times. Deliveries route at
+    /// processing time — assignments move mid-stream.
     fn run_interleaved(
         &mut self,
         stream: &[Request],
-        specs: &[MigrationSpec],
         retry: Option<&RetryPolicy>,
-    ) -> Result<(FabricReport, Vec<MigrationRecord>, RetryStats), ServeError> {
-        for spec in specs {
-            if !self.assignments.contains_key(&spec.tenant) {
-                return Err(ServeError::UnknownTenant(spec.tenant));
+    ) -> Result<(FabricReport, RetryStats), ServeError> {
+        self.preflight()?;
+        let refunded_before = self.refunded_total();
+        let (nodes, policy, mut coordinator) = self.arm_coordinator();
+        let sampled = coordinator.samples_nodes();
+        let mut sim = SimNodes::arm(nodes, policy, |engine| engine.set_control_tap(sampled));
+        let mut retries = RetryLoop::new(retry);
+
+        for request in stream {
+            if coordinator.next_due_us() <= request.arrival_us {
+                coordinator.fire_due(request.arrival_us, &mut sim);
             }
-            if !self.nodes.iter().any(|n| n.id == spec.to) {
-                return Err(ServeError::UnknownNode(spec.to));
+            // Re-deliveries due at or before this arrival go first
+            // (they were shed earlier in stream time).
+            while let Some((again, attempt)) = retries.pop_due(request.arrival_us) {
+                retries.deliver(&again, attempt, sim.node(coordinator.home_of(&again)));
             }
+            retries.deliver(request, 0, sim.node(coordinator.home_of(request)));
         }
-        self.validate_fault_plan()?;
-        self.require_families()?;
-        let refunded_before: u64 = self.refunded_total();
-        let serve_cfg = self.serve_cfg.clone();
-        let observe_cfg = self.observe_cfg.clone();
-        let fault_plan = self.fault_plan.clone();
-        let load_factor = self.load_factor;
-        let triggers = merge_triggers(&fault_plan, specs);
-        let mut records: Vec<MigrationRecord> = Vec::with_capacity(specs.len());
-        let mut retry_stats = RetryStats::default();
-        // The controller runs on the fabric's logical clock: ticks at
-        // k·interval interleave with the trigger sequence (triggers win
-        // ties, so an operator event at a tick instant lands first on
-        // both backends). Disabled, no tap is armed and no ticks fire.
-        let controller_on = self.controller_cfg.enabled;
-        let mut controller = FleetController::new(
+        let end_us = stream.last().map_or(0, |r| r.arrival_us);
+        coordinator.finish_stream(end_us, &mut sim);
+        // Drain re-deliveries scheduled past the last arrival.
+        while let Some((again, attempt)) = retries.pop_due(u64::MAX) {
+            retries.deliver(&again, attempt, sim.node(coordinator.home_of(&again)));
+        }
+        let per_node = sim.finish();
+        let log = coordinator.finish();
+        let report = self.assemble_report(per_node, refunded_before, Some(log));
+        Ok((report, retries.stats))
+    }
+
+    /// Everything a run can reject, checked before anything is taken from
+    /// the fabric or spawned (shared by all five drivers): a fault plan
+    /// that references an unknown node, and a node with no model family
+    /// installed. Panics on a plan that would crash the whole fleet.
+    pub(crate) fn preflight(&self) -> Result<(), ServeError> {
+        let mut crashed = BTreeSet::new();
+        for (node, _) in self.fault_plan.crashes() {
+            if !self.nodes.iter().any(|n| n.id == node) {
+                return Err(ServeError::UnknownNode(node));
+            }
+            crashed.insert(node);
+        }
+        assert!(
+            crashed.len() < self.nodes.len() || self.nodes.is_empty(),
+            "a fault plan cannot crash every node"
+        );
+        if self.nodes.iter().any(|n| n.plane.family_names().is_empty()) {
+            return Err(ServeError::NoFamilies);
+        }
+        Ok(())
+    }
+
+    /// Disjoint borrows of the fabric for the duration of a run: the
+    /// nodes (one engine or worker thread each), the policy their engines
+    /// are armed from, and the routing state the driver reads per request.
+    pub(crate) fn split(&mut self) -> (&mut [FabricNode], NodePolicy<'_>, Routing<'_>) {
+        (
+            &mut self.nodes,
+            NodePolicy {
+                serve: &self.serve_cfg,
+                observe: &self.observe_cfg,
+                fault: &self.fault_plan,
+            },
+            Routing {
+                shard_router: &mut self.shard_router,
+                assignments: &mut self.assignments,
+                traffic: &mut self.traffic,
+            },
+        )
+    }
+
+    /// [`ServeFabric::split`] for an open-loop run: the routing state goes
+    /// to a [`Coordinator`] that consumes the pending migration schedule
+    /// and the standby pool (hand its log back through
+    /// [`ServeFabric::assemble_report`]). Call only after
+    /// [`ServeFabric::preflight`] passed.
+    pub(crate) fn arm_coordinator(
+        &mut self,
+    ) -> (&mut [FabricNode], NodePolicy<'_>, Coordinator<'_>) {
+        let schedule = std::mem::take(&mut self.schedule);
+        let controller = FleetController::new(
             self.controller_cfg.clone(),
             std::mem::take(&mut self.standby),
         );
-        let tick_interval = controller.config().interval_us.max(1);
-        let mut next_tick = tick_interval;
-        let max_total_pending = serve_cfg.gateway.max_total_pending;
-
-        let per_node: Vec<(NodeId, ServeStats)> = {
-            let ServeFabric {
-                shard_router,
-                nodes,
-                assignments,
-                traffic,
-                ..
-            } = self;
-            let mut ctxs: Vec<NodeCtx> = nodes
-                .iter_mut()
-                .map(|node| {
-                    let mut ctx = NodeCtx::new(node, &serve_cfg, &observe_cfg, &fault_plan);
-                    ctx.engine.set_control_tap(controller_on);
-                    ctx
-                })
-                .collect();
-            let index = NodeIndex::new(ctxs.iter().map(|c| c.id));
-            let mut dead: BTreeSet<NodeId> = BTreeSet::new();
-
-            // Retry machinery (inert without a policy): scheduled
-            // re-deliveries keyed by (due time, insertion seq) so
-            // same-instant retries pop in schedule order.
-            let mut rng = retry.map(|p| StdRng::seed_from_u64(p.seed));
-            let mut budgets: BTreeMap<TenantId, RetryBudget> = BTreeMap::new();
-            let mut retry_queue: BTreeMap<(u64, u64), (Request, u32)> = BTreeMap::new();
-            let mut retry_seq: u64 = 0;
-
-            // One delivery: route to the home node, advance it to the
-            // delivery instant, admit-or-shed, and (with a policy) turn a
-            // transient shed into a scheduled re-delivery. `attempt` is
-            // the number of retries this request already consumed.
-            let mut deliver = |request: &Request,
-                               attempt: u32,
-                               ctxs: &mut [NodeCtx<'_>],
-                               assignments: &BTreeMap<TenantId, (NodeId, String)>,
-                               shard_router: &ShardRouter,
-                               retry_queue: &mut BTreeMap<(u64, u64), (Request, u32)>,
-                               retry_seq: &mut u64| {
-                // Route at processing time (assignments move mid-stream).
-                // Unknown tenants are still routed (by the same hash) so
-                // the owning gateway records the denial, exactly like one
-                // node handling an unprovisioned key; the admission-time
-                // copy inside the engine stays the only per-request clone.
-                let home = match assignments.get(&request.tenant) {
-                    Some((node, _)) => *node,
-                    None => shard_router.assign(request.tenant, &request.model),
-                };
-                let ctx = &mut ctxs[index[home]];
-                ctx.engine
-                    .run_timers_through(ctx.plane, request.arrival_us, true);
-                let shed = ctx.engine.on_arrival(ctx.plane, request);
-                let (Some(policy), Some(rng)) = (retry, rng.as_mut()) else {
-                    return;
-                };
-                let now_us = request.arrival_us;
-                match shed {
-                    None => {
-                        if attempt > 0 {
-                            retry_stats.succeeded += 1;
-                        }
-                    }
-                    Some(reason) if retryable(reason) => {
-                        let budget = budgets
-                            .entry(request.tenant)
-                            .or_insert_with(|| RetryBudget::new(policy, now_us));
-                        match schedule_retry(
-                            policy,
-                            budget,
-                            request.deadline_abs_us(),
-                            attempt + 1,
-                            now_us,
-                            rng,
-                        ) {
-                            RetryDecision::At(at) => {
-                                let mut again = request.clone();
-                                // Keep the *absolute* deadline: the clock
-                                // does not restart because we retried.
-                                again.deadline_us = request.deadline_abs_us() - at;
-                                again.arrival_us = at;
-                                retry_queue.insert((at, *retry_seq), (again, attempt + 1));
-                                *retry_seq += 1;
-                                retry_stats.scheduled += 1;
-                            }
-                            RetryDecision::AttemptsExhausted => {
-                                retry_stats.attempts_exhausted += 1;
-                            }
-                            RetryDecision::DeadlineExceeded => {
-                                retry_stats.deadline_denied += 1;
-                            }
-                            RetryDecision::BudgetExhausted => {
-                                retry_stats.budget_denied += 1;
-                            }
-                        }
-                    }
-                    Some(_) => {}
-                }
-            };
-
-            let mut pending = triggers.into_iter().peekable();
-            for request in stream {
-                loop {
-                    let trig_at = pending
-                        .peek()
-                        .map(|(at, _)| *at)
-                        .filter(|at| *at <= request.arrival_us);
-                    let tick_at =
-                        (controller_on && next_tick <= request.arrival_us).then_some(next_tick);
-                    let fire_trigger = match (trig_at, tick_at) {
-                        (Some(t), Some(k)) => t <= k, // triggers win ties
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    if !fire_trigger {
-                        execute_control_tick(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            &mut controller,
-                            traffic,
-                            &mut records,
-                            max_total_pending,
-                            next_tick,
-                        );
-                        next_tick += tick_interval;
-                        continue;
-                    }
-                    let (at_us, trigger) = pending.next().expect("peeked");
-                    match trigger {
-                        FleetTrigger::Crash { node } => execute_crash(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            traffic,
-                            &mut dead,
-                            load_factor,
-                            node,
-                            at_us,
-                        ),
-                        FleetTrigger::Migrate(spec) if dead.contains(&spec.to) => {
-                            // The destination died before the trigger: the
-                            // migration never starts (both backends freeze
-                            // the record at Planned).
-                            let (from, _) = assignments[&spec.tenant];
-                            records.push(MigrationRecord::planned(spec, from, at_us));
-                        }
-                        FleetTrigger::Migrate(spec) => {
-                            records.push(execute_migration(
-                                &mut ctxs,
-                                &index,
-                                assignments,
-                                shard_router,
-                                spec,
-                                at_us,
-                            ));
-                        }
-                    }
-                }
-                // Re-deliveries due at or before this arrival go first
-                // (they were shed earlier in stream time).
-                while let Some((&(at, seq), _)) = retry_queue.iter().next() {
-                    if at > request.arrival_us {
-                        break;
-                    }
-                    let (again, attempt) = retry_queue.remove(&(at, seq)).expect("peeked");
-                    deliver(
-                        &again,
-                        attempt,
-                        &mut ctxs,
-                        assignments,
-                        shard_router,
-                        &mut retry_queue,
-                        &mut retry_seq,
-                    );
-                }
-                deliver(
-                    request,
-                    0,
-                    &mut ctxs,
-                    assignments,
-                    shard_router,
-                    &mut retry_queue,
-                    &mut retry_seq,
-                );
-            }
-            // Triggers past the last arrival execute at end of stream —
-            // the drain instant is the stream's final timestamp, not the
-            // (possibly far-future) trigger, so timer replay stays
-            // bounded and the record shows when the move really happened.
-            let end_us = stream.last().map_or(0, |r| r.arrival_us);
-            for (_, trigger) in pending {
-                match trigger {
-                    FleetTrigger::Crash { node } => execute_crash(
-                        &mut ctxs,
-                        &index,
-                        assignments,
-                        shard_router,
-                        traffic,
-                        &mut dead,
-                        load_factor,
-                        node,
-                        end_us,
-                    ),
-                    FleetTrigger::Migrate(spec) if dead.contains(&spec.to) => {
-                        let (from, _) = assignments[&spec.tenant];
-                        records.push(MigrationRecord::planned(spec, from, end_us));
-                    }
-                    FleetTrigger::Migrate(spec) => {
-                        records.push(execute_migration(
-                            &mut ctxs,
-                            &index,
-                            assignments,
-                            shard_router,
-                            spec,
-                            end_us,
-                        ));
-                    }
-                }
-            }
-            // Drain re-deliveries scheduled past the last arrival.
-            while let Some((&key, _)) = retry_queue.iter().next() {
-                let (again, attempt) = retry_queue.remove(&key).expect("peeked");
-                deliver(
-                    &again,
-                    attempt,
-                    &mut ctxs,
-                    assignments,
-                    shard_router,
-                    &mut retry_queue,
-                    &mut retry_seq,
-                );
-            }
-            ctxs.into_iter()
-                .map(|ctx| {
-                    let NodeCtx { id, plane, engine } = ctx;
-                    (id, engine.finish(plane))
-                })
-                .collect()
-        };
-        // Topology changes persist: drained nodes returned to standby,
-        // joined nodes stay in the router.
-        let (control, standby) = controller.into_parts();
-        self.standby = standby;
-        Ok((
-            self.assemble_report(per_node, refunded_before, control),
-            records,
-            retry_stats,
-        ))
+        let load_factor = self.load_factor;
+        let (nodes, policy, routing) = self.split();
+        let coordinator = Coordinator::new(
+            routing,
+            policy.fault,
+            schedule,
+            controller,
+            load_factor,
+            policy.serve.gateway.max_total_pending,
+        );
+        (nodes, policy, coordinator)
     }
 
-    /// Run an arrival-ordered stream through the fabric's wall-clock
-    /// backend ([`crate::exec`]): one OS thread per node behind bounded
-    /// ingest queues. In [`crate::ExecMode::Replay`] the returned fleet
-    /// report is bit-identical to [`ServeFabric::run`] on the same
-    /// stream; the wall-clock side of the [`crate::LiveReport`] measures
-    /// the real threaded pipeline.
-    pub fn run_live(
-        &mut self,
-        stream: &[Request],
-        cfg: &crate::exec::ExecConfig,
-    ) -> Result<crate::exec::LiveReport, ServeError> {
-        crate::exec::run_fabric_live(self, stream, cfg)
-    }
-
-    /// Run a stream on the wall-clock backend while executing scheduled
-    /// live migrations across the running node *threads*: the ingest
-    /// feeder coordinates the drain/handoff over the nodes' bounded
-    /// queues (control entries ride in stream position), so accounts and
-    /// spliced work move between live threads without stopping traffic.
-    /// In [`crate::ExecMode::Replay`] both the fleet report and the
-    /// migration records are bit-identical to
-    /// [`ServeFabric::run_migrating`] on the same stream and specs.
-    pub fn run_live_migrating(
-        &mut self,
-        stream: &[Request],
-        cfg: &crate::exec::ExecConfig,
-        specs: &[MigrationSpec],
-    ) -> Result<(crate::exec::LiveReport, Vec<MigrationRecord>), ServeError> {
-        crate::exec::run_fabric_live_migrating(self, stream, cfg, specs)
-    }
-
-    /// Merge per-node accumulators into the fleet report — shared by the
-    /// simulated ([`ServeFabric::run`]) and live ([`crate::exec`])
-    /// backends so both produce the same exact statistics: percentiles
+    /// Merge per-node accumulators into the fleet report — shared by
+    /// every driver so all produce the same exact statistics: percentiles
     /// over the union of per-node latency samples, telemetry drained and
-    /// merged, refunds counted against the pre-run baseline.
+    /// merged, refunds counted against the pre-run baseline. `log` is what
+    /// an open-loop run's coordinator hands back (`None` from the
+    /// closed-loop drivers, which run none): its records land in the
+    /// report and its topology changes persist — drained nodes return to
+    /// standby, joined nodes stay in the router.
     pub(crate) fn assemble_report(
         &mut self,
         per_node: Vec<(NodeId, ServeStats)>,
         refunded_before: u64,
-        control: Vec<ControlRecord>,
+        log: Option<CoordinatorLog>,
     ) -> FabricReport {
+        let (control, migrations) = log.map_or_else(Default::default, |log| {
+            self.standby = log.standby;
+            (log.control, log.migrations)
+        });
         let mut fleet_stats = ServeStats::new();
         let mut per_node_reports = Vec::with_capacity(per_node.len());
         let mut node_reports_telemetry = Vec::with_capacity(per_node.len());
@@ -1543,58 +1147,20 @@ impl ServeFabric {
             node_reports_telemetry.push(node.telemetry.drain());
         }
         let fleet = fleet_stats.report(fleet_hits, fleet_misses, fleet_devices);
-        let tenants_per_node = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let count = self
-                    .assignments
-                    .values()
-                    .filter(|(node, _)| *node == n.id)
-                    .count();
-                (n.id, count)
-            })
-            .collect();
         let latency_hist = fleet_stats.histogram().clone();
         FabricReport {
             fleet,
             per_node: per_node_reports,
             telemetry: TelemetryReport::merged(node_reports_telemetry),
-            tenants_per_node,
+            tenants_per_node: self.tenant_loads(),
             refunds: self.refunded_total() - refunded_before,
             latency_hist,
             windows,
             alarms,
             traces,
             control,
+            migrations,
         }
-    }
-
-    /// Disjoint borrows for the live executor: mutable nodes (one per
-    /// worker thread) alongside the routing state the ingest feeder owns
-    /// for the duration of the run (mutable so migrations can flip and
-    /// pin assignments mid-stream).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn split_live(
-        &mut self,
-    ) -> (
-        &mut [FabricNode],
-        &mut ShardRouter,
-        &mut BTreeMap<TenantId, (NodeId, String)>,
-        &mut TrafficLedger,
-    ) {
-        (
-            &mut self.nodes,
-            &mut self.shard_router,
-            &mut self.assignments,
-            &mut self.traffic,
-        )
-    }
-
-    /// The fleet-controller policy in force.
-    #[must_use]
-    pub fn controller_config(&self) -> &ControllerConfig {
-        &self.controller_cfg
     }
 
     /// The standby pool (nodes provisioned but outside the routing
@@ -1608,68 +1174,6 @@ impl ServeFabric {
     #[must_use]
     pub fn traffic(&self) -> &TrafficLedger {
         &self.traffic
-    }
-
-    /// Take the standby pool for the duration of a run (the live
-    /// backend hands it to its controller); restore with
-    /// [`ServeFabric::restore_standby`].
-    pub(crate) fn take_standby(&mut self) -> Vec<ShardNode> {
-        std::mem::take(&mut self.standby)
-    }
-
-    /// Store the (possibly changed) standby pool back after a run.
-    pub(crate) fn restore_standby(&mut self, standby: Vec<ShardNode>) {
-        self.standby = standby;
-    }
-
-    /// The per-node serving configuration every node runs.
-    #[must_use]
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.serve_cfg
-    }
-
-    /// The per-node observability configuration.
-    #[must_use]
-    pub fn observe_config(&self) -> &ObserveConfig {
-        &self.observe_cfg
-    }
-
-    /// The fault schedule both backends execute.
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    /// The bounded-load factor placements (including crash evacuations)
-    /// run under.
-    pub(crate) fn load_factor(&self) -> f64 {
-        self.load_factor
-    }
-
-    /// Reject fault plans that reference unknown nodes or would crash the
-    /// whole fleet (shared by both backends before a run starts).
-    pub(crate) fn validate_fault_plan(&self) -> Result<(), ServeError> {
-        let mut crashed = BTreeSet::new();
-        for (node, _) in self.fault_plan.crashes() {
-            if !self.nodes.iter().any(|n| n.id == node) {
-                return Err(ServeError::UnknownNode(node));
-            }
-            crashed.insert(node);
-        }
-        assert!(
-            crashed.len() < self.nodes.len() || self.nodes.is_empty(),
-            "a fault plan cannot crash every node"
-        );
-        Ok(())
-    }
-
-    /// Reject a run on a fabric where some node has no model family
-    /// installed (shared by every driver before it starts).
-    pub(crate) fn require_families(&self) -> Result<(), ServeError> {
-        if self.nodes.iter().any(|n| n.plane.family_names().is_empty()) {
-            return Err(ServeError::NoFamilies);
-        }
-        Ok(())
     }
 
     pub(crate) fn refunded_total(&self) -> u64 {
@@ -1690,38 +1194,10 @@ impl ServeFabric {
 mod tests {
     use super::*;
     use crate::loadgen::{LoadPlan, TenantSpec};
-    use std::collections::BTreeMap;
+    use crate::testkit::{
+        assert_conservation, assert_sim_live_parity, test_fabric as fabric, test_family as family,
+    };
     use tinymlops_device::{default_mix, NetworkKind};
-    use tinymlops_registry::{ModelFormat, SemVer};
-
-    fn family(name: &str, base_id: u64) -> Vec<ModelRecord> {
-        let mut records = Vec::new();
-        for (i, (format, size, acc)) in [
-            (ModelFormat::F32, 40_000u64, 0.96),
-            (ModelFormat::Quantized { bits: 8 }, 10_000, 0.95),
-            (ModelFormat::Quantized { bits: 2 }, 2_500, 0.88),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut metrics = BTreeMap::new();
-            metrics.insert("accuracy".into(), acc);
-            records.push(ModelRecord {
-                id: ModelId(base_id + i as u64),
-                name: name.into(),
-                version: SemVer::new(1, 0, 0),
-                format,
-                parent: None,
-                artifact: [0; 32],
-                size_bytes: size,
-                macs: 100_000,
-                metrics,
-                tags: vec![],
-                created_ms: 0,
-            });
-        }
-        records
-    }
 
     fn plan(seed: u64, rps: f64, prepaid: u64, tenants: u32) -> LoadPlan {
         LoadPlan {
@@ -1738,15 +1214,6 @@ mod tests {
             seed,
             feature_dim: 0,
         }
-    }
-
-    fn fabric(cfg: &FabricConfig, fleet_size: usize, seed: u64) -> ServeFabric {
-        let fleets =
-            Fleet::generate(fleet_size, &default_mix(), seed).partition(cfg.node_weights.len());
-        let mut f = ServeFabric::new(cfg, fleets);
-        f.install_family("kws", family("kws", 0));
-        f.install_family("vision", family("vision", 100));
-        f
     }
 
     #[test]
@@ -1805,30 +1272,18 @@ mod tests {
         f.install_family("vision", family("vision", 100));
         let p = plan(3, 500.0, 10_000, 6);
         f.provision(&p);
-        let report = f.run(&p.generate()).unwrap();
+        let stream = p.generate();
+        let report = f.run(&stream).unwrap();
         assert_eq!(report.fleet.served, 0);
         assert!(report.downstream_sheds() > 0, "no-route sheds happened");
-        assert!(
-            report.refunds_balance(),
-            "refunds ({}) must exactly match downstream sheds ({})",
-            report.refunds,
-            report.downstream_sheds()
-        );
-        assert_eq!(report.unrefunded_sheds(), 0, "every shed was refunded");
-        // Refunds restored every balance: nothing was consumed net.
+        // Every shed refunded, none minted, chains verify under the
+        // provisioning keys…
+        assert_conservation(&f, &report, stream.len() as u64, 6 * 10_000);
+        // …and the refunds restored every balance: nothing consumed net.
         for q in f.quota_census() {
             assert_eq!(q.balance, 10_000, "tenant {} lost quota", q.tenant);
             assert_eq!(q.consumed, q.refunded);
         }
-        // And the chains still verify under the provisioning keys.
-        let checked = f
-            .verify_chains(|t| {
-                let mut key = [0u8; 32];
-                key[..4].copy_from_slice(&t.to_le_bytes());
-                key
-            })
-            .unwrap();
-        assert_eq!(checked, 6);
     }
 
     #[test]
@@ -1881,9 +1336,10 @@ mod tests {
             to,
             trigger_us: 500_000,
         }];
-        let (report, records) = f.run_migrating(&stream, &specs).unwrap();
-        assert_eq!(records.len(), 1);
-        let r = &records[0];
+        f.schedule_migrations(&specs).unwrap();
+        let report = f.run(&stream).unwrap();
+        assert_eq!(report.migrations.len(), 1);
+        let r = &report.migrations[0];
         assert_eq!((r.tenant, r.from, r.to), (tenant, from, to));
         assert_eq!(r.phase, MigrationPhase::Resumed);
         assert_eq!(r.handoff_us, 500_000);
@@ -1902,26 +1358,10 @@ mod tests {
         );
         assert_eq!(account.quota.log().handoff_count(), 1);
         // Conservation across the migration: every arrival accounted,
-        // every downstream shed refunded, quota neither burned nor minted.
-        assert_eq!(
-            report.fleet.served + report.fleet.shed_total,
-            stream.len() as u64
-        );
-        assert!(report.refunds_balance());
-        let census = f.quota_census();
-        assert_eq!(census.len(), 10, "no tenant lost in the move");
-        let spent: u64 = census.iter().map(|q| q.consumed - q.refunded).sum();
-        let left: u64 = census.iter().map(|q| q.balance).sum();
-        assert_eq!(spent + left, 1_000_000 * 10);
-        // And the chain (with its handoff entry) still verifies.
-        let checked = f
-            .verify_chains(|t| {
-                let mut key = [0u8; 32];
-                key[..4].copy_from_slice(&t.to_le_bytes());
-                key
-            })
-            .unwrap();
-        assert_eq!(checked, 10);
+        // every downstream shed refunded, quota neither burned nor minted,
+        // and every chain (with its handoff entry) still verifies.
+        assert_eq!(f.quota_census().len(), 10, "no tenant lost in the move");
+        assert_conservation(&f, &report, stream.len() as u64, 1_000_000 * 10);
     }
 
     #[test]
@@ -1946,18 +1386,14 @@ mod tests {
                 trigger_us: 300_000,
             },
         ];
-        let mut sim = fabric(&cfg, 45, 5);
-        sim.provision(&p);
-        let (sim_report, sim_records) = sim.run_migrating(&stream, &specs).unwrap();
-        let mut live = fabric(&cfg, 45, 5);
-        live.provision(&p);
-        let (live_report, live_records) = live
-            .run_live_migrating(&stream, &crate::exec::ExecConfig::default(), &specs)
-            .unwrap();
-        assert_eq!(live_report.fabric, sim_report, "reports bit-identical");
-        assert_eq!(live_records, sim_records, "records bit-identical");
-        assert_eq!(sim.quota_census(), live.quota_census());
-        assert_eq!(sim.home_node(2), live.home_node(2));
+        let build = || {
+            let mut f = fabric(&cfg, 45, 5);
+            f.provision(&p);
+            f
+        };
+        let out = assert_sim_live_parity(build, &stream, &specs);
+        assert_eq!(out.report.migrations.len(), 3);
+        assert_eq!(out.sim.home_node(2), out.live.home_node(2));
     }
 
     #[test]
@@ -1975,7 +1411,8 @@ mod tests {
             to,
             trigger_us: 500_000,
         }];
-        let (off_report, _) = probe.run_migrating(&stream, &specs).unwrap();
+        probe.schedule_migrations(&specs).unwrap();
+        let off_report = probe.run(&stream).unwrap();
         assert!(off_report.windows.is_empty(), "disabled ⇒ no windows");
         assert!(off_report.alarms.is_empty(), "disabled ⇒ no alarms");
         assert!(off_report.traces.is_empty(), "disabled ⇒ no traces");
@@ -1994,23 +1431,18 @@ mod tests {
             },
             ..FabricConfig::default()
         };
-        let mut sim = fabric(&cfg_on, 60, 9);
-        sim.provision(&p);
-        let (sim_report, sim_records) = sim.run_migrating(&stream, &specs).unwrap();
+        // Windows, alarms, traces and records replay bit-identically on
+        // threads (the parity ritual compares whole reports).
+        let build = || {
+            let mut f = fabric(&cfg_on, 60, 9);
+            f.provision(&p);
+            f
+        };
+        let sim_report = assert_sim_live_parity(build, &stream, &specs).report;
         assert_eq!(
             sim_report.fleet, off_report.fleet,
             "observation never changes a serving decision"
         );
-        let mut live = fabric(&cfg_on, 60, 9);
-        live.provision(&p);
-        let (live_report, live_records) = live
-            .run_live_migrating(&stream, &crate::exec::ExecConfig::default(), &specs)
-            .unwrap();
-        assert_eq!(
-            live_report.fabric, sim_report,
-            "windows, alarms and traces replay bit-identically on threads"
-        );
-        assert_eq!(live_records, sim_records);
         let handoffs = sim_report
             .traces
             .iter()
@@ -2036,7 +1468,8 @@ mod tests {
             to,
             trigger_us: 100_000,
         }];
-        f.run_migrating(&stream, &specs).unwrap();
+        f.schedule_migrations(&specs).unwrap();
+        f.run(&stream).unwrap();
         assert_eq!(f.home_node(tenant), Some(to));
         // A join-triggered rebalance must not snap the tenant back.
         let (new_id, _) = f.add_node(1.0, Fleet::generate(20, &default_mix(), 99));
@@ -2051,29 +1484,22 @@ mod tests {
         let p = plan(3, 500.0, 1_000, 4);
         let mut f = fabric(&cfg, 30, 2);
         f.provision(&p);
-        let stream = p.generate();
+        let spec = |tenant, to| MigrationSpec {
+            tenant,
+            to,
+            trigger_us: 0,
+        };
         assert!(matches!(
-            f.run_migrating(
-                &stream,
-                &[MigrationSpec {
-                    tenant: 99,
-                    to: 0,
-                    trigger_us: 0
-                }]
-            ),
+            f.schedule_migrations(&[spec(1, 0), spec(99, 0)]),
             Err(ServeError::UnknownTenant(99))
         ));
         assert!(matches!(
-            f.run_migrating(
-                &stream,
-                &[MigrationSpec {
-                    tenant: 1,
-                    to: 42,
-                    trigger_us: 0
-                }]
-            ),
+            f.schedule_migrations(&[spec(1, 42)]),
             Err(ServeError::UnknownNode(42))
         ));
+        // A rejected batch schedules nothing, valid leading specs included.
+        let report = f.run(&p.generate()).unwrap();
+        assert!(report.migrations.is_empty());
     }
 
     #[test]

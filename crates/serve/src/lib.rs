@@ -34,25 +34,31 @@
 //!   refunds for admitted-then-shed work
 //!   (`tinymlops_meter::EntryKind::Refund`), and per-node telemetry
 //!   merged into exact fleet-level statistics ([`FabricReport`]).
-//! * **Live migration** — [`ServeFabric::run_migrating`] /
-//!   [`ServeFabric::run_live_migrating`] move a tenant between nodes
-//!   *with requests in flight*: queued work spliced, dispatched work
-//!   drained in place, the quota partition and audit chain handed off
-//!   atomically under a `tinymlops_meter::EntryKind::Handoff` entry
-//!   ([`MigrationSpec`] → [`MigrationRecord`]), bit-identically across
-//!   the simulated and threaded backends in [`ExecMode::Replay`].
+//! * **Live migration** — [`ServeFabric::schedule_migrations`] moves a
+//!   tenant between nodes *with requests in flight* during the next
+//!   run: queued work spliced, dispatched work drained in place, the
+//!   quota partition and audit chain handed off atomically under a
+//!   `tinymlops_meter::EntryKind::Handoff` entry ([`MigrationSpec`] →
+//!   [`MigrationRecord`] in [`FabricReport::migrations`]).
 //!
-//! `core::Platform` exposes these as `serve_traffic` (one node),
-//! `serve_traffic_sharded` (fabric), `serve_traffic_live` (threaded)
-//! and `serve_traffic_migrating` / `serve_traffic_live_migrating`
-//! (triggered migrations), crediting tenants through real vouchers and
-//! feeding counters into `observe::Telemetry`.
+//! A fabric runs through [`ServeFabric::run`] /
+//! [`ServeFabric::run_with_retries`] (simulator),
+//! [`ServeFabric::run_live`] (one thread per node) and
+//! [`ServeFabric::run_closed_loop`] /
+//! [`ServeFabric::run_closed_loop_wall`] (client populations). What
+//! crosses nodes mid-run — migrations, crash failover, controller ticks
+//! — is one crate-internal coordinator over two transports, so the first
+//! three are bit-identical in [`ExecMode::Replay`]. `core::Platform`
+//! builds planes and fabrics from real vouchers and the registry
+//! (`build_serving`, `build_fabric`) and folds reports back into
+//! `observe::Telemetry` (`serve_traffic`, `absorb_serving`).
 
 pub mod batcher;
 pub mod cache;
 pub mod clock;
 pub mod closedloop;
 pub mod controller;
+pub(crate) mod coordinator;
 pub mod exec;
 pub mod fabric;
 pub mod fault;
@@ -75,7 +81,7 @@ pub use closedloop::{
 pub use controller::{
     ControlAction, ControlRecord, ControlSample, ControllerConfig, ControllerView, FleetController,
 };
-pub use exec::{ExecConfig, ExecMode, IngestQueue, LiveReport, MutexIngestQueue, NodeFailure};
+pub use exec::{ExecConfig, ExecMode, IngestQueue, LiveReport, NodeFailure};
 pub use fabric::{
     FabricConfig, FabricNode, FabricReport, MigrationPhase, MigrationRecord, MigrationSpec,
     RetryStats, ServeFabric, TenantQuota,

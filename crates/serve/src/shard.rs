@@ -56,7 +56,7 @@ pub struct ShardRouter {
     /// 1 = all tenants of a family share one node.
     affinity: f64,
     /// Tenants whose assignment is pinned to a specific node — the result
-    /// of a live migration ([`crate::ServeFabric::run_migrating`]). Pins
+    /// of a live migration ([`crate::ServeFabric::schedule_migrations`]). Pins
     /// override the rendezvous score until the pinned node leaves.
     pins: BTreeMap<TenantId, NodeId>,
 }

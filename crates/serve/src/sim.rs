@@ -1030,38 +1030,8 @@ pub fn run_plan(
 mod tests {
     use super::*;
     use crate::loadgen::TenantSpec;
-    use std::collections::BTreeMap;
+    use crate::testkit::test_family as family;
     use tinymlops_device::default_mix;
-    use tinymlops_registry::{ModelFormat, SemVer};
-
-    fn family(name: &str, base_id: u64) -> Vec<ModelRecord> {
-        let mut records = Vec::new();
-        for (i, (format, size, acc)) in [
-            (ModelFormat::F32, 40_000u64, 0.96),
-            (ModelFormat::Quantized { bits: 8 }, 10_000, 0.95),
-            (ModelFormat::Quantized { bits: 2 }, 2_500, 0.88),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut metrics = BTreeMap::new();
-            metrics.insert("accuracy".into(), acc);
-            records.push(ModelRecord {
-                id: ModelId(base_id + i as u64),
-                name: name.into(),
-                version: SemVer::new(1, 0, 0),
-                format,
-                parent: None,
-                artifact: [0; 32],
-                size_bytes: size,
-                macs: 100_000,
-                metrics,
-                tags: vec![],
-                created_ms: 0,
-            });
-        }
-        records
-    }
 
     fn plan(seed: u64, rps: f64, prepaid: u64) -> LoadPlan {
         LoadPlan {

@@ -10,6 +10,8 @@
 //! call; [`assert_conservation`] is the matching bundle of conservation
 //! laws (served + shed = arrivals, refunds balance, quota census exact).
 //! The controller property tests and `e21_autoscale` drive both.
+//! [`report_digest`] folds a finished run into one number, for golden tests
+//! that pin behaviour across a refactor.
 //!
 //! Everything here assumes the test-grade meter keys
 //! [`crate::ServeFabric::provision`] installs (serial = tenant id, key =
@@ -17,7 +19,7 @@
 //! Platform-level experiments with real vouchers keep their own keys.
 
 use crate::exec::ExecConfig;
-use crate::fabric::{FabricConfig, FabricReport, MigrationRecord, MigrationSpec, ServeFabric};
+use crate::fabric::{FabricConfig, FabricReport, MigrationSpec, ServeFabric};
 use crate::request::{Request, TenantId};
 use std::collections::BTreeMap;
 use tinymlops_device::{default_mix, Fleet};
@@ -80,11 +82,10 @@ pub fn test_fabric(cfg: &FabricConfig, fleet_size: usize, seed: u64) -> ServeFab
 
 /// What a parity run produced (the two backends agreed on all of it).
 pub struct ParityOutcome {
-    /// The fleet report both backends produced, bit-identically.
+    /// The fleet report both backends produced, bit-identically —
+    /// migration records (scheduled specs *and* controller-initiated
+    /// moves) and control log included.
     pub report: FabricReport,
-    /// The migration records both backends produced, bit-identically —
-    /// scheduled specs *and* controller-initiated moves.
-    pub records: Vec<MigrationRecord>,
     /// The simulator-side fabric after the run (topology, censuses).
     pub sim: ServeFabric,
     /// The live-side fabric after the run.
@@ -92,22 +93,24 @@ pub struct ParityOutcome {
 }
 
 /// The replay-parity ritual, extracted: build two identical fabrics via
-/// `build` (which must provision tenants itself), run `stream` +
-/// `specs` through the simulator and through the threaded backend in
-/// [`crate::ExecMode::Replay`], and assert that reports, migration
-/// records and quota censuses are bit-identical and that no node worker
-/// died. Panics (test-style) on any divergence; returns the agreed
-/// outcome for further scenario-specific assertions.
+/// `build` (which must provision tenants itself), schedule `specs` on
+/// both, run `stream` through the simulator and through the threaded
+/// backend in [`crate::ExecMode::Replay`], and assert that reports
+/// (migration records included) and quota censuses are bit-identical and
+/// that no node worker died. Panics (test-style) on any divergence;
+/// returns the agreed outcome for further scenario-specific assertions.
 pub fn assert_sim_live_parity(
     mut build: impl FnMut() -> ServeFabric,
     stream: &[Request],
     specs: &[MigrationSpec],
 ) -> ParityOutcome {
     let mut sim = build();
-    let (sim_report, sim_records) = sim.run_migrating(stream, specs).expect("sim replay run");
+    sim.schedule_migrations(specs).expect("specs valid (sim)");
+    let sim_report = sim.run(stream).expect("sim replay run");
     let mut live = build();
-    let (live_report, live_records) = live
-        .run_live_migrating(stream, &ExecConfig::default(), specs)
+    live.schedule_migrations(specs).expect("specs valid (live)");
+    let live_report = live
+        .run_live(stream, &ExecConfig::default())
         .expect("live replay run");
     assert!(
         live_report.failures.is_empty(),
@@ -119,17 +122,12 @@ pub fn assert_sim_live_parity(
         "threaded replay must be bit-identical to the simulator"
     );
     assert_eq!(
-        live_records, sim_records,
-        "migration records must be bit-identical across backends"
-    );
-    assert_eq!(
         live.quota_census(),
         sim.quota_census(),
         "quota censuses must agree after the run"
     );
     ParityOutcome {
         report: sim_report,
-        records: sim_records,
         sim,
         live,
     }
@@ -174,4 +172,35 @@ pub fn assert_conservation(
         census.len(),
         "every censused tenant's chain was checked"
     );
+}
+
+/// FNV-1a over the `Debug` rendering of what a finished run decided: the
+/// fleet and per-node reports, refunds, control log, migration records,
+/// quota census and every tenant's audit-chain head. Wall time and
+/// telemetry stay out, so two runs digest equal iff they served, shed,
+/// billed and moved exactly the same things.
+#[must_use]
+pub fn report_digest(fabric: &ServeFabric, report: &FabricReport) -> u64 {
+    let mut heads: Vec<(TenantId, [u8; 32])> = fabric
+        .nodes()
+        .iter()
+        .flat_map(|n| n.plane.gateway.accounts())
+        .map(|(tenant, account)| (tenant, account.quota.log().head()))
+        .collect();
+    heads.sort_unstable();
+    let rendered = format!(
+        "{:?}",
+        (
+            &report.fleet,
+            &report.per_node,
+            report.refunds,
+            &report.control,
+            &report.migrations,
+            fabric.quota_census(),
+            heads,
+        )
+    );
+    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

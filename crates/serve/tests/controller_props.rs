@@ -221,12 +221,11 @@ fn surge_scales_up_then_down_deterministically_and_in_parity() {
     // Two fresh simulator runs agree byte for byte (control log included).
     let mut again = test_fabric(&cfg, 24, 5);
     again.provision(&base);
-    let (report2, records2) = again.run_migrating(&stream, &[]).expect("rerun");
+    let report2 = again.run(&stream).expect("rerun");
     assert_eq!(
         report2, outcome.report,
-        "controller decisions are deterministic"
+        "controller decisions (and the moves they caused) are deterministic"
     );
-    assert_eq!(records2, outcome.records);
 
     let joins = outcome
         .report
@@ -291,7 +290,7 @@ fn hot_tenant_rebalance_fires_and_respects_cooldowns() {
     assert_cooldowns(&outcome.report.control, &cfg.controller);
     // Controller-initiated moves show up as ordinary migration records,
     // and each completed its state machine.
-    assert_eq!(outcome.records.len(), migrates);
+    assert_eq!(outcome.report.migrations.len(), migrates);
     assert_conservation(
         &outcome.sim,
         &outcome.report,
@@ -339,7 +338,7 @@ fn controller_never_targets_an_offline_node() {
             );
         }
     }
-    for record in &outcome.records {
+    for record in &outcome.report.migrations {
         if record.trigger_us >= crash_at {
             assert_ne!(record.to, 1, "no migration may land on the dead node");
         }
@@ -384,13 +383,11 @@ fn armed_but_untrippable_controller_is_byte_identical_to_off() {
         let mut f = test_fabric(cfg, 24, 9);
         f.provision(&base);
         if live {
-            let (r, _) = f
-                .run_live_migrating(&stream, &Default::default(), &[])
-                .expect("live run");
-            r.fabric
+            f.run_live(&stream, &Default::default())
+                .expect("live run")
+                .fabric
         } else {
-            let (r, _) = f.run_migrating(&stream, &[]).expect("sim run");
-            r
+            f.run(&stream).expect("sim run")
         }
     };
     let off_cfg = cfg_of(ControllerConfig::default());
@@ -448,7 +445,8 @@ fn join_relieves_a_node_pushed_over_cap_by_pins() {
             trigger_us: 200_000 + u64::from(t) * 50_000,
         })
         .collect();
-    f.run_migrating(&stream, &specs).expect("pinning run");
+    f.schedule_migrations(&specs).expect("specs valid");
+    f.run(&stream).expect("pinning run");
     assert!(
         !f.traffic().is_empty(),
         "controller ticks folded the ledger"
@@ -571,7 +569,8 @@ proptest! {
                 trigger_us: 150_000 + i as u64 * 120_000,
             })
             .collect();
-        f.run_migrating(&stream, &specs).expect("churn run");
+        f.schedule_migrations(&specs).expect("specs valid");
+        f.run(&stream).expect("churn run");
         prop_assert!(!f.traffic().is_empty());
         // No cap claim *here*: mid-run pins bypass caps and the ledger
         // drifts between rebalances. The law is that the next topology

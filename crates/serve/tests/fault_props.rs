@@ -271,16 +271,17 @@ fn panicked_worker_is_contained_even_at_capacity_one_with_a_racing_drain() {
         to: 1,
         trigger_us: 250_000,
     }];
-    let (report, records) = f
-        .run_live_migrating(
+    f.schedule_migrations(&specs).expect("specs valid");
+    let report = f
+        .run_live(
             &stream,
             &ExecConfig {
                 mode: ExecMode::Replay,
                 queue_capacity: 1,
             },
-            &specs,
         )
         .expect("run completes despite the dead worker");
+    let records = &report.fabric.migrations;
     assert_eq!(report.failures.len(), 1, "exactly one worker died");
     assert_eq!(report.failures[0].node, 1);
     assert!(
@@ -383,7 +384,8 @@ proptest! {
         } else {
             Vec::new()
         };
-        let (sim_report, sim_records) = sim.run_migrating(&stream, &specs).expect("sim");
+        sim.schedule_migrations(&specs).expect("specs valid");
+        let sim_report = sim.run(&stream).expect("sim");
         assert_conservation(&sim, &sim_report, stream.len() as u64,
                             prepaid * u64::from(tenants));
         prop_assert_eq!(sim.verify_chains(key_of).expect("chains"), tenants as usize);
@@ -393,16 +395,13 @@ proptest! {
         }
         let mut live = fabric(&cfg, 30, 5);
         live.provision(&p);
-        let (live_report, live_records) = live
-            .run_live_migrating(
-                &stream,
-                &ExecConfig { mode: ExecMode::Replay, queue_capacity },
-                &specs,
-            )
+        live.schedule_migrations(&specs).expect("specs valid");
+        let live_report = live
+            .run_live(&stream, &ExecConfig { mode: ExecMode::Replay, queue_capacity })
             .expect("live");
         prop_assert!(live_report.failures.is_empty());
+        prop_assert_eq!(&live_report.fabric.migrations, &sim_report.migrations);
         prop_assert_eq!(live_report.fabric, sim_report);
-        prop_assert_eq!(live_records, sim_records);
         prop_assert_eq!(live.quota_census(), sim.quota_census());
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The migration contract: moving a tenant between fabric nodes *while
 //! requests are in flight* must (a) be bit-identical between the
-//! simulator (`ServeFabric::run_migrating`) and the threaded backend
-//! (`run_live_migrating`) in `ExecMode::Replay` — reports, records and
+//! simulator (`ServeFabric::run`) and the threaded backend (`run_live`)
+//! in `ExecMode::Replay` over one `schedule_migrations` — reports, records and
 //! per-tenant quota state; (b) conserve every prepaid query exactly
 //! (spliced work is never dropped or double-billed, every downstream
 //! shed refunds); and (c) keep every audit chain — now carrying
@@ -89,28 +89,31 @@ fn assert_migrating_parity_and_conservation(
 
     let mut sim = fabric(cfg, fleet_size, 5);
     sim.provision(p);
-    let (sim_report, sim_records) = sim.run_migrating(&stream, specs).expect("sim run");
+    sim.schedule_migrations(specs).expect("specs valid");
+    let sim_report = sim.run(&stream).expect("sim run");
+    let sim_records = &sim_report.migrations;
 
     let mut live = fabric(cfg, fleet_size, 5);
     live.provision(p);
-    let (live_report, live_records) = live
-        .run_live_migrating(
+    live.schedule_migrations(specs).expect("specs valid");
+    let live_report = live
+        .run_live(
             &stream,
             &ExecConfig {
                 mode: ExecMode::Replay,
                 queue_capacity,
             },
-            specs,
         )
         .expect("live run");
+    let live_records = &live_report.fabric.migrations;
 
     prop_assert_eq!(&live_report.fabric, &sim_report);
-    prop_assert_eq!(&live_records, &sim_records);
+    prop_assert_eq!(live_records, sim_records);
     prop_assert_eq!(live.quota_census(), sim.quota_census());
 
     // Every migration completed its state machine.
     prop_assert_eq!(sim_records.len(), specs.len());
-    for record in &sim_records {
+    for record in sim_records {
         prop_assert_eq!(record.phase, MigrationPhase::Resumed);
         prop_assert_eq!(record.queue_spliced, 0usize, "replay never queue-splices");
     }
@@ -137,7 +140,7 @@ fn assert_migrating_parity_and_conservation(
         .expect("all chains verify across handoffs");
     prop_assert_eq!(checked, p.tenants.len());
     // Migrated tenants actually live on their final destinations.
-    for record in &sim_records {
+    for record in sim_records {
         if record.from != record.to {
             let last_for_tenant = sim_records
                 .iter()

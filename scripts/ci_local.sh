@@ -67,27 +67,9 @@ if run_stage smoke; then
 fi
 
 if run_stage bench; then
-    banner "b01 kernel bench smoke + regression gate"
-    cargo run --release -p tinymlops_bench --bin b01_kernels -- --quick
-    jq -e '.schema_version == 1 and (.runs | length >= 1)' results/BENCH_kernels.json
-    # Fused-inference groups must be present in the newest run, the fused
-    # int8 forward must beat f32, and the vpmaddwd dot must beat the
-    # autovectorized kernel at batch >= 8.
-    jq -e '.runs[-1].entries | map(.group) | (index("dot_i8_maddwd") != null) and (index("qmodel_fused") != null) and (index("xnor_serving") != null)' results/BENCH_kernels.json
-    jq -e '[.runs[-1].entries[] | select(.id == "qmodel_fused_int8_fused")][0].speedup_vs_baseline > 1' results/BENCH_kernels.json
-    jq -e '[.runs[-1].entries[] | select(.id | (startswith("dot_i8_b8x") or startswith("dot_i8_b32x")) and endswith("_maddwd"))] | length >= 1 and all(.speedup_vs_baseline > 1)' results/BENCH_kernels.json
-    # Overload-serving groups: the ingest-queue handoff and closed-loop
-    # serving benches must be present, and the lock-free queue must not
-    # lose to the mutex baseline it replaced.
-    jq -e '.runs[-1].entries | map(.group) | (index("ingest_queue") != null) and (index("serving_closed_loop") != null)' results/BENCH_kernels.json
-    jq -e '[.runs[-1].entries[] | select(.id == "ingest_queue_handoff_lockfree")][0].speedup_vs_baseline >= 1' results/BENCH_kernels.json
-    # Audit-chain group: dispatched + portable rows for the metering
-    # layer, and the held key schedule must beat re-deriving the pads.
-    jq -e '.runs[-1].entries | map(.id) | (index("sha256_64B") != null) and (index("hmac_entry_57B") != null) and (index("audit_append") != null) and (index("audit_verify_per_entry") != null)' results/BENCH_kernels.json
-    jq -e '[.runs[-1].entries[] | select(.id == "hmac_entry_57B_portable")][0].speedup_vs_baseline > 1' results/BENCH_kernels.json
-    # Hard ns/op gate on the queue groups only — their workloads are
-    # long-running enough to be meaningful on a shared runner.
-    cargo run --release -p tinymlops_bench --bin b01_compare -- --fail-on-regression 50 --groups ingest_queue,serving_closed_loop
+    # The bench run, its jq assertions and the b01_compare gate live in
+    # scripts/smoke.sh too, shared verbatim with CI's bench-smoke job.
+    scripts/smoke.sh b01
 fi
 
 banner "ci_local: PASS (stage: $stage)"

@@ -7,6 +7,8 @@
 # Usage:
 #   scripts/smoke.sh e18        # one experiment
 #   scripts/smoke.sh all        # e15 through e22, in order
+#   scripts/smoke.sh b01        # kernel bench smoke + regression gate
+#                               # (its own CI job; not part of `all`)
 #
 # Requires: the repo toolchain and `jq`. Offline like CI.
 
@@ -134,6 +136,31 @@ smoke_e22() {
         results/e22_overload_wall.json
 }
 
+smoke_b01() {
+    local log=results/BENCH_kernels.json
+    cargo run --release -p tinymlops_bench --bin b01_kernels -- --quick
+    jq -e '.schema_version == 1 and (.runs | length >= 1)' "$log"
+    # Fused-inference groups must be present in the newest run, the fused
+    # int8 forward must beat f32, and the vpmaddwd dot must beat the
+    # autovectorized kernel at batch >= 8.
+    jq -e '.runs[-1].entries | map(.group) | (index("dot_i8_maddwd") != null) and (index("qmodel_fused") != null) and (index("xnor_serving") != null)' "$log"
+    jq -e '[.runs[-1].entries[] | select(.id == "qmodel_fused_int8_fused")][0].speedup_vs_baseline > 1' "$log"
+    jq -e '[.runs[-1].entries[] | select(.id | (startswith("dot_i8_b8x") or startswith("dot_i8_b32x")) and endswith("_maddwd"))] | length >= 1 and all(.speedup_vs_baseline > 1)' "$log"
+    # Overload-serving groups: the ingest-queue handoff and closed-loop
+    # serving benches must be present, and the lock-free queue must not
+    # lose to the mutex baseline it replaced.
+    jq -e '.runs[-1].entries | map(.group) | (index("ingest_queue") != null) and (index("serving_closed_loop") != null)' "$log"
+    jq -e '[.runs[-1].entries[] | select(.id == "ingest_queue_handoff_lockfree")][0].speedup_vs_baseline >= 1' "$log"
+    # Audit-chain group: dispatched + portable rows for the metering
+    # layer, and the held key schedule must beat re-deriving the pads.
+    jq -e '.runs[-1].entries | map(.id) | (index("sha256_64B") != null) and (index("hmac_entry_57B") != null) and (index("audit_append") != null) and (index("audit_verify_per_entry") != null)' "$log"
+    jq -e '[.runs[-1].entries[] | select(.id == "hmac_entry_57B_portable")][0].speedup_vs_baseline > 1' "$log"
+    # Regression gate: schema + group coverage always; a hard ns/op gate
+    # on the queue groups only — their workloads are long-running enough
+    # to be meaningful on a shared runner.
+    cargo run --release -p tinymlops_bench --bin b01_compare -- --fail-on-regression 50 --groups ingest_queue,serving_closed_loop
+}
+
 banner() { printf '\n==== smoke: %s ====\n' "$*"; }
 
 experiments=(e15 e16 e17 e18 e19 e20 e21 e22)
@@ -148,7 +175,7 @@ elif declare -F "smoke_$target" >/dev/null; then
     banner "$target"
     "smoke_$target"
 else
-    echo "smoke: unknown experiment '$target' (expected one of: ${experiments[*]} all)" >&2
+    echo "smoke: unknown experiment '$target' (expected one of: ${experiments[*]} all b01)" >&2
     exit 1
 fi
 
