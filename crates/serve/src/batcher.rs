@@ -124,22 +124,6 @@ impl MicroBatcher {
         ))
     }
 
-    /// Earliest forced-flush time across all families (for schedulers).
-    #[must_use]
-    pub fn next_deadline_us(&self) -> Option<(String, u64)> {
-        self.queues
-            .iter()
-            .filter_map(|(family, q)| {
-                q.front().map(|r| {
-                    (
-                        family.clone(),
-                        r.arrival_us.saturating_add(self.policy.max_delay_us),
-                    )
-                })
-            })
-            .min_by_key(|(_, t)| *t)
-    }
-
     /// Splice one tenant's queued requests out of every family queue,
     /// preserving their relative arrival order. Used by the live-migration
     /// drain: the spliced requests were already admitted (and charged) on

@@ -37,7 +37,7 @@ use crate::clock::{Clock, WallClock};
 use crate::coordinator::Routing;
 use crate::exec::{run_workers, ExecMode, Ingest, IngestQueue, LiveSetup};
 use crate::fabric::{FabricReport, NodeIndex, RetryStats, ServeFabric, SimNodes};
-use crate::fault::{retryable, schedule_retry, RetryBudget, RetryDecision, RetryPolicy};
+use crate::fault::{account_retry, retryable, schedule_retry, RetryBudget, RetryPolicy};
 use crate::request::{Completion, Disposition, Request, RequestId, TenantId};
 use crate::ServeError;
 use rand::rngs::StdRng;
@@ -392,33 +392,28 @@ impl<'p> ClientPool<'p> {
             Disposition::Shed(reason) if retryable(reason) && plan.retry.max_attempts > 0 => {
                 let budget = self.budgets[self.clients[client].budget]
                     .get_or_insert_with(|| RetryBudget::new(&plan.retry, now_us));
-                match schedule_retry(
+                let decision = schedule_retry(
                     &plan.retry,
                     budget,
                     deadline_abs_us,
                     attempt + 1,
                     now_us,
                     &mut self.retry_rng,
-                ) {
-                    RetryDecision::At(at) => {
-                        let spec = &plan.clients[client];
-                        let request = Request {
-                            id,
-                            tenant: spec.tenant,
-                            model: spec.model.clone(),
-                            arrival_us: at,
-                            // Keep the *absolute* deadline: the clock does
-                            // not restart because we retried.
-                            deadline_us: deadline_abs_us - at,
-                            features,
-                        };
-                        self.schedule(client, at, request, attempt + 1, first_issue_us);
-                        self.stats.retry.scheduled += 1;
-                        return;
-                    }
-                    RetryDecision::AttemptsExhausted => self.stats.retry.attempts_exhausted += 1,
-                    RetryDecision::DeadlineExceeded => self.stats.retry.deadline_denied += 1,
-                    RetryDecision::BudgetExhausted => self.stats.retry.budget_denied += 1,
+                );
+                if let Some((at, deadline_us)) =
+                    account_retry(decision, deadline_abs_us, &mut self.stats.retry)
+                {
+                    let spec = &plan.clients[client];
+                    let request = Request {
+                        id,
+                        tenant: spec.tenant,
+                        model: spec.model.clone(),
+                        arrival_us: at,
+                        deadline_us,
+                        features,
+                    };
+                    self.schedule(client, at, request, attempt + 1, first_issue_us);
+                    return;
                 }
                 self.stats.shed_final += 1;
             }

@@ -39,7 +39,7 @@
 
 use crate::fabric::MigrationSpec;
 use crate::request::TenantId;
-use crate::shard::{NodeId, ShardNode, TrafficLedger};
+use crate::shard::{node_loads, NodeId, ShardNode, TrafficLedger};
 use std::collections::BTreeMap;
 
 /// Fleet-controller policy. Default is **disabled** (a fabric without a
@@ -217,8 +217,6 @@ pub struct FleetController {
     floors: BTreeMap<NodeId, usize>,
     /// Every decision, in tick order.
     log: Vec<ControlRecord>,
-    /// Ticks executed.
-    ticks: u64,
 }
 
 impl FleetController {
@@ -238,7 +236,6 @@ impl FleetController {
             low_streak: 0,
             floors: BTreeMap::new(),
             log: Vec::new(),
-            ticks: 0,
         }
     }
 
@@ -246,18 +243,6 @@ impl FleetController {
     #[must_use]
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
-    }
-
-    /// Ticks executed so far.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The decision log so far.
-    #[must_use]
-    pub fn log(&self) -> &[ControlRecord] {
-        &self.log
     }
 
     /// Consume the controller, returning (decision log, remaining
@@ -282,7 +267,6 @@ impl FleetController {
         view: &ControllerView<'_>,
         ledger: &mut TrafficLedger,
     ) -> Vec<ControlAction> {
-        self.ticks += 1;
         fold_samples(ledger, snapshots, view.assignments);
         let mut actions = Vec::new();
         if snapshots.is_empty() {
@@ -340,12 +324,12 @@ impl FleetController {
 
         // Traffic-weighted load per live node (the controller's placement
         // measure — the same units the bounded-load caps use).
-        let mut loads: BTreeMap<NodeId, u64> = view.active.iter().map(|n| (n.id, 0)).collect();
-        for (tenant, (node, _)) in view.assignments {
-            if let Some(load) = loads.get_mut(node) {
-                *load += ledger.weight(*tenant);
-            }
-        }
+        let homed = node_loads(view.assignments, ledger);
+        let mut loads: BTreeMap<NodeId, u64> = view
+            .active
+            .iter()
+            .map(|n| (n.id, homed.get(&n.id).copied().unwrap_or(0)))
+            .collect();
 
         let scale_ok = self
             .last_scale_us

@@ -31,7 +31,7 @@ use crate::controller::{
     spec_of, ControlAction, ControlRecord, ControlSample, ControllerView, FleetController,
 };
 use crate::fabric::{MigrationPhase, MigrationRecord, MigrationSpec};
-use crate::fault::{plan_evacuation, FailoverPackage, FaultPlan};
+use crate::fault::{plan_evacuation, FaultPlan};
 use crate::gateway::TenantAccount;
 use crate::request::{Request, TenantId};
 use crate::shard::{NodeId, ShardNode, ShardRouter, TrafficLedger};
@@ -39,16 +39,21 @@ use crate::sim::{ServeEngine, ServePlane};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Everything that travels in one atomic handoff: the whole tenant
-/// account (balance, counters, sealed audit chain — with the
-/// [`tinymlops_meter::EntryKind::Handoff`] entry already appended) plus
-/// the spliced not-yet-dispatched requests.
+/// account (balance, counters, audit chain) plus the spliced
+/// not-yet-dispatched requests. A migration's source seals the chain
+/// with a [`tinymlops_meter::EntryKind::Handoff`] entry before the
+/// package leaves; a crashed source cannot, so its package says who must
+/// (`failover_to`).
 pub(crate) struct HandoffPackage {
     account: TenantAccount,
-    pub(crate) spliced: Vec<Request>,
+    spliced: Vec<Request>,
     from: NodeId,
-    pub(crate) handoff_us: u64,
-    pub(crate) drained_in_flight: usize,
-    pub(crate) admitted_before_handoff: u64,
+    /// Crash failover only: the adopting node, which seals the chain
+    /// itself with a domain-separated
+    /// [`tinymlops_meter::EntryKind::Failover`] entry.
+    failover_to: Option<NodeId>,
+    handoff_us: u64,
+    drained_in_flight: usize,
 }
 
 /// One step of the cross-node protocol, addressed to a single node.
@@ -63,8 +68,9 @@ pub(crate) enum NodeOp {
         to: NodeId,
         at_us: u64,
     },
-    /// Migration destination side: attach the account and re-enqueue the
-    /// spliced work.
+    /// Landing side of a migration *or* a crash failover: attach the
+    /// account (sealing its chain first if the source could not) and
+    /// re-enqueue the spliced work.
     Adopt {
         tenant: TenantId,
         package: HandoffPackage,
@@ -73,13 +79,7 @@ pub(crate) enum NodeOp {
     /// work as refunded failover sheds and export every account (plus the
     /// orphaned requests of tenants that had already migrated away). A
     /// threaded worker exits after this op.
-    Crash { node: NodeId, at_us: u64 },
-    /// Failover landing side: reconstruct an evacuated account (the dead
-    /// source cannot cooperate, so this survivor seals the chain).
-    Absorb {
-        to: NodeId,
-        package: FailoverPackage,
-    },
+    Crash { at_us: u64 },
     /// Orphan refund: return one prepaid query to a tenant homed here
     /// whose in-flight request died on a crashed peer.
     Refund { tenant: TenantId, at_us: u64 },
@@ -98,7 +98,7 @@ pub(crate) enum NodeReply {
     /// `Drain`: the sealed handoff.
     Drained(HandoffPackage),
     /// `Crash`: evacuated accounts in tenant-id order, then orphans.
-    Evacuated(Vec<FailoverPackage>, Vec<Request>),
+    Evacuated(Vec<(TenantId, TenantAccount)>, Vec<Request>),
     /// `Sample`: the control interval's counters.
     Sampled(ControlSample),
 }
@@ -133,54 +133,40 @@ impl NodeOp {
                     return NodeReply::Done;
                 };
                 account.pending = account.pending.saturating_sub(drained_in_flight);
-                let admitted_before_handoff = account.admitted;
                 account.quota.handoff(from, to, now / 1000);
                 engine.observe_handoff(now, tenant, to, true);
                 NodeReply::Drained(HandoffPackage {
                     account,
                     spliced,
                     from,
+                    failover_to: None,
                     handoff_us: now,
                     drained_in_flight,
-                    admitted_before_handoff,
                 })
             }
-            NodeOp::Adopt { tenant, package } => {
+            NodeOp::Adopt {
+                tenant,
+                mut package,
+            } => {
                 let now = at(package.handoff_us);
                 engine.run_timers_through(plane, now, true);
                 engine.observe_handoff(now, tenant, package.from, false);
+                // A dead source sealed nothing: this survivor extends the
+                // chain before the account attaches.
+                if let Some(to) = package.failover_to {
+                    package.account.quota.failover(package.from, to, now / 1000);
+                }
                 plane.gateway.adopt_tenant(tenant, package.account);
                 // Pre-admitted on the source: straight into the batcher,
                 // so nothing is billed twice.
                 engine.adopt_spliced(plane, package.spliced, now);
                 NodeReply::Done
             }
-            NodeOp::Crash { node, at_us } => {
+            NodeOp::Crash { at_us } => {
                 let now = at(at_us);
                 engine.run_timers_through(plane, now, true);
-                let (packages, orphans) = engine.evacuate(plane, node, now);
-                NodeReply::Evacuated(packages, orphans)
-            }
-            NodeOp::Absorb { to, package } => {
-                let now = at(package.at_us);
-                engine.run_timers_through(plane, now, true);
-                engine.observe_handoff(now, package.tenant, package.from, false);
-                // No source is left to seal the chain: this survivor extends
-                // it with a domain-separated `Failover` entry, then rebuilds
-                // the account from the census counters with nothing pending
-                // (the dead node resolved all pending work as refunded
-                // failover sheds before exporting).
-                let mut quota = package.quota;
-                quota.failover(package.from, to, now / 1000);
-                let account = TenantAccount {
-                    quota,
-                    pending: 0,
-                    admitted: package.admitted,
-                    shed: package.shed,
-                    refunded: package.refunded,
-                };
-                plane.gateway.adopt_tenant(package.tenant, account);
-                NodeReply::Done
+                let (accounts, orphans) = engine.evacuate(plane, now);
+                NodeReply::Evacuated(accounts, orphans)
             }
             NodeOp::Refund { tenant, at_us } => {
                 engine.refund_orphan(plane, tenant, at(at_us));
@@ -460,7 +446,11 @@ impl<'f> Coordinator<'f> {
         let Ok(NodeReply::Drained(package)) = drained else {
             return record;
         };
-        record.absorb(&package);
+        // What the source-side drain measured.
+        record.handoff_us = package.handoff_us;
+        record.spliced = package.spliced.len();
+        record.drained_in_flight = package.drained_in_flight;
+        record.admitted_before_handoff = package.account.admitted;
         let adopt = NodeOp::Adopt {
             tenant: spec.tenant,
             package,
@@ -490,8 +480,7 @@ impl<'f> Coordinator<'f> {
         if !self.dead.insert(node) {
             return; // a duplicate crash of a dead node is a no-op
         }
-        let Ok(NodeReply::Evacuated(packages, orphans)) =
-            t.call(node, NodeOp::Crash { node, at_us })
+        let Ok(NodeReply::Evacuated(accounts, orphans)) = t.call(node, NodeOp::Crash { at_us })
         else {
             return; // already dead for real: nothing to evacuate
         };
@@ -502,10 +491,21 @@ impl<'f> Coordinator<'f> {
         } = &mut self.routing;
         shard_router.remove_node(node);
         let moves = plan_evacuation(shard_router, assignments, traffic, node, self.load_factor);
-        debug_assert_eq!(moves.len(), packages.len(), "every account gets a home");
-        for (package, (tenant, family, dest)) in packages.into_iter().zip(moves) {
-            debug_assert_eq!(package.tenant, tenant, "both walk tenants in id order");
-            if !t.post(dest, NodeOp::Absorb { to: dest, package }) {
+        debug_assert_eq!(moves.len(), accounts.len(), "every account gets a home");
+        for ((evacuee, account), (tenant, family, dest)) in accounts.into_iter().zip(moves) {
+            debug_assert_eq!(evacuee, tenant, "both walk tenants in id order");
+            // An adopt with nothing spliced (the dying node resolved all
+            // pending work as refunded sheds) whose chain the receiver
+            // seals.
+            let package = HandoffPackage {
+                account,
+                spliced: Vec::new(),
+                from: node,
+                failover_to: Some(dest),
+                handoff_us: at_us,
+                drained_in_flight: 0,
+            };
+            if !t.post(dest, NodeOp::Adopt { tenant, package }) {
                 continue; // the survivor itself is dead for real
             }
             assignments.insert(tenant, (dest, family));
@@ -616,14 +616,13 @@ mod tests {
                         },
                         spliced: Vec::new(),
                         from,
+                        failover_to: None,
                         handoff_us: at_us,
                         drained_in_flight: 0,
-                        admitted_before_handoff: 7,
                     }),
                 ),
                 NodeOp::Adopt { .. } => ("adopt", NodeReply::Done),
                 NodeOp::Crash { .. } => ("crash", NodeReply::Evacuated(Vec::new(), Vec::new())),
-                NodeOp::Absorb { .. } => ("absorb", NodeReply::Done),
                 NodeOp::Refund { .. } => ("refund", NodeReply::Done),
                 NodeOp::Sample { .. } => ("sample", NodeReply::Sampled(self.sample.clone())),
                 NodeOp::SetBrownoutFloor { .. } => ("floor", NodeReply::Done),
@@ -742,7 +741,7 @@ mod tests {
         let mut c = fleet.coordinator(&plan, vec![onto_dead], ControllerConfig::default());
         c.fire_due(1_000, &mut fake);
         let log = c.finish();
-        assert_eq!(fake.log, [(1, "crash")], "no absorb, no refund, no drain");
+        assert_eq!(fake.log, [(1, "crash")], "no adopt, no refund, no drain");
         assert_eq!(log.migrations.len(), 1);
         assert_eq!(log.migrations[0].phase, MigrationPhase::Planned);
         assert_eq!(fleet.shard_router.nodes().len(), 3, "nothing evacuated");

@@ -846,6 +846,10 @@ impl ServeFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::Coordinator;
+    use crate::fabric::MigrationSpec;
+    use crate::fault::FaultPlan;
+    use crate::request::{Completion, Disposition};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn req(id: u64, arrival_us: u64) -> Request {
@@ -1046,5 +1050,323 @@ mod tests {
             Popped::TimerDue => assert!(wall.now_us() >= due, "woke at or after the deadline"),
             _ => panic!("empty queue with a deadline must report TimerDue"),
         }
+    }
+
+    // ---- the sinks agree ------------------------------------------------
+
+    /// Everything one fully tapped run recorded, per sink.
+    struct Tapped {
+        report: crate::FabricReport,
+        completions: Vec<Completion>,
+        /// One end-of-run control sample per node that could still answer.
+        samples: Vec<(NodeId, crate::ControlSample)>,
+    }
+
+    /// Admission sheds, deadline expiry, no-route, a crash whose victim
+    /// holds an orphan, and plenty served — on three nodes.
+    fn eventful() -> (crate::FabricConfig, crate::LoadPlan, Vec<Request>) {
+        use crate::{FaultEvent, FaultKind, LoadPlan, TenantSpec};
+        let cfg = crate::FabricConfig {
+            serve: crate::ServeConfig {
+                gateway: crate::GatewayConfig {
+                    max_pending_per_tenant: 8,
+                    max_total_pending: 24,
+                },
+                ..Default::default()
+            },
+            observe: crate::ObserveConfig {
+                trace_capacity: 1 << 18, // the ring must hold the whole run
+                ..crate::ObserveConfig::enabled()
+            },
+            fault: FaultPlan::with_events(vec![FaultEvent {
+                node: 1,
+                at_us: 400_000,
+                kind: FaultKind::Crash,
+            }]),
+            ..Default::default()
+        };
+        let tenant =
+            |id: u32, rate_rps: f64, model: &str, prepaid: u64, deadline_us: u64| TenantSpec {
+                id,
+                rate_rps,
+                model: model.into(),
+                prepaid_queries: prepaid,
+                deadline_us,
+            };
+        let mut tenants: Vec<TenantSpec> = (1..=12)
+            .map(|id| {
+                let model = if id % 2 == 0 { "vision" } else { "kws" };
+                tenant(
+                    id,
+                    if id == 1 { 1_500.0 } else { 650.0 },
+                    model,
+                    1_000_000,
+                    200_000,
+                )
+            })
+            .collect();
+        tenants[4].prepaid_queries = 60; // runs dry: quota denials
+        tenants.push(tenant(13, 80.0, "ghost", 1_000, 200_000)); // no variant: no route
+        tenants.push(tenant(14, 80.0, "lonely", 1_000, 1_000)); // dies waiting for a batch
+        let plan = LoadPlan {
+            tenants,
+            duration_us: 1_000_000,
+            seed: 23,
+            feature_dim: 0,
+        };
+        let stream = plan.generate();
+        (cfg, plan, stream)
+    }
+
+    fn eventful_fabric(cfg: &crate::FabricConfig, plan: &crate::LoadPlan) -> ServeFabric {
+        let mut fabric = crate::testkit::test_fabric(cfg, 30, 5);
+        fabric.install_family("ghost", Vec::new());
+        fabric.install_family("lonely", crate::testkit::test_family("lonely", 200));
+        fabric.provision(plan);
+        // Move two tenants off the doomed node a moment before it dies:
+        // their dispatched work stays behind and is orphaned by the crash.
+        let specs: Vec<MigrationSpec> = (1..=12)
+            .filter(|t| fabric.home_node(*t) == Some(1))
+            .take(2)
+            .enumerate()
+            .map(|(i, tenant)| MigrationSpec {
+                tenant,
+                to: if i == 0 { 0 } else { 2 },
+                trigger_us: 399_000 + i as u64 * 900,
+            })
+            .collect();
+        assert_eq!(specs.len(), 2, "node 1 homes at least two tenants");
+        fabric.schedule_migrations(&specs).expect("valid specs");
+        fabric
+    }
+
+    /// What a tapped run does after the stream on either transport: fire
+    /// late triggers, then sample the surviving nodes at the end of time
+    /// (which also runs their remaining timers, as `finish` would).
+    fn wind_down<T: Transport>(
+        coordinator: &mut Coordinator<'_>,
+        t: &mut T,
+        end_us: u64,
+    ) -> Vec<(NodeId, crate::ControlSample)> {
+        coordinator.finish_stream(end_us, t);
+        [0, 2]
+            .into_iter()
+            .map(
+                |node| match t.call(node, NodeOp::Sample { at_us: u64::MAX }) {
+                    Ok(NodeReply::Sampled(sample)) => (node, sample),
+                    _ => panic!("node {node} outlives the run"),
+                },
+            )
+            .collect()
+    }
+
+    /// The simulator with every sink armed: observer and telemetry from
+    /// the config, control and completion taps by hand.
+    fn tapped_sim(fabric: &mut ServeFabric, stream: &[Request]) -> Tapped {
+        let refunded_before = fabric.refunded_total();
+        let (nodes, policy, mut coordinator) = fabric.arm_coordinator();
+        let mut sim = crate::fabric::SimNodes::arm(nodes, policy, |engine| {
+            engine.set_control_tap(true);
+            engine.set_completion_tap(true);
+        });
+        for request in stream {
+            if coordinator.next_due_us() <= request.arrival_us {
+                coordinator.fire_due(request.arrival_us, &mut sim);
+            }
+            let ctx = sim.node(coordinator.home_of(request));
+            ctx.engine
+                .run_timers_through(ctx.plane, request.arrival_us, true);
+            let _ = ctx.engine.on_arrival(ctx.plane, request);
+        }
+        let end_us = stream.last().map_or(0, |r| r.arrival_us);
+        let samples = wind_down(&mut coordinator, &mut sim, end_us);
+        let mut completions = Vec::new();
+        for ctx in &mut sim.ctxs {
+            ctx.engine.drain_completions_into(&mut completions);
+        }
+        let per_node = sim.finish();
+        let log = coordinator.finish();
+        Tapped {
+            report: fabric.assemble_report(per_node, refunded_before, Some(log)),
+            completions,
+            samples,
+        }
+    }
+
+    /// The threaded backend (Replay) with every sink armed.
+    fn tapped_live(fabric: &mut ServeFabric, stream: &[Request]) -> Tapped {
+        let refunded_before = fabric.refunded_total();
+        let wall = WallClock::new();
+        let (nodes, policy, mut coordinator) = fabric.arm_coordinator();
+        let index = NodeIndex::new(nodes.iter().map(|n| n.id));
+        let (tap, tapped) = mpsc::channel();
+        let live = LiveSetup {
+            policy,
+            mode: ExecMode::Replay,
+            wall: &wall,
+            control_tap: true,
+            allow_panics: false,
+            completions: Some(CompletionSink { senders: vec![tap] }),
+        };
+        let (outcomes, samples) = run_workers(nodes, 1 << 10, live, |queues| {
+            let mut transport = Queued {
+                queues,
+                index: &index,
+                mode: ExecMode::Replay,
+                held: Vec::new(),
+            };
+            for request in stream {
+                if coordinator.next_due_us() <= request.arrival_us {
+                    coordinator.fire_due(request.arrival_us, &mut transport);
+                }
+                let home = index[coordinator.home_of(request)];
+                assert!(queues[home].push(Ingest::Arrival(request)));
+            }
+            let end_us = stream.last().map_or(0, |r| r.arrival_us);
+            wind_down(&mut coordinator, &mut transport, end_us)
+        });
+        let per_node = outcomes
+            .into_iter()
+            .map(|(id, stats)| (id, stats.expect("no worker panics")))
+            .collect();
+        let log = coordinator.finish();
+        Tapped {
+            report: fabric.assemble_report(per_node, refunded_before, Some(log)),
+            completions: tapped.try_iter().collect(),
+            samples,
+        }
+    }
+
+    /// Every sink's own count of each outcome is the same number.
+    fn assert_sinks_agree(run: &Tapped, backend: &str) {
+        use crate::ShedReason;
+        use tinymlops_observe::SpanKind;
+        let report = &run.report;
+        let counter = |name: &str| report.telemetry.counters.get(name).copied().unwrap_or(0);
+        let traced = |kind: SpanKind, detail: Option<u64>| {
+            report
+                .traces
+                .iter()
+                .flat_map(|(_, events)| events)
+                .filter(|e| e.kind == kind && detail.is_none_or(|d| e.detail == d))
+                .count() as u64
+        };
+        let windowed = |f: fn(&tinymlops_observe::WindowSample) -> u64| -> u64 {
+            report.windows.iter().flat_map(|(_, w)| w).map(f).sum()
+        };
+        for reason in ShedReason::all() {
+            let stats = report.fleet.shed_by(reason);
+            let logged = run
+                .completions
+                .iter()
+                .filter(|c| c.disposition == Disposition::Shed(reason))
+                .count() as u64;
+            assert_eq!(
+                counter(&format!("serve.shed.{}", reason.name())),
+                stats,
+                "{backend}: telemetry vs stats, {reason:?}"
+            );
+            assert_eq!(
+                logged, stats,
+                "{backend}: completion log vs stats, {reason:?}"
+            );
+            assert_eq!(
+                traced(SpanKind::Shed, Some(reason.index() as u64)),
+                stats,
+                "{backend}: observer trace vs stats, {reason:?}"
+            );
+            if reason != ShedReason::Overload {
+                assert!(stats > 0, "{backend}: the scenario exercises {reason:?}");
+            }
+        }
+        let served = report.fleet.served;
+        assert!(served > 1_000, "{backend}: plenty served ({served})");
+        assert_eq!(
+            counter("serve.served"),
+            served,
+            "{backend}: telemetry served"
+        );
+        assert_eq!(
+            traced(SpanKind::Complete, None),
+            served,
+            "{backend}: traced"
+        );
+        assert_eq!(windowed(|w| w.served), served, "{backend}: windows served");
+        assert_eq!(
+            windowed(|w| w.shed),
+            report.fleet.shed_total,
+            "{backend}: windows shed"
+        );
+        let logged_served = run
+            .completions
+            .iter()
+            .filter(|c| c.disposition.is_served())
+            .count() as u64;
+        assert_eq!(logged_served, served, "{backend}: completion log served");
+        assert_eq!(
+            run.completions.len() as u64,
+            served + report.fleet.shed_total,
+            "{backend}: one completion per resolution"
+        );
+        assert_eq!(
+            counter("serve.refunded"),
+            report.refunds,
+            "{backend}: telemetry refunds vs chain refunds (orphans included)"
+        );
+        assert!(report.refunds_balance(), "{backend}: refunds balance");
+        // The control tap, on every node that lived to be sampled: one
+        // sample spanning the whole run counts what the node's stats do.
+        for (node, sample) in &run.samples {
+            let (_, stats) = report
+                .per_node
+                .iter()
+                .find(|(id, _)| id == node)
+                .expect("sampled node reported");
+            assert_eq!(
+                sample.served, stats.served,
+                "{backend}: tap served, node {node}"
+            );
+            assert_eq!(
+                sample.shed, stats.shed_total,
+                "{backend}: tap shed, node {node}"
+            );
+            assert_eq!(
+                sample.served_by_tenant.values().sum::<u64>(),
+                stats.served,
+                "{backend}: tap per-tenant served, node {node}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_sink_counts_every_outcome_the_same_on_both_backends() {
+        let (cfg, plan, stream) = eventful();
+        let mut on_sim = eventful_fabric(&cfg, &plan);
+        let sim = tapped_sim(&mut on_sim, &stream);
+        assert_sinks_agree(&sim, "sim");
+        // The crash left at least one orphan: a tenant that moved off the
+        // doomed node was refunded on its new home for work that died there.
+        let moved = &sim.report.migrations[0];
+        assert!(moved.drained_in_flight > 0, "work stayed behind on node 1");
+        let orphan_refunds = on_sim
+            .quota_census()
+            .iter()
+            .find(|q| q.tenant == moved.tenant)
+            .map_or(0, |q| q.refunded);
+        assert!(
+            orphan_refunds > 0,
+            "the orphan was refunded on its new home"
+        );
+
+        let mut on_live = eventful_fabric(&cfg, &plan);
+        let live = tapped_live(&mut on_live, &stream);
+        assert_sinks_agree(&live, "live");
+        assert_eq!(live.report, sim.report, "replay parity, taps armed");
+        assert_eq!(live.samples, sim.samples, "the taps agree across backends");
+        let by_request = |c: &Completion| (c.id, c.at_us);
+        let (mut a, mut b) = (sim.completions, live.completions);
+        a.sort_by_key(by_request);
+        b.sort_by_key(by_request);
+        assert_eq!(a, b, "the completion logs agree across backends");
     }
 }

@@ -33,14 +33,14 @@
 
 use crate::controller::{ControlRecord, ControllerConfig, FleetController};
 use crate::coordinator::{
-    Coordinator, CoordinatorLog, HandoffPackage, NodeOp, NodeReply, Routing, Transport, Unreachable,
+    Coordinator, CoordinatorLog, NodeOp, NodeReply, Routing, Transport, Unreachable,
 };
 use crate::fault::{
-    retryable, schedule_retry, FaultPlan, NodeFaults, RetryBudget, RetryDecision, RetryPolicy,
+    account_retry, retryable, schedule_retry, FaultPlan, NodeFaults, RetryBudget, RetryPolicy,
 };
 use crate::observer::{NodeObserver, ObserveConfig};
 use crate::request::{Request, ShedReason, TenantId};
-use crate::shard::{NodeId, ShardNode, ShardRouter, TrafficLedger};
+use crate::shard::{node_loads, NodeId, ShardNode, ShardRouter, TrafficLedger};
 use crate::sim::{ExecModel, ServeConfig, ServeEngine, ServePlane};
 use crate::stats::{ServeReport, ServeStats};
 use crate::ServeError;
@@ -314,14 +314,6 @@ impl MigrationRecord {
             phase: MigrationPhase::Planned,
         }
     }
-
-    /// Copy what the source-side drain measured into the record.
-    pub(crate) fn absorb(&mut self, package: &HandoffPackage) {
-        self.handoff_us = package.handoff_us;
-        self.spliced = package.spliced.len();
-        self.drained_in_flight = package.drained_in_flight;
-        self.admitted_before_handoff = package.admitted_before_handoff;
-    }
 }
 
 /// One serving node: a full [`ServePlane`] plus its local telemetry sink.
@@ -489,22 +481,20 @@ impl<'p> RetryLoop<'p> {
                     .budgets
                     .entry(request.tenant)
                     .or_insert_with(|| RetryBudget::new(policy, now_us));
-                let deadline_abs_us = request.deadline_abs_us();
                 let next = attempt + 1;
-                match schedule_retry(policy, budget, deadline_abs_us, next, now_us, &mut self.rng) {
-                    RetryDecision::At(at) => {
-                        let mut again = request.clone();
-                        // Keep the *absolute* deadline: the clock does
-                        // not restart because we retried.
-                        again.deadline_us = deadline_abs_us - at;
-                        again.arrival_us = at;
-                        self.queue.insert((at, self.seq), (again, next));
-                        self.seq += 1;
-                        self.stats.scheduled += 1;
-                    }
-                    RetryDecision::AttemptsExhausted => self.stats.attempts_exhausted += 1,
-                    RetryDecision::DeadlineExceeded => self.stats.deadline_denied += 1,
-                    RetryDecision::BudgetExhausted => self.stats.budget_denied += 1,
+                let deadline_abs_us = request.deadline_abs_us();
+                let decision =
+                    schedule_retry(policy, budget, deadline_abs_us, next, now_us, &mut self.rng);
+                if let Some((at, deadline_us)) =
+                    account_retry(decision, deadline_abs_us, &mut self.stats)
+                {
+                    let again = Request {
+                        arrival_us: at,
+                        deadline_us,
+                        ..request.clone()
+                    };
+                    self.queue.insert((at, self.seq), (again, next));
+                    self.seq += 1;
                 }
             }
             Some(_) => {}
@@ -676,13 +666,10 @@ impl ServeFabric {
     fn place(&self, tenant: TenantId, family: &str) -> NodeId {
         let total = (self.traffic.total(self.assignments.keys().copied())
             + self.traffic.weight(tenant)) as usize;
+        let loads = node_loads(&self.assignments, &self.traffic);
         self.shard_router
             .assign_bounded(tenant, family, total, self.load_factor, |id| {
-                self.assignments
-                    .iter()
-                    .filter(|(_, (node, _))| *node == id)
-                    .map(|(t, _)| self.traffic.weight(*t) as usize)
-                    .sum()
+                loads.get(&id).copied().unwrap_or(0) as usize
             })
     }
 
@@ -843,12 +830,10 @@ impl ServeFabric {
             .bounded_caps(total, self.load_factor)
             .into_iter()
             .collect();
-        let mut loads: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (tenant, (node, _)) in &self.assignments {
-            *loads.entry(*node).or_default() += self.traffic.weight(*tenant) as usize;
-        }
-        let over = |loads: &BTreeMap<NodeId, usize>, node: NodeId| {
-            loads.get(&node).copied().unwrap_or(0) > caps.get(&node).copied().unwrap_or(usize::MAX)
+        let mut loads = node_loads(&self.assignments, &self.traffic);
+        let over = |loads: &BTreeMap<NodeId, u64>, node: NodeId| {
+            loads.get(&node).copied().unwrap_or(0) as usize
+                > caps.get(&node).copied().unwrap_or(usize::MAX)
         };
         let pinned: Vec<(TenantId, NodeId, String)> = self
             .assignments
@@ -861,13 +846,13 @@ impl ServeFabric {
             if !over(&loads, old_home) {
                 continue; // earlier moves already relieved this node
             }
-            let weight = self.traffic.weight(tenant) as usize;
+            let weight = self.traffic.weight(tenant);
             self.shard_router.unpin(tenant);
             *loads.get_mut(&old_home).expect("home carries load") -= weight;
             let new_home =
                 self.shard_router
                     .assign_bounded(tenant, &family, total, self.load_factor, |id| {
-                        loads.get(&id).copied().unwrap_or(0)
+                        loads.get(&id).copied().unwrap_or(0) as usize
                     });
             *loads.entry(new_home).or_default() += weight;
             if new_home == old_home {

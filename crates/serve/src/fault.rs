@@ -12,9 +12,10 @@
 //!
 //! * [`FaultKind::Crash`] — the node dies at time T. Queued and in-flight
 //!   work is resolved as refunded [`ShedReason::Failover`] sheds, every
-//!   account is exported as a `FailoverPackage` (the quota census row +
-//!   sealed audit chain), and surviving nodes adopt the accounts under
-//!   bounded load (`plan_evacuation`; both are crate-internal).
+//!   account is exported whole, and surviving nodes adopt the accounts
+//!   under bounded load (the crate-internal `plan_evacuation`) through
+//!   the same handoff a live migration uses — except that the adopting
+//!   node seals the audit chain, because the dead source cannot.
 //! * [`FaultKind::Stall`] — a transient freeze: every engine timer due
 //!   inside the window slides to the window's end (GC pause, radio
 //!   dropout).
@@ -32,12 +33,12 @@
 //! ladder ([`BrownoutConfig`]) that steps overloaded tenants down to
 //! cheaper quantized variants before shedding them.
 
+use crate::fabric::RetryStats;
 use crate::request::{ShedReason, TenantId};
-use crate::shard::{NodeId, ShardRouter, TrafficLedger};
+use crate::shard::{node_loads, NodeId, ShardRouter, TrafficLedger};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use tinymlops_meter::QuotaManager;
 use tinymlops_registry::ModelRecord;
 
 /// One scheduled fault.
@@ -244,31 +245,6 @@ impl NodeFaults {
     }
 }
 
-/// Everything the dying node exports per tenant: the sealed quota
-/// partition (balance + audit chain) and the census counters the
-/// surviving node needs to *reconstruct* the account. Pending work never
-/// travels — it was already resolved as refunded failover sheds on the
-/// source, so the rebuilt account starts with `pending == 0` and the
-/// fleet-wide conservation law (`unrefunded_sheds() == 0`, census exact)
-/// holds across the failover.
-#[derive(Debug)]
-pub(crate) struct FailoverPackage {
-    /// The evacuated tenant.
-    pub(crate) tenant: TenantId,
-    /// Quota partition: balance plus the sealed audit chain.
-    pub(crate) quota: QuotaManager,
-    /// Lifetime admitted count on the dead node.
-    pub(crate) admitted: u64,
-    /// Lifetime shed count on the dead node.
-    pub(crate) shed: u64,
-    /// Lifetime refunded count on the dead node.
-    pub(crate) refunded: u64,
-    /// The node that died.
-    pub(crate) from: NodeId,
-    /// Logical time of death.
-    pub(crate) at_us: u64,
-}
-
 /// Deterministically choose a surviving home for every tenant of a dead
 /// node: bounded-load rendezvous placement over the remaining nodes,
 /// seeded with the survivors' current loads so the evacuees spread
@@ -286,12 +262,8 @@ pub(crate) fn plan_evacuation(
     dead: NodeId,
     load_factor: f64,
 ) -> Vec<(TenantId, String, NodeId)> {
-    let mut loads: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for (tenant, (node, _)) in assignments {
-        if *node != dead {
-            *loads.entry(*node).or_default() += traffic.weight(*tenant) as usize;
-        }
-    }
+    // The dead node's own entry is never asked for: it already left `shard`.
+    let mut loads = node_loads(assignments, traffic);
     let total = traffic.total(assignments.keys().copied()) as usize;
     let mut moves = Vec::new();
     for (tenant, (node, family)) in assignments {
@@ -299,9 +271,9 @@ pub(crate) fn plan_evacuation(
             continue;
         }
         let home = shard.assign_bounded(*tenant, family, total, load_factor, |id| {
-            loads.get(&id).copied().unwrap_or(0)
+            loads.get(&id).copied().unwrap_or(0) as usize
         });
-        *loads.entry(home).or_default() += traffic.weight(*tenant) as usize;
+        *loads.entry(home).or_default() += traffic.weight(*tenant);
         moves.push((*tenant, family.clone(), home));
     }
     moves
@@ -472,6 +444,29 @@ pub fn schedule_retry(
         return RetryDecision::BudgetExhausted;
     }
     RetryDecision::At(at)
+}
+
+/// The accounting every retrying driver owes for a [`schedule_retry`]
+/// answer: a granted retry counts as scheduled and comes back as the
+/// re-delivery's `(arrival_us, deadline_us)`; a denial counts under its
+/// reason and yields `None`. The relative deadline shrinks by the
+/// backoff so the *absolute* deadline holds — the clock does not restart
+/// because we retried.
+pub(crate) fn account_retry(
+    decision: RetryDecision,
+    deadline_abs_us: u64,
+    stats: &mut RetryStats,
+) -> Option<(u64, u64)> {
+    match decision {
+        RetryDecision::At(at) => {
+            stats.scheduled += 1;
+            return Some((at, deadline_abs_us - at));
+        }
+        RetryDecision::AttemptsExhausted => stats.attempts_exhausted += 1,
+        RetryDecision::DeadlineExceeded => stats.deadline_denied += 1,
+        RetryDecision::BudgetExhausted => stats.budget_denied += 1,
+    }
+    None
 }
 
 #[cfg(test)]

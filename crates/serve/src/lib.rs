@@ -96,7 +96,7 @@ pub use observer::{NodeObservation, NodeObserver, ObserveConfig};
 pub use request::{Completion, Disposition, Request, RequestId, ShedReason, TenantId};
 pub use router::{Route, Router};
 pub use shard::{NodeId, ShardNode, ShardRouter, TrafficLedger, TRAFFIC_UNIT};
-pub use sim::{run_plan, ExecModel, ServeConfig, ServePlane, ServeSim};
+pub use sim::{ExecModel, ServeConfig, ServePlane, ServeSim};
 pub use stats::{ServeReport, ServeStats};
 
 /// Errors from the serving plane.

@@ -5,12 +5,12 @@
 //! is a pure function of the seed, so any run — 100 requests or 100k —
 //! replays identically.
 //!
-//! Beyond the homogeneous stream, [`LoadPlan::generate_shaped`] produces
-//! non-homogeneous arrivals ([`ArrivalPattern`]): diurnal curves,
-//! periodic bursts, a one-off flash crowd, and an adversarial
-//! quota-exhaust pattern. All are drawn by Lewis–Shedler thinning of a
-//! homogeneous process at the pattern's peak rate, so they stay pure
-//! functions of the seed too.
+//! One generator draws every stream ([`LoadPlan::generate_shaped`]):
+//! the homogeneous one ([`LoadPlan::generate`]) and the non-homogeneous
+//! [`ArrivalPattern`]s — diurnal curves, periodic bursts, a one-off
+//! flash crowd, and an adversarial quota-exhaust pattern — which are
+//! Lewis–Shedler thinnings of a homogeneous process at the pattern's
+//! peak rate, so they stay pure functions of the seed too.
 
 use crate::request::{Request, TenantId};
 use rand::rngs::StdRng;
@@ -26,10 +26,9 @@ use rand::{Rng, SeedableRng};
 /// Poisson process while remaining a pure function of the seed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalPattern {
-    /// Homogeneous Poisson at the contracted rate. `generate_shaped`
-    /// with this pattern is byte-identical to [`LoadPlan::generate`]
-    /// (it delegates — thinning would consume extra RNG draws and
-    /// perturb the stream).
+    /// Homogeneous Poisson at the contracted rate — the stream
+    /// [`LoadPlan::generate`] draws. Nothing is thinned, so no thinning
+    /// variate is drawn.
     Poisson,
     /// Sinusoidal day/night curve:
     /// `m(t) = 1 + amplitude · sin(2πt / period_us)`.
@@ -196,16 +195,37 @@ pub struct LoadPlan {
 }
 
 impl LoadPlan {
-    /// Materialize the merged, arrival-ordered request stream.
+    /// Materialize the merged, arrival-ordered request stream:
+    /// [`LoadPlan::generate_shaped`] under [`ArrivalPattern::Poisson`].
     #[must_use]
     pub fn generate(&self) -> Vec<Request> {
+        self.generate_shaped(&ArrivalPattern::Poisson)
+    }
+
+    /// Materialize a *shaped* (non-homogeneous Poisson) request stream.
+    ///
+    /// Candidates are drawn per tenant at the pattern's peak rate and
+    /// thinned by `m(t) / peak` (Lewis–Shedler), so the accepted stream
+    /// is an exact non-homogeneous Poisson process with intensity
+    /// `rate_rps · m(t)`. Deterministic: same plan + pattern ⇒ identical
+    /// stream.
+    #[must_use]
+    pub fn generate_shaped(&self, pattern: &ArrivalPattern) -> Vec<Request> {
+        let peak = pattern.peak_multiplier();
+        // The homogeneous pattern keeps every candidate, and must keep it
+        // *without* drawing the thinning variate: one extra draw per
+        // candidate would shift everything the tenant's generator yields
+        // after it, and every seeded stream in the repository (goldens,
+        // experiments, benchmark workloads) is pinned to the sequence
+        // without it.
+        let thinned = !matches!(pattern, ArrivalPattern::Poisson);
         let mut requests = Vec::new();
         for (ti, tenant) in self.tenants.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9e37_79b9 * (ti as u64 + 1)));
             if tenant.rate_rps <= 0.0 {
                 continue;
             }
-            let mean_gap_us = 1e6 / tenant.rate_rps;
+            let mean_gap_us = 1e6 / (tenant.rate_rps * peak);
             let mut t = 0.0f64;
             loop {
                 // Exponential inter-arrival.
@@ -213,6 +233,10 @@ impl LoadPlan {
                 t += -u.ln() * mean_gap_us;
                 if t >= self.duration_us as f64 {
                     break;
+                }
+                // Thin the candidate: keep with probability m(t)/peak.
+                if thinned && rng.gen_range(0.0..1.0) >= pattern.multiplier(t, tenant) / peak {
+                    continue;
                 }
                 let features = if self.feature_dim == 0 {
                     None
@@ -235,65 +259,6 @@ impl LoadPlan {
         }
         // Merge: order by (arrival, tenant) — deterministic even when two
         // tenants collide on a microsecond.
-        requests.sort_by_key(|r| (r.arrival_us, r.tenant));
-        for (i, r) in requests.iter_mut().enumerate() {
-            r.id = i as u64;
-        }
-        requests
-    }
-
-    /// Materialize a *shaped* (non-homogeneous Poisson) request stream.
-    ///
-    /// Candidates are drawn per tenant at the pattern's peak rate and
-    /// thinned by `m(t) / peak` (Lewis–Shedler), so the accepted stream
-    /// is an exact non-homogeneous Poisson process with intensity
-    /// `rate_rps · m(t)`. Deterministic: same plan + pattern ⇒ identical
-    /// stream. [`ArrivalPattern::Poisson`] delegates to
-    /// [`LoadPlan::generate`] and is byte-identical to it.
-    #[must_use]
-    pub fn generate_shaped(&self, pattern: &ArrivalPattern) -> Vec<Request> {
-        if matches!(pattern, ArrivalPattern::Poisson) {
-            return self.generate();
-        }
-        let peak = pattern.peak_multiplier();
-        let mut requests = Vec::new();
-        for (ti, tenant) in self.tenants.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ (0x9e37_79b9 * (ti as u64 + 1)));
-            if tenant.rate_rps <= 0.0 {
-                continue;
-            }
-            let mean_gap_us = 1e6 / (tenant.rate_rps * peak);
-            let mut t = 0.0f64;
-            loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                t += -u.ln() * mean_gap_us;
-                if t >= self.duration_us as f64 {
-                    break;
-                }
-                // Thin the candidate: keep with probability m(t)/peak.
-                let keep: f64 = rng.gen_range(0.0..1.0);
-                if keep >= pattern.multiplier(t, tenant) / peak {
-                    continue;
-                }
-                let features = if self.feature_dim == 0 {
-                    None
-                } else {
-                    Some(
-                        (0..self.feature_dim)
-                            .map(|_| rng.gen_range(-1.0f32..1.0))
-                            .collect(),
-                    )
-                };
-                requests.push(Request {
-                    id: 0, // assigned after the merge sort
-                    tenant: tenant.id,
-                    model: tenant.model.clone(),
-                    arrival_us: t as u64,
-                    deadline_us: tenant.deadline_us,
-                    features,
-                });
-            }
-        }
         requests.sort_by_key(|r| (r.arrival_us, r.tenant));
         for (i, r) in requests.iter_mut().enumerate() {
             r.id = i as u64;

@@ -6,8 +6,14 @@
 //! to the least-loaded healthy device that can run any feasible variant
 //! of the requested family. §IV fragmentation shows up directly: an M0
 //! node never receives f32 work, an offline node receives nothing.
+//!
+//! Plans are keyed by (family, brownout level): level `k` selects over
+//! the family with its `k` largest variants removed
+//! ([`crate::degrade_records`]), so a degraded node routes through the
+//! same table and the same walk as a healthy one, at a different index.
 
 use crate::cache::ModelCache;
+use crate::fault::degrade_records;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tinymlops_deploy::{select_variant, Requirements, Selection};
@@ -36,12 +42,13 @@ pub struct Router {
     /// The device population being served against.
     pub fleet: Fleet,
     requirements: Requirements,
-    /// Cached per-device selection per family; rebuilt on `refresh`.
-    plans: BTreeMap<String, FamilyPlan>,
-    /// Brownout ladder: per-device selections computed over a *reduced*
-    /// record set (the `level` most expensive variants removed), keyed by
-    /// family then `level ≥ 1`. Level 0 lives in `plans`.
-    degraded: BTreeMap<String, BTreeMap<usize, FamilyPlan>>,
+    /// Cached per-device selections: family → brownout level → plan.
+    /// Level `k`'s plan is selected over the family with its `k` most
+    /// expensive variants removed ([`degrade_records`]); level 0 — the
+    /// full family — is the plan everything outside a brownout routes on.
+    /// A level is built on first use and dropped with every other by
+    /// fleet churn.
+    plans: BTreeMap<String, Vec<Option<FamilyPlan>>>,
     /// Device busy-until times (simulated microseconds).
     free_at_us: Vec<u64>,
     /// Batches dispatched per device (for the report's balance view).
@@ -58,7 +65,6 @@ impl Router {
             fleet,
             requirements,
             plans: BTreeMap::new(),
-            degraded: BTreeMap::new(),
             free_at_us: vec![0; n],
             dispatched: vec![0; n],
         }
@@ -74,53 +80,38 @@ impl Router {
     /// `fleet.step()` or when a new family version lands). Uses the
     /// fleet-sweep primitive, so it parallelizes across devices.
     pub fn refresh_family(&mut self, family: &str, records: &[ModelRecord]) {
-        let req = self.requirements.clone();
-        let plan = self
-            .fleet
-            .par_map(|device| select_variant(records, device, &req).ok().map(Arc::new));
-        self.plans.insert(family.to_string(), plan);
+        self.refresh_at(family, 0, records);
     }
 
-    /// Recompute the brownout plan for `family` at degradation `level ≥ 1`
-    /// from an already-reduced record set (see
-    /// [`crate::fault::degrade_records`]). Level 0 is
-    /// [`Router::refresh_family`].
-    pub fn refresh_family_level(&mut self, family: &str, records: &[ModelRecord], level: usize) {
-        if level == 0 {
-            self.refresh_family(family, records);
-            return;
-        }
+    /// Recompute `family`'s plan at brownout `level` from its full record
+    /// set.
+    pub(crate) fn refresh_at(&mut self, family: &str, level: usize, records: &[ModelRecord]) {
+        let records = degrade_records(records, level);
         let req = self.requirements.clone();
         let plan = self
             .fleet
-            .par_map(|device| select_variant(records, device, &req).ok().map(Arc::new));
-        self.degraded
-            .entry(family.to_string())
-            .or_default()
-            .insert(level, plan);
+            .par_map(|device| select_variant(&records, device, &req).ok().map(Arc::new));
+        let levels = self.plans.entry(family.to_string()).or_default();
+        if levels.len() <= level {
+            levels.resize(level + 1, None);
+        }
+        levels[level] = Some(plan);
     }
 
     /// Drop all cached plans (fleet state churned).
     pub fn invalidate_plans(&mut self) {
         self.plans.clear();
-        self.degraded.clear();
     }
 
     /// Whether a plan exists for `family`.
     #[must_use]
     pub fn has_plan(&self, family: &str) -> bool {
-        self.plans.contains_key(family)
+        self.plan_at(family, 0).is_some()
     }
 
-    /// Whether a plan exists for `family` at brownout `level`.
-    #[must_use]
-    pub fn has_plan_level(&self, family: &str, level: usize) -> bool {
-        if level == 0 {
-            return self.has_plan(family);
-        }
-        self.degraded
-            .get(family)
-            .is_some_and(|m| m.contains_key(&level))
+    /// `family`'s plan at brownout `level`, if built.
+    pub(crate) fn plan_at(&self, family: &str, level: usize) -> Option<&[Option<Arc<Selection>>]> {
+        self.plans.get(family)?.get(level)?.as_deref()
     }
 
     /// Advance fleet dynamics one step and invalidate cached plans.
@@ -133,7 +124,7 @@ impl Router {
     /// device whose queue frees earliest (ties → lowest device id, so
     /// routing is deterministic). Returns `None` when no device fits.
     pub fn route(&self, family: &str, now_us: u64) -> Option<Route> {
-        self.route_level(family, now_us, 0)
+        self.route_at(family, 0, now_us, None)
     }
 
     /// Affinity-aware routing: like [`Router::route`], but a device whose
@@ -151,55 +142,23 @@ impl Router {
         cache: &ModelCache,
         load_bytes_per_ms: u64,
     ) -> Option<Route> {
-        self.route_affine_level(family, now_us, cache, load_bytes_per_ms, 0)
+        self.route_at(family, 0, now_us, Some((cache, load_bytes_per_ms)))
     }
 
-    /// [`Router::route`] against the brownout plan for `level` (0 = the
-    /// normal plan).
-    pub fn route_level(&self, family: &str, now_us: u64, level: usize) -> Option<Route> {
-        let plan = self.plan_for(family, level)?;
-        self.route_scored(plan, now_us, |_| 0)
-    }
-
-    /// [`Router::route_affine`] against the brownout plan for `level`
-    /// (0 = the normal plan).
-    pub fn route_affine_level(
+    /// Route against `family`'s plan at brownout `level`: minimize the
+    /// estimated start time — when the device's queue frees, plus, with
+    /// `affinity` (the node's cache and its load bandwidth), the
+    /// artifact-load time of a selected variant that is not resident
+    /// ([`Router::route_affine`]'s policy; without it, [`Router::route`]'s
+    /// pure least-loaded one). Ties → lowest index.
+    pub(crate) fn route_at(
         &self,
         family: &str,
-        now_us: u64,
-        cache: &ModelCache,
-        load_bytes_per_ms: u64,
         level: usize,
-    ) -> Option<Route> {
-        let plan = self.plan_for(family, level)?;
-        self.route_scored(plan, now_us, |selection| {
-            if cache.contains(selection.record.id) {
-                0
-            } else {
-                let ms = selection.record.size_bytes as f64 / load_bytes_per_ms.max(1) as f64;
-                (ms * 1000.0) as u64
-            }
-        })
-    }
-
-    fn plan_for(&self, family: &str, level: usize) -> Option<&[Option<Arc<Selection>>]> {
-        if level == 0 {
-            return self.plans.get(family).map(Vec::as_slice);
-        }
-        self.degraded
-            .get(family)
-            .and_then(|m| m.get(&level))
-            .map(Vec::as_slice)
-    }
-
-    /// Shared core of the routing policies: minimize estimated start time
-    /// (`free_at` plus a policy-supplied penalty), ties → lowest index.
-    fn route_scored(
-        &self,
-        plan: &[Option<Arc<Selection>>],
         now_us: u64,
-        penalty_us: impl Fn(&Selection) -> u64,
+        affinity: Option<(&ModelCache, u64)>,
     ) -> Option<Route> {
+        let plan = self.plan_at(family, level)?;
         let mut best: Option<(u64, usize)> = None;
         for (idx, (device, selection)) in self.fleet.devices.iter().zip(plan.iter()).enumerate() {
             let Some(selection) = selection else {
@@ -212,7 +171,14 @@ impl Router {
             if device.state.battery.is_low() && !device.state.battery.plugged {
                 continue;
             }
-            let score = self.free_at_us[idx].max(now_us) + penalty_us(selection);
+            let penalty_us = match affinity {
+                Some((cache, load_bytes_per_ms)) if !cache.contains(selection.record.id) => {
+                    let ms = selection.record.size_bytes as f64 / load_bytes_per_ms.max(1) as f64;
+                    (ms * 1000.0) as u64
+                }
+                _ => 0,
+            };
+            let score = self.free_at_us[idx].max(now_us) + penalty_us;
             if best.is_none_or(|(t, _)| score < t) {
                 best = Some((score, idx));
             }
@@ -382,15 +348,10 @@ mod tests {
         let records = family();
         router.refresh_family("m", &records);
         // Level 1 drops the fat f32 record: no level-1 route may select it.
-        let reduced: Vec<ModelRecord> = records
-            .iter()
-            .filter(|r| r.format != ModelFormat::F32)
-            .cloned()
-            .collect();
-        router.refresh_family_level("m", &reduced, 1);
-        assert!(router.has_plan_level("m", 1));
-        assert!(!router.has_plan_level("m", 2));
-        let degraded = router.route_level("m", 0, 1).expect("route exists");
+        router.refresh_at("m", 1, &records);
+        assert!(router.plan_at("m", 1).is_some());
+        assert!(router.plan_at("m", 2).is_none());
+        let degraded = router.route_at("m", 1, 0, None).expect("route exists");
         assert_ne!(degraded.selection.record.format, ModelFormat::F32);
         assert!(
             degraded.selection.record.size_bytes <= 10_000,
@@ -399,6 +360,6 @@ mod tests {
         // Level 0 is untouched by degraded refreshes.
         assert!(router.has_plan("m"));
         router.step_fleet();
-        assert!(!router.has_plan_level("m", 1), "churn invalidates levels");
+        assert!(router.plan_at("m", 1).is_none(), "churn invalidates levels");
     }
 }

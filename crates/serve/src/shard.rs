@@ -389,6 +389,21 @@ impl TrafficLedger {
     }
 }
 
+/// Traffic-weighted load per node: every assigned tenant's
+/// [`TrafficLedger::weight`] summed onto its home. The one measure
+/// placement, cap enforcement, evacuation and the controller balance on;
+/// a node homing no tenant has no entry.
+pub(crate) fn node_loads(
+    assignments: &BTreeMap<TenantId, (NodeId, String)>,
+    traffic: &TrafficLedger,
+) -> BTreeMap<NodeId, u64> {
+    let mut loads = BTreeMap::new();
+    for (tenant, (node, _)) in assignments {
+        *loads.entry(*node).or_default() += traffic.weight(*tenant);
+    }
+    loads
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,8 +14,8 @@
 
 use crate::batcher::{Batch, BatchPolicy, MicroBatcher, PushOutcome};
 use crate::cache::{Admission, ModelCache};
-use crate::fault::{FailoverPackage, NodeFaults};
-use crate::gateway::{Gateway, GatewayConfig};
+use crate::fault::NodeFaults;
+use crate::gateway::{Gateway, GatewayConfig, TenantAccount};
 use crate::loadgen::LoadPlan;
 use crate::observer::NodeObserver;
 use crate::request::{Completion, Disposition, Request, ShedReason, TenantId};
@@ -301,6 +301,22 @@ pub(crate) struct ServeEngine<'t> {
     completions: Option<Vec<Completion>>,
 }
 
+/// How one request left the engine: what [`ServeEngine::settle`] owes its
+/// gateway account, and the [`Disposition`] every sink is told.
+enum Outcome {
+    /// Completed on `device`: the pending slot is released.
+    Served { latency_us: u64, device: u32 },
+    /// Refused at admission: never charged, nothing pending.
+    Refused(ShedReason),
+    /// Admitted, then shed on this node: the pending slot is released and
+    /// the prepaid query refunded through the audit chain.
+    Refunded(ShedReason),
+    /// Died with this node ([`ShedReason::Failover`]) after its account
+    /// migrated away: counted here, refunded on the account's current
+    /// home by the coordinator's orphan leg.
+    Orphaned,
+}
+
 /// Per-control-interval counters behind [`ServeEngine::take_control_sample`].
 /// Sampled and reset at every controller tick; pure observation (no
 /// serving decision reads it), so arming the tap never changes outcomes.
@@ -388,17 +404,6 @@ impl<'t> ServeEngine<'t> {
         }
     }
 
-    fn log_completion(&mut self, request: &Request, disposition: Disposition, at_us: u64) {
-        if let Some(log) = &mut self.completions {
-            log.push(Completion {
-                id: request.id,
-                tenant: request.tenant,
-                disposition,
-                at_us,
-            });
-        }
-    }
-
     /// Sample-and-reset the control tap at a controller tick: the
     /// interval's counters plus instantaneous queue state. Deterministic
     /// (BTreeMap iteration, integer sort), so replay backends produce
@@ -430,12 +435,63 @@ impl<'t> ServeEngine<'t> {
         }
     }
 
-    /// Count one shed of `reason` in the telemetry shard; `refunded` when
-    /// the shed also returned a prepaid query (downstream sheds do).
-    fn count_shed(&mut self, reason: ShedReason, refunded: bool) {
-        if let Some(t) = &mut self.tele {
-            t.shed[reason.index()] += 1;
-            t.refunded += u64::from(refunded);
+    /// The one place a request's outcome is recorded: settle its gateway
+    /// account (release the pending slot, refund through the audit chain,
+    /// or nothing — see [`Outcome`]) and tell every sink — completion
+    /// log, statistics, control tap, telemetry shard, observer. Every
+    /// resolution on this node goes through here exactly once, so the
+    /// sinks cannot disagree. Inlined into its five call sites, where the
+    /// outcome's variant is a constant and only that variant's arm stays.
+    #[inline(always)]
+    fn settle(&mut self, plane: &mut ServePlane, r: &Request, outcome: Outcome, at_us: u64) {
+        let (disposition, refunded) = match outcome {
+            Outcome::Served { latency_us, device } => {
+                plane.gateway.resolve(r.tenant);
+                (Disposition::Served { latency_us, device }, false)
+            }
+            Outcome::Refused(reason) => (Disposition::Shed(reason), false),
+            Outcome::Refunded(reason) => {
+                plane.gateway.resolve_shed(r.tenant, at_us / 1000);
+                (Disposition::Shed(reason), true)
+            }
+            Outcome::Orphaned => (Disposition::Shed(ShedReason::Failover), false),
+        };
+        if let Some(log) = &mut self.completions {
+            log.push(Completion {
+                id: r.id,
+                tenant: r.tenant,
+                disposition,
+                at_us,
+            });
+        }
+        match disposition {
+            Disposition::Served { latency_us, .. } => {
+                self.stats.on_served(latency_us, at_us);
+                if let Some(tap) = &mut self.tap {
+                    tap.served += 1;
+                    *tap.served_by_tenant.entry(r.tenant).or_default() += 1;
+                    tap.latencies_us.push(latency_us);
+                }
+                if let Some(t) = &mut self.tele {
+                    t.on_served(latency_us);
+                }
+                if let Some(obs) = self.observer.as_deref_mut() {
+                    obs.on_complete(at_us, r, latency_us);
+                }
+            }
+            Disposition::Shed(reason) => {
+                self.stats.on_shed(reason);
+                if let Some(tap) = &mut self.tap {
+                    tap.shed += 1;
+                }
+                if let Some(t) = &mut self.tele {
+                    t.shed[reason.index()] += 1;
+                    t.refunded += u64::from(refunded);
+                }
+                if let Some(obs) = self.observer.as_deref_mut() {
+                    obs.on_shed(at_us, r.tenant, r.id, reason);
+                }
+            }
         }
     }
 
@@ -508,28 +564,11 @@ impl<'t> ServeEngine<'t> {
                 Timer::BatchDone(idx) => {
                     let done = self.inflight[idx].take().expect("completes once");
                     for r in &done.requests {
-                        plane.gateway.resolve(r.tenant);
-                        let latency = done.done_us - r.arrival_us;
-                        self.log_completion(
-                            r,
-                            Disposition::Served {
-                                latency_us: latency,
-                                device: done.device,
-                            },
-                            done.done_us,
-                        );
-                        self.stats.on_served(latency, done.done_us);
-                        if let Some(tap) = &mut self.tap {
-                            tap.served += 1;
-                            *tap.served_by_tenant.entry(r.tenant).or_default() += 1;
-                            tap.latencies_us.push(latency);
-                        }
-                        if let Some(t) = &mut self.tele {
-                            t.on_served(latency);
-                        }
-                        if let Some(obs) = self.observer.as_deref_mut() {
-                            obs.on_complete(done.done_us, r, latency);
-                        }
+                        let served = Outcome::Served {
+                            latency_us: done.done_us - r.arrival_us,
+                            device: done.device,
+                        };
+                        self.settle(plane, r, served, done.done_us);
                     }
                 }
                 Timer::FleetStep => {
@@ -565,15 +604,7 @@ impl<'t> ServeEngine<'t> {
         }
         match plane.gateway.admit(request) {
             Err(reason) => {
-                self.log_completion(request, Disposition::Shed(reason), now);
-                self.stats.on_shed(reason);
-                if let Some(tap) = &mut self.tap {
-                    tap.shed += 1;
-                }
-                self.count_shed(reason, false);
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_shed(now, request.tenant, request.id, reason);
-                }
+                self.settle(plane, request, Outcome::Refused(reason), now);
                 Some(reason)
             }
             Ok(()) => {
@@ -584,18 +615,7 @@ impl<'t> ServeEngine<'t> {
                 if let Some(obs) = self.observer.as_deref_mut() {
                     obs.on_admit(now, request, plane.batcher.pending());
                 }
-                match outcome {
-                    PushOutcome::Flushed(batch) => {
-                        self.dispatch(plane, batch, now);
-                    }
-                    PushOutcome::Queued {
-                        flush_at_us: Some(flush_at_us),
-                    } => {
-                        let family = self.family_index(&request.model);
-                        self.arm(flush_at_us, Timer::Flush(family));
-                    }
-                    PushOutcome::Queued { flush_at_us: None } => {}
-                }
+                self.after_push(plane, outcome, &request.model, now);
                 None
             }
         }
@@ -669,14 +689,25 @@ impl<'t> ServeEngine<'t> {
         now_us: u64,
     ) {
         for request in spliced {
-            let family = self.family_index(&request.model);
-            match plane.batcher.push(request) {
-                PushOutcome::Flushed(batch) => self.dispatch(plane, batch, now_us),
-                PushOutcome::Queued {
-                    flush_at_us: Some(flush_at_us),
-                } => self.arm(flush_at_us, Timer::Flush(family)),
-                PushOutcome::Queued { flush_at_us: None } => {}
+            let family = request.model.clone();
+            let outcome = plane.batcher.push(request);
+            self.after_push(plane, outcome, &family, now_us);
+        }
+    }
+
+    /// Act on what the batcher answered to a push into `family`'s queue:
+    /// dispatch the batch the push completed, or arm the deadline timer
+    /// of the queue it opened.
+    fn after_push(&mut self, plane: &mut ServePlane, outcome: PushOutcome, family: &str, now: u64) {
+        match outcome {
+            PushOutcome::Flushed(batch) => self.dispatch(plane, batch, now),
+            PushOutcome::Queued {
+                flush_at_us: Some(flush_at_us),
+            } => {
+                let family = self.family_index(family);
+                self.arm(flush_at_us, Timer::Flush(family));
             }
+            PushOutcome::Queued { flush_at_us: None } => {}
         }
     }
 
@@ -685,13 +716,13 @@ impl<'t> ServeEngine<'t> {
     /// it — each is resolved as a refunded [`ShedReason::Failover`] shed
     /// while its account is still attached, so the prepaid query returns
     /// through the audit chain and `unrefunded_sheds() == 0` survives the
-    /// crash. Every account is then detached and exported as a
-    /// [`FailoverPackage`] (quota partition + census counters, pending
-    /// already zero) for surviving nodes to reconstruct. The timer heap
-    /// is cleared — nothing fires on a dead node — which is load-bearing:
-    /// a surviving `BatchDone` would fire on an emptied in-flight slot.
-    /// Deterministic given the plane state (tenants in id order, slab in
-    /// dispatch order), so both backends tear down identically.
+    /// crash. Every account is then detached and exported whole (in
+    /// tenant-id order, nothing pending) for surviving nodes to adopt. The
+    /// timer heap is cleared — nothing fires on a dead node — which is
+    /// load-bearing: a surviving `BatchDone` would fire on an emptied
+    /// in-flight slot. Deterministic given the plane state (tenants in id
+    /// order, slab in dispatch order), so both backends tear down
+    /// identically.
     ///
     /// The second return is the *orphans*: in-flight requests of tenants
     /// that already migrated away (the PR 5 drain leaves dispatched work
@@ -702,9 +733,8 @@ impl<'t> ServeEngine<'t> {
     pub(crate) fn evacuate(
         &mut self,
         plane: &mut ServePlane,
-        from: NodeId,
         at_us: u64,
-    ) -> (Vec<FailoverPackage>, Vec<Request>) {
+    ) -> (Vec<(TenantId, TenantAccount)>, Vec<Request>) {
         let tenants = plane.gateway.tenant_ids();
         let mut doomed: Vec<Request> = Vec::new();
         for &tenant in &tenants {
@@ -719,39 +749,21 @@ impl<'t> ServeEngine<'t> {
         self.timers.clear();
         let mut orphans = Vec::new();
         for r in doomed {
-            self.log_completion(&r, Disposition::Shed(ShedReason::Failover), at_us);
-            self.stats.on_shed(ShedReason::Failover);
-            if let Some(tap) = &mut self.tap {
-                tap.shed += 1;
-            }
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_shed(at_us, r.tenant, r.id, ShedReason::Failover);
-            }
-            let attached = plane.gateway.tenant(r.tenant).is_some();
-            self.count_shed(ShedReason::Failover, attached);
-            if attached {
-                plane.gateway.resolve_shed(r.tenant, at_us / 1000);
+            if plane.gateway.tenant(r.tenant).is_some() {
+                self.settle(plane, &r, Outcome::Refunded(ShedReason::Failover), at_us);
             } else {
+                self.settle(plane, &r, Outcome::Orphaned, at_us);
                 orphans.push(r);
             }
         }
-        let mut packages = Vec::new();
+        let mut accounts = Vec::new();
         for tenant in tenants {
-            let Some(account) = plane.gateway.remove_tenant(tenant) else {
-                continue;
-            };
-            debug_assert_eq!(account.pending, 0, "evacuation resolved all pending work");
-            packages.push(FailoverPackage {
-                tenant,
-                quota: account.quota,
-                admitted: account.admitted,
-                shed: account.shed,
-                refunded: account.refunded,
-                from,
-                at_us,
-            });
+            if let Some(account) = plane.gateway.remove_tenant(tenant) {
+                debug_assert_eq!(account.pending, 0, "evacuation resolved all pending work");
+                accounts.push((tenant, account));
+            }
         }
-        (packages, orphans)
+        (accounts, orphans)
     }
 
     /// Refund one prepaid query on this node for a request of `tenant`
@@ -800,61 +812,34 @@ impl<'t> ServeEngine<'t> {
                 live.into_iter().partition(|r| r.deadline_abs_us() >= now);
             live = kept;
             for r in &expired {
-                plane.gateway.resolve_shed(r.tenant, now / 1000);
-                self.log_completion(r, Disposition::Shed(ShedReason::DeadlineExpired), now);
-                self.stats.on_shed(ShedReason::DeadlineExpired);
-                if let Some(tap) = &mut self.tap {
-                    tap.shed += 1;
-                }
-                self.count_shed(ShedReason::DeadlineExpired, true);
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_shed(now, r.tenant, r.id, ShedReason::DeadlineExpired);
-                }
+                self.settle(
+                    plane,
+                    r,
+                    Outcome::Refunded(ShedReason::DeadlineExpired),
+                    now,
+                );
             }
         }
         if live.is_empty() {
             return;
         }
-        // Route — replan lazily after fleet churn, against the brownout
-        // level's (possibly reduced) record set. Level 0 is the exact
-        // pre-brownout path. The controller's floor (nudge) composes with
-        // the automatic pressure ladder by max.
+        // Route on the family's plan at the effective brownout level (the
+        // automatic pressure ladder and the controller's floor compose by
+        // max), replanning that level lazily after fleet churn.
         let level = self.brownout_level.max(self.brownout_floor);
-        if !plane.router.has_plan_level(&batch.model, level) {
+        if plane.router.plan_at(&batch.model, level).is_none() {
             if let Some(records) = plane.families.get(&batch.model) {
-                if level == 0 {
-                    plane.router.refresh_family(&batch.model, records);
-                } else {
-                    let reduced = crate::fault::degrade_records(records, level);
-                    plane
-                        .router
-                        .refresh_family_level(&batch.model, &reduced, level);
-                }
+                plane.router.refresh_at(&batch.model, level, records);
             }
         }
-        let route = if self.cfg.affinity_routing {
-            plane.router.route_affine_level(
-                &batch.model,
-                now,
-                &plane.cache,
-                self.cfg.cache_load_bytes_per_ms,
-                level,
-            )
-        } else {
-            plane.router.route_level(&batch.model, now, level)
-        };
+        let affinity = self
+            .cfg
+            .affinity_routing
+            .then_some((&plane.cache, self.cfg.cache_load_bytes_per_ms));
+        let route = plane.router.route_at(&batch.model, level, now, affinity);
         let Some(route) = route else {
             for r in &live {
-                plane.gateway.resolve_shed(r.tenant, now / 1000);
-                self.log_completion(r, Disposition::Shed(ShedReason::NoRoute), now);
-                self.stats.on_shed(ShedReason::NoRoute);
-                if let Some(tap) = &mut self.tap {
-                    tap.shed += 1;
-                }
-                self.count_shed(ShedReason::NoRoute, true);
-                if let Some(obs) = self.observer.as_deref_mut() {
-                    obs.on_shed(now, r.tenant, r.id, ShedReason::NoRoute);
-                }
+                self.settle(plane, r, Outcome::Refunded(ShedReason::NoRoute), now);
             }
             return;
         };
@@ -966,9 +951,9 @@ impl<'a> ServeSim<'a> {
     /// quota (serial = tenant id here; `Platform` wires real vouchers).
     pub fn provision(&self, plane: &mut ServePlane, plan: &LoadPlan) {
         for t in &plan.tenants {
-            let mut key = [0u8; 32];
-            key[..4].copy_from_slice(&t.id.to_le_bytes());
-            plane.gateway.register_tenant(t.id, key);
+            plane
+                .gateway
+                .register_tenant(t.id, crate::testkit::test_meter_key(t.id));
             plane
                 .gateway
                 .credit(t.id, t.prepaid_queries, u64::from(t.id), 0)
@@ -1013,19 +998,6 @@ impl<'a> ServeSim<'a> {
     }
 }
 
-/// Convenience: provision + generate + run in one call.
-pub fn run_plan(
-    plane: &mut ServePlane,
-    plan: &LoadPlan,
-    cfg: ServeConfig,
-    telemetry: Option<&Telemetry>,
-) -> Result<ServeReport, ServeError> {
-    let sim = ServeSim::new(cfg, telemetry);
-    sim.provision(plane, plan);
-    let stream = plan.generate();
-    sim.run(plane, &stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,6 +1039,18 @@ mod tests {
 
     fn plane(cfg: &ServeConfig) -> ServePlane {
         plane_with(cfg, 40)
+    }
+
+    /// Provision + generate + run in one call.
+    fn run_plan(
+        plane: &mut ServePlane,
+        plan: &LoadPlan,
+        cfg: ServeConfig,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<ServeReport, ServeError> {
+        let sim = ServeSim::new(cfg, telemetry);
+        sim.provision(plane, plan);
+        sim.run(plane, &plan.generate())
     }
 
     #[test]

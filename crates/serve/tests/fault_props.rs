@@ -22,50 +22,13 @@
 //!   empty plan are byte-identical to a run with no fault plane at all.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use tinymlops_device::{default_mix, Fleet};
-use tinymlops_registry::{ModelFormat, ModelId, ModelRecord, SemVer};
+use tinymlops_serve::testkit::{
+    assert_conservation, test_fabric as fabric, test_meter_key as key_of,
+};
 use tinymlops_serve::{
     ExecConfig, ExecMode, FabricConfig, FaultEvent, FaultKind, FaultPlan, LoadPlan, MigrationSpec,
-    ServeFabric, TenantSpec,
+    TenantSpec,
 };
-
-fn family(name: &str, base_id: u64) -> Vec<ModelRecord> {
-    [
-        (ModelFormat::F32, 40_000u64, 0.96),
-        (ModelFormat::Quantized { bits: 8 }, 10_000, 0.95),
-        (ModelFormat::Quantized { bits: 2 }, 2_500, 0.88),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, (format, size, acc))| {
-        let mut metrics = BTreeMap::new();
-        metrics.insert("accuracy".into(), acc);
-        ModelRecord {
-            id: ModelId(base_id + i as u64),
-            name: name.into(),
-            version: SemVer::new(1, 0, 0),
-            format,
-            parent: None,
-            artifact: [0; 32],
-            size_bytes: size,
-            macs: 100_000,
-            metrics,
-            tags: vec![],
-            created_ms: 0,
-        }
-    })
-    .collect()
-}
-
-fn fabric(cfg: &FabricConfig, fleet_size: usize, seed: u64) -> ServeFabric {
-    let fleets =
-        Fleet::generate(fleet_size, &default_mix(), seed).partition(cfg.node_weights.len());
-    let mut f = ServeFabric::new(cfg, fleets);
-    f.install_family("kws", family("kws", 0));
-    f.install_family("vision", family("vision", 100));
-    f
-}
 
 fn plan(seed: u64, rps: f64, prepaid: u64, tenants: u32, deadline_us: u64) -> LoadPlan {
     LoadPlan {
@@ -82,42 +45,6 @@ fn plan(seed: u64, rps: f64, prepaid: u64, tenants: u32, deadline_us: u64) -> Lo
         seed,
         feature_dim: 0,
     }
-}
-
-/// The test meter-key scheme `ServeFabric::provision` uses.
-fn key_of(tenant: u32) -> [u8; 32] {
-    let mut key = [0u8; 32];
-    key[..4].copy_from_slice(&tenant.to_le_bytes());
-    key
-}
-
-/// Assert every fault-plane conservation law on a finished fabric.
-fn assert_conservation(
-    fabric: &ServeFabric,
-    report: &tinymlops_serve::FabricReport,
-    arrivals: u64,
-    prepaid_total: u64,
-) {
-    assert_eq!(
-        report.fleet.served + report.fleet.shed_total,
-        arrivals,
-        "every arrival is served or shed"
-    );
-    assert_eq!(report.unrefunded_sheds(), 0, "no prepaid query burned");
-    assert!(
-        report.refunds_balance(),
-        "refunds ({}) must equal downstream sheds ({})",
-        report.refunds,
-        report.downstream_sheds()
-    );
-    let census = fabric.quota_census();
-    let spent: u64 = census.iter().map(|q| q.consumed - q.refunded).sum();
-    let left: u64 = census.iter().map(|q| q.balance).sum();
-    assert_eq!(
-        spent + left,
-        prepaid_total,
-        "prepaid quota neither burned nor minted across failover"
-    );
 }
 
 #[test]

@@ -10,49 +10,11 @@
 //! quota neither burned nor minted.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use tinymlops_device::{default_mix, Fleet, NetworkKind};
-use tinymlops_registry::{ModelFormat, ModelId, ModelRecord, SemVer};
+use tinymlops_serve::testkit::{test_fabric as fabric, test_family as family};
 use tinymlops_serve::{
     ExecConfig, ExecMode, FabricConfig, LoadPlan, ServeConfig, ServeFabric, TenantSpec,
 };
-
-fn family(name: &str, base_id: u64) -> Vec<ModelRecord> {
-    [
-        (ModelFormat::F32, 40_000u64, 0.96),
-        (ModelFormat::Quantized { bits: 8 }, 10_000, 0.95),
-        (ModelFormat::Quantized { bits: 2 }, 2_500, 0.88),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, (format, size, acc))| {
-        let mut metrics = BTreeMap::new();
-        metrics.insert("accuracy".into(), acc);
-        ModelRecord {
-            id: ModelId(base_id + i as u64),
-            name: name.into(),
-            version: SemVer::new(1, 0, 0),
-            format,
-            parent: None,
-            artifact: [0; 32],
-            size_bytes: size,
-            macs: 100_000,
-            metrics,
-            tags: vec![],
-            created_ms: 0,
-        }
-    })
-    .collect()
-}
-
-fn fabric(cfg: &FabricConfig, fleet_size: usize, seed: u64) -> ServeFabric {
-    let fleets =
-        Fleet::generate(fleet_size, &default_mix(), seed).partition(cfg.node_weights.len());
-    let mut f = ServeFabric::new(cfg, fleets);
-    f.install_family("kws", family("kws", 0));
-    f.install_family("vision", family("vision", 100));
-    f
-}
 
 fn plan(seed: u64, rps: f64, prepaid: u64, tenants: u32, deadline_us: u64) -> LoadPlan {
     LoadPlan {

@@ -22,6 +22,14 @@ fn request(id: u64, tenant: u32, model: &str, arrival_us: u64) -> Request {
     }
 }
 
+/// Earliest forced-flush time across all families.
+fn next_deadline_us(batcher: &MicroBatcher) -> Option<(String, u64)> {
+    batcher
+        .flush_deadlines()
+        .into_iter()
+        .min_by_key(|(_, due)| *due)
+}
+
 fn record(id: u64, size: u64) -> ModelRecord {
     ModelRecord {
         id: ModelId(id),
@@ -56,7 +64,7 @@ proptest! {
         for (id, (tenant, family, gap)) in arrivals.iter().enumerate() {
             now += gap;
             // Deadline triggers that became due before this arrival.
-            while let Some((f, due)) = batcher.next_deadline_us() {
+            while let Some((f, due)) = next_deadline_us(&batcher) {
                 if due > now { break; }
                 let batch = batcher.flush_due(&f, due).expect("due timer flushes");
                 flushed.push((due, batch));
@@ -67,7 +75,7 @@ proptest! {
             }
         }
         // Drain the tail via deadline triggers.
-        while let Some((f, due)) = batcher.next_deadline_us() {
+        while let Some((f, due)) = next_deadline_us(&batcher) {
             let batch = batcher.flush_due(&f, due).expect("due timer flushes");
             flushed.push((due, batch));
         }

@@ -64,6 +64,8 @@ if run_stage smoke; then
     # The smoke + jq assertion pairs live in scripts/smoke.sh, shared
     # verbatim with the CI test job (e15 through e22, in order).
     scripts/smoke.sh all
+    # ...and nothing but timing may differ from the committed artifacts.
+    scripts/smoke.sh identical
 fi
 
 if run_stage bench; then

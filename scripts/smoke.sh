@@ -9,6 +9,9 @@
 #   scripts/smoke.sh all        # e15 through e22, in order
 #   scripts/smoke.sh b01        # kernel bench smoke + regression gate
 #                               # (its own CI job; not part of `all`)
+#   scripts/smoke.sh identical  # after `all`: every regenerated e15-e22
+#                               # artifact equals the committed one,
+#                               # timing cells aside
 #
 # Requires: the repo toolchain and `jq`. Offline like CI.
 
@@ -161,6 +164,41 @@ smoke_b01() {
     cargo run --release -p tinymlops_bench --bin b01_compare -- --fail-on-regression 50 --groups ingest_queue,serving_closed_loop
 }
 
+smoke_identical() {
+    # Run after `all`. The e15-e22 artifacts are tracked, so "this change
+    # moved no serving outcome" is a verdict, not a sentence in CHANGES:
+    # every regenerated results/e15..e22 table must equal the committed
+    # one (`git show HEAD:<file>`) once the cells that measure the host
+    # rather than the system are masked - `wall ms`, `req/s (wall)`,
+    # `p99 ms (real)`, and e20_faults_panic's `lost requests` (how far the
+    # feeder got before the panicking worker closed its queue).
+    # results/e19_trace.json (a 0.5 MB event dump) is not tracked; its
+    # per-kind event counts are results/e19_observe_trace.json, which is.
+    local mask='walk(if type == "object" then with_entries(select(
+        (.key | IN("wall ms", "req/s (wall)", "p99 ms (real)")
+            or ($file == "results/e20_faults_panic.json" and . == "lost requests")) | not))
+        else . end)'
+    local failed=0 file
+    # Committed or regenerated: a table on one side only is a difference.
+    for file in $({ git ls-tree -r --name-only HEAD -- results
+                    ls results/e1[5-9]_*.json results/e2[0-2]_*.json; } \
+                  | grep -E '^results/e(1[5-9]|2[0-2])_' | sort -u); do
+        [ "$file" = results/e19_trace.json ] && continue
+        if ! git cat-file -e "HEAD:$file" 2>/dev/null; then
+            echo "identical: $file is not committed (new artifacts must be tracked)" >&2
+            failed=1
+        elif [ ! -f "$file" ]; then
+            echo "identical: $file is committed but was not regenerated" >&2
+            failed=1
+        elif ! diff -u --label "HEAD:$file" --label "$file" \
+            <(git show "HEAD:$file" | jq -S --arg file "$file" "$mask") \
+            <(jq -S --arg file "$file" "$mask" "$file"); then
+            failed=1
+        fi
+    done
+    [ "$failed" = 0 ] || { echo "identical: a non-timing cell differs from HEAD" >&2; return 1; }
+}
+
 banner() { printf '\n==== smoke: %s ====\n' "$*"; }
 
 experiments=(e15 e16 e17 e18 e19 e20 e21 e22)
@@ -175,7 +213,7 @@ elif declare -F "smoke_$target" >/dev/null; then
     banner "$target"
     "smoke_$target"
 else
-    echo "smoke: unknown experiment '$target' (expected one of: ${experiments[*]} all b01)" >&2
+    echo "smoke: unknown experiment '$target' (expected one of: ${experiments[*]} all b01 identical)" >&2
     exit 1
 fi
 
