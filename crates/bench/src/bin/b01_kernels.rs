@@ -25,8 +25,7 @@ use tinymlops_serve::{
     ServeSim, TenantSpec,
 };
 use tinymlops_tensor::matmul::{
-    gemm, gemm_naive, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_packed_nt_gather,
-    gemm_row_stream,
+    gemm, gemm_naive, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_row_stream,
 };
 use tinymlops_tensor::stats::RunningStats;
 use tinymlops_tensor::{Tensor, TensorRng};
@@ -172,11 +171,8 @@ fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
     }
 }
 
-/// Transposed-B GEMM (`grad_w` in training): the packed path's B-panel
-/// fill changed from stride-k column gathers to a blocked transpose
-/// (contiguous source reads); the gather pack is retained as
-/// [`gemm_packed_nt_gather`] purely so this before/after is measured in
-/// one run, against the same row-stream seed baseline.
+/// Transposed-B GEMM (`grad_w` in training): the packed path (B-panels
+/// filled by a blocked transpose) against the row-stream seed baseline.
 fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
     let shapes: &[(usize, usize, usize)] = if quick {
         &[(64, 64, 48)]
@@ -199,10 +195,9 @@ fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
         let rounds = if quick { 1 } else { 5 };
         let variants: &[(&str, GemmFn)] = &[
             ("rowstream", gemm_nt_row_stream),
-            ("packed_gather", gemm_packed_nt_gather),
             ("packed", gemm_packed_nt),
         ];
-        let mut ns_of = [0.0f64; 3];
+        let mut ns_of = [0.0f64; 2];
         for (vi, (tag, f)) in variants.iter().enumerate() {
             let ns = time_ns_best(rounds, reps, || {
                 c.fill(0.0);
@@ -222,13 +217,7 @@ fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
                     "packed nt vs naive: {worst}"
                 );
             }
-            // The blocked-transpose pack is benchmarked against the gather
-            // pack it replaced; both also carry the row-stream reference.
-            let baseline = match *tag {
-                "packed" => Some(("gemm_nt", "packed_gather", ns_of[1])),
-                "packed_gather" => Some(("gemm_nt", "rowstream", ns_of[0])),
-                _ => None,
-            };
+            let baseline = (*tag == "packed").then_some(("gemm_nt", "rowstream", ns_of[0]));
             entries.push(Entry {
                 id: format!("gemm_nt_{shape}_{tag}"),
                 group: "gemm_nt",

@@ -48,8 +48,8 @@ fn apply_permutation(data: &mut [f32], perm: &[usize], inverse: bool) {
 pub fn scramble(model: &mut Sequential, key: &[u8; 32]) {
     for (i, l) in model.layers.iter_mut().enumerate() {
         if let Layer::Dense(d) = l {
-            let perm = keyed_permutation(key, i, d.w.len());
-            apply_permutation(d.w.data_mut(), &perm, false);
+            let perm = keyed_permutation(key, i, d.w().len());
+            apply_permutation(d.w_mut().data_mut(), &perm, false);
         }
     }
 }
@@ -58,8 +58,8 @@ pub fn scramble(model: &mut Sequential, key: &[u8; 32]) {
 pub fn descramble(model: &mut Sequential, key: &[u8; 32]) {
     for (i, l) in model.layers.iter_mut().enumerate() {
         if let Layer::Dense(d) = l {
-            let perm = keyed_permutation(key, i, d.w.len());
-            apply_permutation(d.w.data_mut(), &perm, true);
+            let perm = keyed_permutation(key, i, d.w().len());
+            apply_permutation(d.w_mut().data_mut(), &perm, true);
         }
     }
 }
@@ -167,5 +167,28 @@ mod tests {
         let norm = |m: &Sequential| m.flat_params().iter().map(|v| v * v).sum::<f32>();
         assert!((norm(&model) - norm(&locked)).abs() < 1e-3);
         assert_ne!(model.flat_params(), locked.flat_params());
+    }
+
+    /// A served (panels-warm) model that is scrambled must serve the
+    /// scrambled weights, not the panels packed from the clear ones — and
+    /// the clear clone it was copied from must be unaffected.
+    #[test]
+    fn scramble_and_descramble_drop_the_prepared_panels() {
+        let mut rng = TensorRng::seed(5);
+        let model = mlp(&[64, 64, 32], &mut rng);
+        let x = rng.uniform(&[16, 64], -1.0, 1.0);
+        assert!(tinymlops_tensor::matmul::nt_uses_panels(16, 64, 32));
+        let clear = model.forward(&x);
+        // Deserialized layers have never run: no panels yet.
+        let never_run = |m: &Sequential| Sequential::from_bytes(&m.to_bytes().unwrap()).unwrap();
+        let key = [4u8; 32];
+        let mut locked = model.clone();
+        scramble(&mut locked, &key);
+        let scrambled = locked.forward(&x);
+        assert_eq!(scrambled, never_run(&locked).forward(&x), "stale panels");
+        assert_ne!(scrambled, clear);
+        descramble(&mut locked, &key);
+        assert_eq!(locked.forward(&x), clear, "stale scrambled panels");
+        assert_eq!(model.forward(&x), clear);
     }
 }

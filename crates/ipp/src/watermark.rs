@@ -60,7 +60,7 @@ impl StaticWatermark {
     fn carrier(model: &Sequential) -> &Tensor {
         for l in &model.layers {
             if let Layer::Dense(d) = l {
-                return &d.w;
+                return d.w();
             }
         }
         panic!("model has no dense layer to watermark");
@@ -115,7 +115,7 @@ impl StaticWatermark {
                             }
                             None => {
                                 let mut g = carrier_grad.clone().scale(lambda);
-                                g = g.reshape(d.w.shape()).expect("carrier matches layer");
+                                g = g.reshape(d.w().shape()).expect("carrier matches layer");
                                 d.grad_w = Some(g);
                             }
                         }

@@ -6,15 +6,23 @@
 
 use crate::conv::{Conv2d, MaxPool2d};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
+use tinymlops_tensor::matmul::{self, PackedB};
 use tinymlops_tensor::{Tensor, TensorRng};
 
 /// A fully-connected layer computing `y = x·Wᵀ + b`.
 ///
 /// `x: [batch, in]`, `W: [out, in]`, `b: [out]`, `y: [batch, out]`.
+///
+/// Inference multiplies against a *prepared form* of `W` — its packed
+/// GEMM panels ([`PackedB`]), built on first need and shared by clones —
+/// so a served model packs its weights once, not once per batch. The
+/// panels are a snapshot of `W`, which is why `W` is private: every
+/// mutable route to it ([`Dense::w_mut`], [`Layer::params_mut`]) drops
+/// them, and a deserialized layer starts without any.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
-    /// Weight matrix, `[out, in]`.
-    pub w: Tensor,
+    w: Tensor,
     /// Bias vector, `[out]`.
     pub b: Tensor,
     /// Accumulated weight gradient.
@@ -25,19 +33,15 @@ pub struct Dense {
     pub grad_b: Option<Tensor>,
     #[serde(skip)]
     cache_input: Option<Tensor>,
+    #[serde(skip)]
+    panels: OnceLock<Arc<PackedB>>,
 }
 
 impl Dense {
     /// Kaiming-initialized dense layer.
     #[must_use]
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut TensorRng) -> Self {
-        Dense {
-            w: rng.kaiming(out_dim, in_dim),
-            b: Tensor::zeros(&[out_dim]),
-            grad_w: None,
-            grad_b: None,
-            cache_input: None,
-        }
+        Dense::from_params(rng.kaiming(out_dim, in_dim), Tensor::zeros(&[out_dim]))
     }
 
     /// Construct from explicit weights (tests, deserialization, attacks).
@@ -51,7 +55,21 @@ impl Dense {
             grad_w: None,
             grad_b: None,
             cache_input: None,
+            panels: OnceLock::new(),
         }
+    }
+
+    /// Weight matrix, `[out, in]`.
+    #[must_use]
+    pub fn w(&self) -> &Tensor {
+        &self.w
+    }
+
+    /// Mutable weight matrix. Drops the prepared panels: the next
+    /// inference forward re-packs from whatever is written here.
+    pub fn w_mut(&mut self) -> &mut Tensor {
+        self.panels = OnceLock::new();
+        &mut self.w
     }
 
     /// Input dimension.
@@ -66,14 +84,56 @@ impl Dense {
         self.w.shape()[0]
     }
 
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let y = x.matmul_nt(&self.w).expect("dense shape checked by caller");
-        y.add_row_vector(&self.b).expect("bias shape invariant")
+    /// Build the prepared panels now rather than on the first batch that
+    /// needs them. A layer narrower than one panel never takes the packed
+    /// kernel and has none to build.
+    pub fn prepare(&self) {
+        if self.out_dim() >= matmul::NR {
+            self.panels();
+        }
     }
 
+    fn panels(&self) -> &PackedB {
+        self.panels.get_or_init(|| {
+            Arc::new(PackedB::from_transposed(
+                self.w.data(),
+                self.out_dim(),
+                self.in_dim(),
+            ))
+        })
+    }
+
+    /// `x·Wᵀ + b` with the same kernel choice per shape as
+    /// [`Tensor::matmul_nt`], so it is bit-identical to
+    /// [`Dense::forward_train`]; only where `W`'s panels come from differs.
+    fn forward(&self, x: &Tensor) -> Tensor {
+        let (m, k, n) = (x.rows(), self.in_dim(), self.out_dim());
+        assert_eq!(x.cols(), k, "dense shape checked by caller");
+        let mut y = vec![0.0f32; m * n];
+        if matmul::nt_uses_panels(m, k, n) {
+            matmul::gemm_prepacked(x.data(), self.panels(), &mut y, m);
+        } else {
+            matmul::gemm_nt_row_stream(x.data(), self.w.data(), &mut y, m, k, n);
+        }
+        self.add_bias(&mut y);
+        Tensor::from_vec(y, &[m, n])
+    }
+
+    fn add_bias(&self, y: &mut [f32]) {
+        for row in y.chunks_exact_mut(self.b.len()) {
+            for (v, b) in row.iter_mut().zip(self.b.data()) {
+                *v += b;
+            }
+        }
+    }
+
+    /// Training forward: `W` changes every step, so this packs per call
+    /// (and leaves the inference panels alone).
     fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.cache_input = Some(x.clone());
-        self.forward(x)
+        let mut y = x.matmul_nt(&self.w).expect("dense shape checked by caller");
+        self.add_bias(y.data_mut());
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -88,6 +148,15 @@ impl Dense {
         accumulate(&mut self.grad_b, gb);
         // grad_in[batch,in] = grad_out[batch,out] · W[out,in]
         grad_out.matmul(&self.w).expect("grad_in shapes")
+    }
+
+    /// An optimizer step writes `W` through these.
+    fn params_mut(&mut self) -> Vec<(&mut Tensor, &mut Option<Tensor>)> {
+        self.panels = OnceLock::new();
+        vec![
+            (&mut self.w, &mut self.grad_w),
+            (&mut self.b, &mut self.grad_b),
+        ]
     }
 }
 
@@ -190,23 +259,33 @@ impl Layer {
     pub fn forward(&self, x: &Tensor) -> Tensor {
         match self {
             Layer::Dense(d) => d.forward(x),
-            Layer::Relu => x.map(|v| v.max(0.0)),
-            Layer::LeakyRelu(a) => {
-                let a = *a;
-                x.map(move |v| if v >= 0.0 { v } else { a * v })
-            }
-            Layer::Tanh => x.map(f32::tanh),
-            Layer::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
-            Layer::Square => x.map(|v| v * v),
-            Layer::Dropout(_) => x.clone(),
             Layer::Conv2d(c) => c.forward(x),
             Layer::MaxPool2d(p) => p.forward(x),
+            _ => self.forward_owned(x.clone()),
+        }
+    }
+
+    /// [`Layer::forward`] on an activation the caller is done with:
+    /// element-wise and shape-only layers work in its buffer.
+    pub(crate) fn forward_owned(&self, mut h: Tensor) -> Tensor {
+        match self {
+            Layer::Dense(_) | Layer::Conv2d(_) | Layer::MaxPool2d(_) => return self.forward(&h),
+            Layer::Relu => h.map_inplace(|v| v.max(0.0)),
+            Layer::LeakyRelu(a) => {
+                let a = *a;
+                h.map_inplace(move |v| if v >= 0.0 { v } else { a * v });
+            }
+            Layer::Tanh => h.map_inplace(f32::tanh),
+            Layer::Sigmoid => h.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
+            Layer::Square => h.map_inplace(|v| v * v),
+            Layer::Dropout(_) => {}
             Layer::Flatten => {
-                let batch = x.rows();
-                let feat = x.len() / batch.max(1);
-                x.reshape(&[batch, feat]).expect("flatten preserves count")
+                let batch = h.rows();
+                let feat = h.len() / batch.max(1);
+                return Tensor::from_vec(h.into_vec(), &[batch, feat]);
             }
         }
+        h
     }
 
     /// Training-mode forward pass; caches whatever backward needs.
@@ -309,7 +388,7 @@ impl Layer {
     /// slots, in a stable order.
     pub fn params_mut(&mut self) -> Vec<(&mut Tensor, &mut Option<Tensor>)> {
         match self {
-            Layer::Dense(d) => vec![(&mut d.w, &mut d.grad_w), (&mut d.b, &mut d.grad_b)],
+            Layer::Dense(d) => d.params_mut(),
             Layer::Conv2d(c) => c.params_mut(),
             _ => vec![],
         }
@@ -391,15 +470,15 @@ mod tests {
         };
         let eps = 1e-3;
         if let Layer::Dense(d) = &mut layer {
-            for idx in 0..d.w.len() {
-                let orig = d.w.data()[idx];
-                d.w.data_mut()[idx] = orig + eps;
+            for idx in 0..d.w().len() {
+                let orig = d.w().data()[idx];
+                d.w_mut().data_mut()[idx] = orig + eps;
                 let y_plus = Layer::Dense(d.clone()).forward(&x);
                 let l_plus: f32 = y_plus.data().iter().map(|v| v * v).sum::<f32>() / 2.0;
-                d.w.data_mut()[idx] = orig - eps;
+                d.w_mut().data_mut()[idx] = orig - eps;
                 let y_minus = Layer::Dense(d.clone()).forward(&x);
                 let l_minus: f32 = y_minus.data().iter().map(|v| v * v).sum::<f32>() / 2.0;
-                d.w.data_mut()[idx] = orig;
+                d.w_mut().data_mut()[idx] = orig;
                 let numeric = (l_plus - l_minus) / (2.0 * eps);
                 let got = analytic.data()[idx];
                 assert!(

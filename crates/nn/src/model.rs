@@ -38,7 +38,17 @@ impl Sequential {
     /// Inference forward pass (dropout off, no caches written).
     #[must_use]
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.layers.iter().fold(x.clone(), |h, l| l.forward(&h))
+        run(&self.layers, x)
+    }
+
+    /// Build every dense layer's prepared panels now (model install)
+    /// instead of on the first batch that needs them.
+    pub fn prepare(&self) {
+        for l in &self.layers {
+            if let Layer::Dense(d) = l {
+                d.prepare();
+            }
+        }
     }
 
     /// Forward pass returning every intermediate activation (input first,
@@ -58,9 +68,7 @@ impl Sequential {
     /// split deployment (§IV "split a model between edge and cloud").
     #[must_use]
     pub fn forward_range(&self, x: &Tensor, from: usize, to: usize) -> Tensor {
-        self.layers[from..to]
-            .iter()
-            .fold(x.clone(), |h, l| l.forward(&h))
+        run(&self.layers[from..to], x)
     }
 
     /// Training forward pass; caches activations for [`Sequential::backward`].
@@ -184,6 +192,17 @@ impl Sequential {
     #[must_use]
     pub fn param_bytes(&self) -> usize {
         self.num_params() * 4
+    }
+}
+
+/// Inference through `layers`: the first reads `x`, each later one
+/// consumes its predecessor's output, so activations overwrite it in place.
+fn run(layers: &[Layer], x: &Tensor) -> Tensor {
+    match layers.split_first() {
+        Some((first, rest)) => rest
+            .iter()
+            .fold(first.forward(x), |h, l| l.forward_owned(h)),
+        None => x.clone(),
     }
 }
 

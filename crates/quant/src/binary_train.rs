@@ -157,10 +157,10 @@ fn swap_in_binarized(model: &mut Sequential, layers: &[usize]) -> Vec<Vec<f32>> 
     let mut latents = Vec::with_capacity(layers.len());
     for &i in layers {
         if let Layer::Dense(d) = &mut model.layers[i] {
-            latents.push(d.w.data().to_vec());
-            let (rows, cols) = (d.w.shape()[0], d.w.shape()[1]);
+            latents.push(d.w().data().to_vec());
+            let (rows, cols) = (d.w().shape()[0], d.w().shape()[1]);
             for r in 0..rows {
-                let row = &mut d.w.data_mut()[r * cols..(r + 1) * cols];
+                let row = &mut d.w_mut().data_mut()[r * cols..(r + 1) * cols];
                 let alpha = row.iter().map(|v| v.abs()).sum::<f32>() / cols as f32;
                 for v in row.iter_mut() {
                     *v = if *v >= 0.0 { alpha } else { -alpha };
@@ -175,7 +175,7 @@ fn swap_in_binarized(model: &mut Sequential, layers: &[usize]) -> Vec<Vec<f32>> 
 fn restore_latents(model: &mut Sequential, layers: &[usize], latents: &[Vec<f32>]) {
     for (&i, latent) in layers.iter().zip(latents) {
         if let Layer::Dense(d) = &mut model.layers[i] {
-            d.w.data_mut().copy_from_slice(latent);
+            d.w_mut().data_mut().copy_from_slice(latent);
         }
     }
 }
@@ -303,7 +303,7 @@ pub fn export_binary(
     let kernels = layers
         .iter()
         .filter_map(|&i| match &materialized.layers[i] {
-            Layer::Dense(d) => Some(BinaryDense::quantize(&d.w, &d.b)),
+            Layer::Dense(d) => Some(BinaryDense::quantize(d.w(), &d.b)),
             _ => None,
         })
         .collect();
@@ -336,13 +336,13 @@ pub fn export_quantized(model: &Sequential, cfg: &BinaryAwareConfig) -> Quantize
                 // True XNOR kernel: training modelled β·sign(h) inputs
                 // for this layer, so the deployed kernel binarizes
                 // activations too ([`BinaryDense::binarize_input`]).
-                QLayer::BinaryDense(BinaryDense::quantize(&d.w, &d.b))
+                QLayer::BinaryDense(BinaryDense::quantize(d.w(), &d.b))
             }
             Layer::Dense(d) if binarized.contains(&i) => {
                 // Weight-only binarization: STE training prepared this
                 // layer for ±α weights with f32 activations — ship the
                 // kernel it trained as.
-                QLayer::BinaryDense(BinaryDense::quantize_weight_only(&d.w, &d.b))
+                QLayer::BinaryDense(BinaryDense::quantize_weight_only(d.w(), &d.b))
             }
             other => QLayer::Passthrough(other.clone()),
         })
@@ -376,6 +376,27 @@ mod tests {
             },
         );
         (model, train, test)
+    }
+
+    /// The latent ⇄ binarized weight swap writes `Dense` weights in place
+    /// around every evaluation; a layer that has served (panels warm) must
+    /// evaluate the binarized weights, then the restored latents.
+    #[test]
+    fn latent_swap_drops_the_prepared_panels() {
+        let mut rng = TensorRng::seed(11);
+        let mut model = mlp(&[64, 64, 32], &mut rng);
+        let x = rng.uniform(&[16, 64], -1.0, 1.0);
+        assert!(tinymlops_tensor::matmul::nt_uses_panels(16, 64, 32));
+        let latent_out = model.forward(&x);
+        // Deserialized layers have never run: no panels yet.
+        let never_run = |m: &Sequential| Sequential::from_bytes(&m.to_bytes().unwrap()).unwrap();
+        let layers = dense_indices(&model);
+        let latents = swap_in_binarized(&mut model, &layers);
+        let binarized_out = model.forward(&x);
+        assert_eq!(binarized_out, never_run(&model).forward(&x), "stale panels");
+        assert_ne!(binarized_out, latent_out);
+        restore_latents(&mut model, &layers, &latents);
+        assert_eq!(model.forward(&x), latent_out, "stale binarized panels");
     }
 
     /// The headline: binary-aware training rescues 1-bit deployment from
@@ -419,7 +440,7 @@ mod tests {
         assert_eq!(kernels.len(), 1);
         // The materialized first layer holds exactly ±α values per row.
         if let Layer::Dense(d) = &materialized.layers[0] {
-            let row = d.w.row(0);
+            let row = d.w().row(0);
             let alpha = row[0].abs();
             assert!(row.iter().all(|v| (v.abs() - alpha).abs() < 1e-6));
         } else {
@@ -437,7 +458,7 @@ mod tests {
         binary_aware_finetune(&mut model, &train, &cfg);
         // Latents are not ±α (they keep full precision for optimization).
         if let Layer::Dense(d) = &model.layers[0] {
-            let row = d.w.row(0);
+            let row = d.w().row(0);
             let alpha = row[0].abs();
             assert!(
                 row.iter().any(|v| (v.abs() - alpha).abs() > 1e-4),

@@ -93,7 +93,7 @@ mod tests {
         // Each row of each weight matrix has at most 2^2-1 = 3 distinct
         // nonzero magnitudes... count distinct values per first row.
         if let tinymlops_nn::Layer::Dense(d) = &q.layers[0] {
-            let mut vals: Vec<i32> = d.w.row(0).iter().map(|v| (v * 1e6) as i32).collect();
+            let mut vals: Vec<i32> = d.w().row(0).iter().map(|v| (v * 1e6) as i32).collect();
             vals.sort_unstable();
             vals.dedup();
             assert!(vals.len() <= 3, "2-bit row has {} levels", vals.len());

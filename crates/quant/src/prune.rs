@@ -256,7 +256,7 @@ mod tests {
         let mut m = mlp(&[20, 12], &mut rng);
         magnitude_prune(&mut m, 0.6);
         let (w, b) = match &m.layers[0] {
-            Layer::Dense(d) => (d.w.clone(), d.b.clone()),
+            Layer::Dense(d) => (d.w().clone(), d.b.clone()),
             _ => panic!("dense expected"),
         };
         let sp = SparseDense::from_dense(&w, &b);
@@ -274,7 +274,7 @@ mod tests {
         let mut m = mlp(&[64, 64], &mut rng);
         magnitude_prune(&mut m, 0.9);
         if let Layer::Dense(d) = &m.layers[0] {
-            let sp = SparseDense::from_dense(&d.w, &d.b);
+            let sp = SparseDense::from_dense(d.w(), &d.b);
             assert!(
                 sp.size_bytes() < 64 * 64 * 4,
                 "CSR {} bytes",

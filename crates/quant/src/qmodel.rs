@@ -143,8 +143,10 @@ impl QuantizedModel {
             .enumerate()
             .map(|(i, l)| match l {
                 Layer::Dense(d) => match scheme {
-                    QuantScheme::Binary => QLayer::BinaryDense(BinaryDense::quantize(&d.w, &d.b)),
-                    s => QLayer::Dense(QDense::quantize(&d.w, &d.b, s.bits(), cal.input_scales[i])),
+                    QuantScheme::Binary => QLayer::BinaryDense(BinaryDense::quantize(d.w(), &d.b)),
+                    s => {
+                        QLayer::Dense(QDense::quantize(d.w(), &d.b, s.bits(), cal.input_scales[i]))
+                    }
                 },
                 other => QLayer::Passthrough(other.clone()),
             })
@@ -234,6 +236,20 @@ impl QuantizedModel {
         h
     }
 
+    /// Do everything [`Self::forward_fused`] would do lazily on its first
+    /// batch — unpack and widen each integer layer's weights, build the
+    /// fusion plan — now (model install).
+    pub fn prepare(&self) {
+        self.fused_plan();
+        for l in &self.layers {
+            match l {
+                QLayer::Dense(d) => d.prepare(),
+                QLayer::Passthrough(Layer::Dense(d)) => d.prepare(),
+                _ => {}
+            }
+        }
+    }
+
     /// The memoized fusion plan (built on first use; deterministic in the
     /// serialized scales, so identical after a serde round trip).
     fn fused_plan(&self) -> &FusedPlan {
@@ -291,7 +307,7 @@ impl QuantizedModel {
                 QLayer::Dense(d) => d.size_bytes(),
                 QLayer::BinaryDense(b) => b.size_bytes(),
                 QLayer::Passthrough(Layer::Dense(d)) => {
-                    (d.w.data().len() + d.b.data().len()) * std::mem::size_of::<f32>()
+                    (d.w().data().len() + d.b.data().len()) * std::mem::size_of::<f32>()
                 }
                 QLayer::Passthrough(_) => 0,
             })

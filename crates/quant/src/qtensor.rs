@@ -239,6 +239,11 @@ impl QDense {
             .get_or_init(|| self.unpacked().iter().map(|&v| i16::from(v)).collect())
     }
 
+    /// Build both cached weight images now instead of on the first batch.
+    pub fn prepare(&self) {
+        self.widened();
+    }
+
     /// Integer-kernel forward pass: `x [batch,in] → y [batch,out]`.
     ///
     /// Bit-identical to [`QDense::forward_reference`] (the seed scalar

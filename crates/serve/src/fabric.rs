@@ -47,6 +47,7 @@ use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tinymlops_device::Fleet;
 use tinymlops_meter::MeterError;
 use tinymlops_observe::{
@@ -512,8 +513,8 @@ pub struct ServeFabric {
     assignments: BTreeMap<TenantId, (NodeId, String)>,
     /// Installed families, kept so joining nodes get the same catalog.
     families: BTreeMap<String, Vec<ModelRecord>>,
-    /// Installed executables, ditto.
-    exec: BTreeMap<ModelId, ExecModel>,
+    /// Installed executables, ditto (every node holds a clone of the `Arc`).
+    exec: BTreeMap<ModelId, Arc<ExecModel>>,
     serve_cfg: ServeConfig,
     observe_cfg: ObserveConfig,
     fault_plan: FaultPlan,
@@ -630,10 +631,11 @@ impl ServeFabric {
     }
 
     /// Install a real executable on every node (and remember it for
-    /// joiners).
-    pub fn install_executable(&mut self, id: ModelId, model: ExecModel) {
+    /// joiners): one shared copy, prepared once.
+    pub fn install_executable(&mut self, id: ModelId, model: impl Into<Arc<ExecModel>>) {
+        let model = model.into();
         for node in &mut self.nodes {
-            node.plane.install_executable(id, model.clone());
+            node.plane.install_executable(id, Arc::clone(&model));
         }
         self.exec.insert(id, model);
     }
@@ -732,7 +734,7 @@ impl ServeFabric {
             plane.install_family(name, records.clone());
         }
         for (mid, exec) in &self.exec {
-            plane.install_executable(*mid, exec.clone());
+            plane.install_executable(*mid, Arc::clone(exec));
         }
         self.nodes.push(FabricNode {
             id,

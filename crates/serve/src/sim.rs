@@ -25,6 +25,7 @@ use crate::stats::{ServeReport, ServeStats};
 use crate::ServeError;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::Arc;
 use tinymlops_deploy::Requirements;
 use tinymlops_device::Fleet;
 use tinymlops_nn::Sequential;
@@ -91,6 +92,16 @@ pub enum ExecModel {
 }
 
 impl ExecModel {
+    /// Do the model's load-time work now — f32 weight panels packed,
+    /// quantized weights unpacked and the fusion plan built — so the first
+    /// batch does not pay for it.
+    pub fn prepare(&self) {
+        match self {
+            ExecModel::F32(m) => m.prepare(),
+            ExecModel::Quantized(m) => m.prepare(),
+        }
+    }
+
     /// Batched argmax prediction.
     #[must_use]
     pub fn predict(&self, x: &Tensor) -> Vec<usize> {
@@ -112,7 +123,7 @@ pub struct ServePlane {
     /// Constraint-aware fleet router.
     pub router: Router,
     families: BTreeMap<String, Vec<ModelRecord>>,
-    exec: BTreeMap<ModelId, ExecModel>,
+    exec: BTreeMap<ModelId, Arc<ExecModel>>,
 }
 
 impl ServePlane {
@@ -136,8 +147,12 @@ impl ServePlane {
     }
 
     /// Install a real executable for a variant (enables non-virtual
-    /// inference for requests carrying features).
-    pub fn install_executable(&mut self, id: ModelId, model: ExecModel) {
+    /// inference for requests carrying features), prepared here: a device
+    /// loads a model once, then answers queries. Planes handed clones of
+    /// one `Arc` share the weights and everything prepared from them.
+    pub fn install_executable(&mut self, id: ModelId, model: impl Into<Arc<ExecModel>>) {
+        let model = model.into();
+        model.prepare();
         self.exec.insert(id, model);
     }
 

@@ -13,10 +13,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tinymlops_nn::model::mlp;
+use tinymlops_quant::{QuantScheme, QuantizedModel};
+use tinymlops_registry::ModelId;
 use tinymlops_serve::testkit::test_fabric;
 use tinymlops_serve::{
-    ClientPlan, ClientSpec, FabricConfig, LoadPlan, RetryPolicy, ServeFabric, TenantSpec,
+    ClientPlan, ClientSpec, ExecModel, FabricConfig, LoadPlan, RetryPolicy, ServeFabric, TenantSpec,
 };
+use tinymlops_tensor::TensorRng;
 
 /// Allocations (and reallocations) per request the path may make.
 const BUDGET: f64 = 1.5;
@@ -160,5 +164,100 @@ fn closed_loop_driver_stays_within_the_allocation_budget() {
     assert!(
         per_delivery <= BUDGET,
         "{per_delivery:.3} allocations per closed-loop delivery (budget {BUDGET})"
+    );
+}
+
+/// The `infer_serving` executables: one `mlp([64,512,512,10])` as f32,
+/// int8 and int2, in the test catalog's variant order.
+fn executables() -> [(&'static str, ExecModel); 3] {
+    let mut rng = TensorRng::seed(3);
+    let model = mlp(&[64, 512, 512, 10], &mut rng);
+    let calib = rng.uniform(&[32, 64], -1.0, 1.0);
+    let quantized = |scheme| {
+        ExecModel::Quantized(QuantizedModel::quantize(&model, &calib, scheme).expect("dense mlp"))
+    };
+    let (int8, int2) = (quantized(QuantScheme::Int8), quantized(QuantScheme::Int2));
+    [
+        ("f32", ExecModel::F32(model)),
+        ("int8", int8),
+        ("int2", int2),
+    ]
+}
+
+/// Allocations one `ExecModel::predict` of a micro-batch may make, by
+/// executable. f32: per packed `Dense` the output, its shape and the
+/// A-tile buffer, per row-stream `Dense` the output and its shape, one
+/// for the argmax — 3 + 3 + 2 + 1; activations and the bias add work in
+/// place and the weight panels were packed at install. (Before `Dense`
+/// had a prepared form the same call made 24 — a B-panel block and a bias
+/// clone per layer, a fresh tensor per activation, a copy of the input —
+/// and this fixture's replay 27.19 per dispatched batch, now 13.16.) The
+/// integer runtimes are pinned where they were.
+const PREDICT_BUDGET: [u64; 3] = [9, 13, 13];
+
+/// Allocations the engine makes around `predict` per dispatched batch:
+/// the row list, the gathered feature matrix and its shape.
+const GATHER_ALLOCATIONS: f64 = 3.0;
+
+#[test]
+fn inference_dispatch_stays_within_the_allocation_budget() {
+    if !optimised_build() {
+        return;
+    }
+    let execs = executables();
+    // Installed means prepared: the very first batch already costs what
+    // every later one does.
+    let x = TensorRng::seed(4).uniform(&[8, 64], -1.0, 1.0);
+    for ((name, exec), budget) in execs.iter().zip(PREDICT_BUDGET) {
+        exec.prepare();
+        let (first, first_allocations) = allocations_during(|| exec.predict(&x));
+        let (again, allocations) = allocations_during(|| exec.predict(&x));
+        assert_eq!(first, again);
+        eprintln!("alloc_budget: {allocations} allocations per {name} predict of 8 rows (first: {first_allocations})");
+        assert_eq!(
+            first_allocations, allocations,
+            "{name}: install left work for the first batch"
+        );
+        assert!(
+            allocations <= budget,
+            "{name}: {allocations} allocations per predict (budget {budget})"
+        );
+    }
+
+    // The same through the engine: an `infer_serving`-shaped replay
+    // (feature_dim 64, all six executables installed) against the same
+    // replay on the cost model alone.
+    let plan = LoadPlan {
+        tenants: tenants(2_500.0),
+        duration_us: 2_000_000,
+        seed: 7,
+        feature_dim: 64,
+    };
+    let stream = plan.generate();
+    let mut bare = provisioned_fabric(&plan);
+    let (bare_report, bare_allocations) =
+        allocations_during(|| bare.run(&stream).expect("replay runs"));
+    let mut fabric = provisioned_fabric(&plan);
+    for base in [0, 100] {
+        for (variant, (_, exec)) in execs.iter().enumerate() {
+            fabric.install_executable(ModelId(base + variant as u64), exec.clone());
+        }
+    }
+    let (report, allocations) = allocations_during(|| fabric.run(&stream).expect("replay runs"));
+    assert_eq!(report.fleet.batches, bare_report.fleet.batches);
+    assert_eq!(report.fleet.real_predictions, report.fleet.served);
+    assert!(
+        report.fleet.served > stream.len() as u64 / 2,
+        "mostly served"
+    );
+    let per_batch = (allocations - bare_allocations) as f64 / report.fleet.batches as f64;
+    let budget = GATHER_ALLOCATIONS + *PREDICT_BUDGET.iter().max().expect("non-empty") as f64;
+    eprintln!(
+        "alloc_budget: {per_batch:.3} allocations per dispatched inference batch (mean batch {:.2})",
+        report.fleet.mean_batch
+    );
+    assert!(
+        per_batch <= budget,
+        "{per_batch:.3} allocations per dispatched inference batch (budget {budget})"
     );
 }

@@ -16,6 +16,16 @@
 //! genuinely sparse inputs ([`SPARSE_SKIP_THRESHOLD`]) keep the skip. The
 //! row kernel is retained as [`gemm_row_stream`] — it is also the seed
 //! baseline that `b01_kernels` benchmarks the packed path against.
+//!
+//! A *constant* transposed B — a `Dense` weight matrix at inference — is
+//! packed once into a [`PackedB`] and multiplied through
+//! [`gemm_prepacked`]: the same panels, the same sweep, no per-call pack.
+//! Inside a row slab the sweep runs B-panel-outer / A-tile-inner over A
+//! tiles packed once per K-block, so a small batch streams each B panel
+//! exactly once, and tile heights are balanced (8 rows = 4+4, not 6+2
+//! padded to 6). Every output element is still the same `mul_add` chain
+//! over `l` within a K-block, summed over K-blocks in order — tiling,
+//! loop order and pre-packing cannot change a bit of it.
 
 use crate::{Tensor, TensorError};
 use rayon::prelude::*;
@@ -172,11 +182,19 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    if n < NR || m * k * n < PACK_MIN_FLOPS {
-        gemm_nt_row_stream(a, b, c, m, k, n);
-    } else {
+    if nt_uses_panels(m, k, n) {
         gemm_packed_nt(a, b, c, m, k, n);
+    } else {
+        gemm_nt_row_stream(a, b, c, m, k, n);
     }
+}
+
+/// Whether [`gemm_nt`] runs this shape on packed tiles (else
+/// [`gemm_nt_row_stream`]). The two kernels round differently, so a caller
+/// holding a [`PackedB`] asks this to stay bit-identical to [`gemm_nt`].
+#[must_use]
+pub fn nt_uses_panels(m: usize, k: usize, n: usize) -> bool {
+    n >= NR && m * k * n >= PACK_MIN_FLOPS
 }
 
 /// How a B-panel gathers its `kc × NR` block out of the source matrix.
@@ -188,10 +206,6 @@ enum BSource {
     /// transpose: each source row streams contiguously into the panel's
     /// strided column, so every cache line of B is read once, sequentially.
     Transposed { k: usize },
-    /// The pre-blocked-transpose `[n,k]` packing: panel rows gather one
-    /// element per source row (stride-k column reads). Retained only as
-    /// the `b01_kernels` baseline for [`gemm_packed_nt_gather`].
-    TransposedGather { k: usize },
 }
 
 /// Pack one `kc × nr` B-panel (zero-padded to NR columns) at `bp`, laid out
@@ -233,59 +247,114 @@ fn pack_b_panel(
                 }
             }
         }
-        BSource::TransposedGather { k } => {
-            for l in 0..kc {
-                let dst = &mut bp[l * NR..l * NR + NR];
-                for (jj, d) in dst[..nr].iter_mut().enumerate() {
-                    *d = b[(j0 + jj) * k + l0 + l];
-                }
-                dst[nr..].fill(0.0);
-            }
-        }
     }
 }
 
-/// Pack one `mr × kc` A-panel (zero-padded to MR rows) at `ap`, laid out
-/// k-major so the micro-kernel reads MR contiguous floats per k-step.
-fn pack_a_panel(a: &[f32], k: usize, i0: usize, mr: usize, l0: usize, kc: usize, ap: &mut [f32]) {
-    debug_assert_eq!(ap.len(), kc * MR);
-    ap.fill(0.0);
-    for (ii, row) in a[i0 * k..].chunks(k).take(mr).enumerate() {
+/// Pack K-rows `l0..l0+kc` of B into `block`: `⌈n/NR⌉` consecutive
+/// `kc × NR` panels.
+fn pack_b_block(b: &[f32], src: BSource, l0: usize, kc: usize, n: usize, block: &mut [f32]) {
+    for (pj, bp) in block.chunks_exact_mut(kc * NR).enumerate() {
+        let j0 = pj * NR;
+        pack_b_panel(b, src, l0, kc, j0, NR.min(n - j0), bp);
+    }
+}
+
+/// A constant transposed-B operand (`[n,k]` row-major — a `Dense` weight
+/// matrix) packed once into the panels [`gemm_packed_nt`] builds per call:
+/// every K-block's `⌈n/NR⌉` panels of `kc × NR`, K-blocks in order.
+/// [`gemm_prepacked`] multiplies against it without touching the source
+/// rows again. It is a snapshot: whoever owns the source matrix drops the
+/// `PackedB` when the matrix changes.
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// `⌈n/NR⌉·NR·k` floats; the block for K-rows `l0..l0+kc` is
+    /// `[⌈n/NR⌉·NR·l0, ⌈n/NR⌉·NR·(l0+kc))`.
+    panels: Vec<f32>,
+}
+
+impl PackedB {
+    /// Pack `bt` (`[n,k]` row-major).
+    #[must_use]
+    pub fn from_transposed(bt: &[f32], n: usize, k: usize) -> Self {
+        assert_eq!(bt.len(), n * k, "PackedB: {n}x{k} matrix expected");
+        let mut packed = PackedB {
+            k,
+            n,
+            panels: vec![0.0f32; n.div_ceil(NR) * NR * k],
+        };
+        for l0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - l0);
+            let block = packed.block_range(l0, kc);
+            pack_b_block(
+                bt,
+                BSource::Transposed { k },
+                l0,
+                kc,
+                n,
+                &mut packed.panels[block],
+            );
+        }
+        packed
+    }
+
+    fn block_range(&self, l0: usize, kc: usize) -> std::ops::Range<usize> {
+        let width = self.n.div_ceil(NR) * NR;
+        width * l0..width * (l0 + kc)
+    }
+}
+
+impl std::fmt::Debug for PackedB {
+    /// Dimensions only — the panels are a megabyte of the source's floats.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PackedB({}x{})", self.n, self.k)
+    }
+}
+
+/// Pack rows `i0..i0+H` of A over K-columns `l0..l0+kc` at `ap`, k-major
+/// so the micro-kernel reads `H` contiguous floats per k-step.
+fn pack_a_tile(a: &[f32], k: usize, i0: usize, h: usize, l0: usize, kc: usize, ap: &mut [f32]) {
+    debug_assert_eq!(ap.len(), kc * h);
+    for (ii, row) in a[i0 * k..].chunks(k).take(h).enumerate() {
         for (l, &v) in row[l0..l0 + kc].iter().enumerate() {
-            ap[l * MR + ii] = v;
+            ap[l * h + ii] = v;
         }
     }
 }
 
-/// The register micro-kernel: `acc[MR][NR] += Ap · Bp` over one K-block.
+/// The register micro-kernel: an `H × NR` tile of `Ap · Bp` over one
+/// K-block, `H ≤ MR` rows tall.
 ///
-/// Per k-step this reads MR contiguous A values and NR contiguous B values
-/// and issues MR×NR multiply-adds on register-resident accumulators — no
+/// Per k-step this reads H contiguous A values and NR contiguous B values
+/// and issues H×NR multiply-adds on register-resident accumulators — no
 /// branches, no stores, so the compiler keeps the tile in vector registers.
 /// On x86-64 with AVX2+FMA (detected once at runtime) the same loop nest
 /// runs in a `#[target_feature]` clone whose `mul_add`s compile to
 /// `vfmadd231ps`, doubling per-cycle throughput over the portable build.
+/// An element's value does not depend on `H`: it is one accumulator
+/// chained over `l`.
 #[inline]
-fn micro_kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro_kernel<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: `fma_available` checked avx2+fma on this CPU.
-        unsafe { micro_kernel_fma(kc, ap, bp, acc) };
-        return;
+        return unsafe { micro_kernel_fma(ap, bp) };
     }
-    micro_kernel_portable(kc, ap, bp, acc);
+    micro_kernel_portable(ap, bp)
 }
 
 #[inline]
-fn micro_kernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        for i in 0..MR {
+fn micro_kernel_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
+    let mut acc = [[0.0f32; NR]; H];
+    for (av, bv) in ap.chunks_exact(H).zip(bp.chunks_exact(NR)) {
+        for i in 0..H {
             let ai = av[i];
             for j in 0..NR {
                 acc[i][j] += ai * bv[j];
             }
         }
     }
+    acc
 }
 
 /// Whether the AVX2+FMA micro-kernel can run (cached by the detection
@@ -302,23 +371,50 @@ fn fma_available() -> bool {
 /// the portable body.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn micro_kernel_fma(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    // Work on a by-value copy so no accumulator address escapes the loop:
-    // LLVM then promotes the whole 6×16 tile into twelve ymm registers.
-    let mut t = *acc;
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        for i in 0..MR {
+fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
+    // The tile is a local until the loop is done, so no accumulator address
+    // escapes it: LLVM promotes all H×16 floats into 2·H ymm registers.
+    let mut t = [[0.0f32; NR]; H];
+    for (av, bv) in ap.chunks_exact(H).zip(bp.chunks_exact(NR)) {
+        for i in 0..H {
             let ai = av[i];
             for j in 0..NR {
                 t[i][j] = ai.mul_add(bv[j], t[i][j]);
             }
         }
     }
-    *acc = t;
+    t
 }
 
-/// Sweep one horizontal slab of C (rows `i_base..i_base+rows`) against the
-/// packed B block for K-rows `l0..l0+kc`, packing A panels on the fly.
+/// `C[i0..i0+H, j0..j0+nr] += Ap · Bp`: one micro-kernel call, then the
+/// tile's live `nr` columns added into `c_tile` (the tile's H rows of C).
+#[inline]
+fn sweep_tile<const H: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    c_tile: &mut [f32],
+    n: usize,
+    j0: usize,
+    nr: usize,
+) {
+    let acc = micro_kernel::<H>(ap, bp);
+    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(&acc) {
+        for (cv, &av) in c_row[j0..j0 + nr].iter_mut().zip(acc_row) {
+            *cv += av;
+        }
+    }
+}
+
+// `sweep_slab` instantiates `sweep_tile` for every height `1..=MR`.
+const _: () = assert!(MR == 6);
+
+/// Sweep one horizontal slab of C (rows `i_base..`, `c_slab.len() / n` of
+/// them) against the packed B block for K-rows `l0..l0+kc`.
+///
+/// The slab's rows are cut into `⌈rows/MR⌉` tiles of balanced height (the
+/// first `rows mod tiles` one row taller) and packed into `ap` once; then
+/// each B panel is read once while the A tiles — at most
+/// `M_TASK_ROWS·KC` floats, cache-resident — cycle under it.
 #[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 fn sweep_slab(
     a: &[f32],
@@ -326,74 +422,93 @@ fn sweep_slab(
     bp_block: &[f32],
     c_slab: &mut [f32],
     i_base: usize,
-    rows: usize,
     n: usize,
     l0: usize,
     kc: usize,
+    ap: &mut [f32],
 ) {
-    let mut ap = vec![0.0f32; KC * MR];
-    let n_panels = n.div_ceil(NR);
-    for ti in 0..rows.div_ceil(MR) {
-        let i0 = ti * MR;
-        let mr = MR.min(rows - i0);
-        let ap = &mut ap[..kc * MR];
-        pack_a_panel(a, k, i_base + i0, mr, l0, kc, ap);
-        for pj in 0..n_panels {
-            let j0 = pj * NR;
-            let nr = NR.min(n - j0);
-            let bp = &bp_block[pj * kc * NR..(pj + 1) * kc * NR];
-            let mut acc = [[0.0f32; NR]; MR];
-            micro_kernel(kc, ap, bp, &mut acc);
-            for ii in 0..mr {
-                let c_row = &mut c_slab[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + nr];
-                for (cv, &av) in c_row.iter_mut().zip(acc[ii][..nr].iter()) {
-                    *cv += av;
-                }
+    let rows = c_slab.len() / n;
+    let tiles = rows.div_ceil(MR);
+    let (short, taller) = (rows / tiles, rows % tiles);
+    // Tile `t` starts at row `t·short + min(t, taller)` of the slab.
+    let tile = |t: usize| (t * short + t.min(taller), short + usize::from(t < taller));
+    let ap = &mut ap[..rows * kc];
+    for (i0, h) in (0..tiles).map(tile) {
+        pack_a_tile(
+            a,
+            k,
+            i_base + i0,
+            h,
+            l0,
+            kc,
+            &mut ap[i0 * kc..(i0 + h) * kc],
+        );
+    }
+    for (pj, bp) in bp_block.chunks_exact(kc * NR).enumerate() {
+        let j0 = pj * NR;
+        let nr = NR.min(n - j0);
+        for (i0, h) in (0..tiles).map(tile) {
+            let ap = &ap[i0 * kc..(i0 + h) * kc];
+            let c_tile = &mut c_slab[i0 * n..(i0 + h) * n];
+            match h {
+                1 => sweep_tile::<1>(ap, bp, c_tile, n, j0, nr),
+                2 => sweep_tile::<2>(ap, bp, c_tile, n, j0, nr),
+                3 => sweep_tile::<3>(ap, bp, c_tile, n, j0, nr),
+                4 => sweep_tile::<4>(ap, bp, c_tile, n, j0, nr),
+                5 => sweep_tile::<5>(ap, bp, c_tile, n, j0, nr),
+                6 => sweep_tile::<6>(ap, bp, c_tile, n, j0, nr),
+                _ => unreachable!("tile heights are 1..=MR"),
             }
         }
     }
 }
 
-fn gemm_packed_impl(
-    a: &[f32],
-    b: &[f32],
-    src: BSource,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+/// Where the tiled sweep finds B's panels.
+enum Panels<'a> {
+    /// Packed per K-block into one reused block buffer, then swept — for a
+    /// B that is not constant (training, `backward`).
+    PerCall(&'a [f32], BSource),
+    /// Already packed.
+    Packed(&'a PackedB),
+}
+
+fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
     let n_panels = n.div_ceil(NR);
-    let parallel = m * k * n >= PAR_MIN_FLOPS && m > 1;
-    // One reusable B block: n_panels panels of KC×NR, packed per K-block
-    // and then read-shared across the whole M sweep.
-    let mut bp_block = vec![0.0f32; n_panels * KC * NR];
+    // A single slab has nothing to hand the pool.
+    let parallel = m > M_TASK_ROWS && m * k * n >= PAR_MIN_FLOPS;
+    let mut bp_scratch = match b {
+        Panels::PerCall(..) => vec![0.0f32; n_panels * KC.min(k) * NR],
+        Panels::Packed(_) => Vec::new(),
+    };
+    // One A-tile buffer for the whole product when slabs run in sequence;
+    // pool tasks each bring their own.
+    let ap_len = if parallel {
+        0
+    } else {
+        M_TASK_ROWS.min(m) * KC.min(k)
+    };
+    let mut ap = vec![0.0f32; ap_len];
     for l0 in (0..k).step_by(KC) {
         let kc = KC.min(k - l0);
-        let bp_block = &mut bp_block[..n_panels * kc * NR];
-        for pj in 0..n_panels {
-            let j0 = pj * NR;
-            let nr = NR.min(n - j0);
-            pack_b_panel(
-                b,
-                src,
-                l0,
-                kc,
-                j0,
-                nr,
-                &mut bp_block[pj * kc * NR..(pj + 1) * kc * NR],
-            );
-        }
-        let bp_block = &bp_block[..];
-        let slab = |(si, c_slab): (usize, &mut [f32])| {
-            let i_base = si * M_TASK_ROWS;
-            let rows = c_slab.len() / n;
-            sweep_slab(a, k, bp_block, c_slab, i_base, rows, n, l0, kc);
+        let bp_block = match b {
+            Panels::PerCall(b, src) => {
+                let block = &mut bp_scratch[..n_panels * kc * NR];
+                pack_b_block(b, src, l0, kc, n, block);
+                &*block
+            }
+            Panels::Packed(p) => &p.panels[p.block_range(l0, kc)],
         };
         if parallel {
-            c.par_chunks_mut(M_TASK_ROWS * n).enumerate().for_each(slab);
+            c.par_chunks_mut(M_TASK_ROWS * n)
+                .enumerate()
+                .for_each(|(si, c_slab)| {
+                    let ap = &mut vec![0.0f32; M_TASK_ROWS * kc];
+                    sweep_slab(a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, ap);
+                });
         } else {
-            c.chunks_mut(M_TASK_ROWS * n).enumerate().for_each(slab);
+            for (si, c_slab) in c.chunks_mut(M_TASK_ROWS * n).enumerate() {
+                sweep_slab(a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, &mut ap);
+            }
         }
     }
 }
@@ -402,21 +517,23 @@ fn gemm_packed_impl(
 /// `b01_kernels` can exercise the tiled path regardless of the sparsity /
 /// size dispatch in [`gemm`].
 pub fn gemm_packed(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed_impl(a, b, BSource::Normal { n }, c, m, k, n);
+    gemm_tiled(a, Panels::PerCall(b, BSource::Normal { n }), c, m, k, n);
 }
 
 /// Packed-tile GEMM over `b` in transposed `[n,k]` layout: same micro-kernel
 /// as [`gemm_packed`], B packed via a blocked transpose (contiguous source
 /// reads) instead of strided column gathers.
 pub fn gemm_packed_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed_impl(a, b, BSource::Transposed { k }, c, m, k, n);
+    gemm_tiled(a, Panels::PerCall(b, BSource::Transposed { k }), c, m, k, n);
 }
 
-/// The pre-blocked-transpose nt packing (stride-k column gathers). Kept
-/// exclusively so `b01_kernels` records an honest before/after datapoint
-/// for the packing change; all real callers go through [`gemm_packed_nt`].
-pub fn gemm_packed_nt_gather(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_packed_impl(a, b, BSource::TransposedGather { k }, c, m, k, n);
+/// [`gemm_packed_nt`] against panels packed ahead of time:
+/// `c[m×n] = a[m×k] · bᵀ` for the `[n,k]` matrix `b` was built from, `c`
+/// pre-zeroed — bit-identical to the per-call pack.
+pub fn gemm_prepacked(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
+    debug_assert_eq!(a.len(), m * b.k);
+    debug_assert_eq!(c.len(), m * b.n);
+    gemm_tiled(a, Panels::Packed(b), c, m, b.k, b.n);
 }
 
 /// The seed row-streaming kernel: k-outer loop per C row with contiguous B
@@ -581,9 +698,23 @@ mod tests {
 
     #[test]
     fn blocked_transpose_pack_is_bit_identical_to_gather_pack() {
-        // Same panels, different fill order: the packed nt product must be
-        // bit-for-bit the gather-pack product on every tile shape,
-        // including remainder columns and multi-KC K spans.
+        // Same panels, different fill order: the blocked transpose must
+        // write exactly what the stride-k column gather it replaced wrote
+        // (kept here as the reference), on every tile shape including
+        // remainder columns and multi-KC K spans — and so the product
+        // over either set of panels is the same bits.
+        let gather_pack = |bt: &[f32], n: usize, k: usize| {
+            let n_panels = n.div_ceil(NR);
+            let mut panels = vec![0.0f32; n_panels * NR * k];
+            for l in 0..k {
+                let (l0, kc) = (l / KC * KC, KC.min(k - l / KC * KC));
+                for j in 0..n {
+                    let panel = n_panels * NR * l0 + (j / NR) * kc * NR;
+                    panels[panel + (l - l0) * NR + j % NR] = bt[j * k + l];
+                }
+            }
+            PackedB { k, n, panels }
+        };
         let mut rng = TensorRng::seed(29);
         for &(m, k, n) in &[
             (MR + 1, KC + 3, NR + 5),
@@ -592,12 +723,86 @@ mod tests {
         ] {
             let a = rng.uniform(&[m, k], -1.0, 1.0);
             let bt = rng.uniform(&[n, k], -1.0, 1.0);
+            let gathered = gather_pack(bt.data(), n, k);
+            assert_eq!(
+                PackedB::from_transposed(bt.data(), n, k).panels,
+                gathered.panels,
+                "{k}x{n} panels"
+            );
             let mut blocked = vec![0.0; m * n];
             gemm_packed_nt(a.data(), bt.data(), &mut blocked, m, k, n);
-            let mut gathered = vec![0.0; m * n];
-            gemm_packed_nt_gather(a.data(), bt.data(), &mut gathered, m, k, n);
-            assert_eq!(blocked, gathered, "{m}x{k}x{n}");
+            let mut via_gather = vec![0.0; m * n];
+            gemm_prepacked(a.data(), &gathered, &mut via_gather, m);
+            assert_eq!(blocked, via_gather, "{m}x{k}x{n}");
         }
+    }
+
+    #[test]
+    fn prepacked_is_bit_identical_to_per_call_pack() {
+        // One slab, several slabs in sequence, and slabs through the pool;
+        // K-block and column remainders; every balanced tile height.
+        let mut rng = TensorRng::seed(37);
+        for &(k, n) in &[(2 * KC + 37, NR + 5), (64, 3 * NR), (KC, NR)] {
+            let bt = rng.uniform(&[n, k], -1.0, 1.0);
+            let packed = PackedB::from_transposed(bt.data(), n, k);
+            for m in (1..=2 * M_TASK_ROWS + 3).chain([5 * M_TASK_ROWS + 1]) {
+                let a = rng.uniform(&[m, k], -1.0, 1.0);
+                let mut per_call = vec![0.0; m * n];
+                gemm_packed_nt(a.data(), bt.data(), &mut per_call, m, k, n);
+                let mut pre = vec![0.0; m * n];
+                gemm_prepacked(a.data(), &packed, &mut pre, m);
+                assert_eq!(per_call, pre, "{m}x{k}x{n}");
+            }
+        }
+    }
+
+    /// The CI host always dispatches to `micro_kernel_fma`; this runs the
+    /// portable body at every tile height the sweep instantiates, with a
+    /// `kc` that is not a multiple of anything and a panel whose last
+    /// columns are padding.
+    #[test]
+    fn portable_micro_kernel_matches_naive_at_every_tile_height() {
+        fn check<const H: usize>(rng: &mut TensorRng) {
+            for &(kc, nr) in &[(KC, NR), (37, NR), (37, 5), (1, 1)] {
+                let a = rng.uniform(&[H, kc], -1.0, 1.0);
+                let b = rng.uniform(&[kc, nr], -1.0, 1.0);
+                let mut want = vec![0.0; H * nr];
+                gemm_naive(a.data(), b.data(), &mut want, H, kc, nr);
+                let mut ap = vec![0.0; kc * H];
+                pack_a_tile(a.data(), kc, 0, H, 0, kc, &mut ap);
+                let mut bp = vec![0.0; kc * NR];
+                pack_b_panel(b.data(), BSource::Normal { n: nr }, 0, kc, 0, nr, &mut bp);
+                let acc = micro_kernel_portable::<H>(&ap, &bp);
+                for (i, acc_row) in acc.iter().enumerate() {
+                    for (j, &got) in acc_row.iter().enumerate() {
+                        let w = if j < nr { want[i * nr + j] } else { 0.0 };
+                        assert!(
+                            (got - w).abs() < 1e-3,
+                            "H={H} kc={kc} [{i}][{j}]: {got} vs {w}"
+                        );
+                    }
+                }
+                // The dispatched kernel (FMA where the CPU has it) agrees
+                // to rounding: fused vs unfused multiply-add.
+                for (p, d) in acc
+                    .iter()
+                    .flatten()
+                    .zip(micro_kernel::<H>(&ap, &bp).iter().flatten())
+                {
+                    assert!(
+                        (p - d).abs() < 1e-3,
+                        "H={H} kc={kc}: portable {p} vs dispatched {d}"
+                    );
+                }
+            }
+        }
+        let mut rng = TensorRng::seed(41);
+        check::<1>(&mut rng);
+        check::<2>(&mut rng);
+        check::<3>(&mut rng);
+        check::<4>(&mut rng);
+        check::<5>(&mut rng);
+        check::<6>(&mut rng);
     }
 
     #[test]
