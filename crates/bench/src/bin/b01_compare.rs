@@ -11,17 +11,8 @@
 //! the baseline run but vanished from the newest (a silently deleted
 //! benchmark is how perf coverage rots). **Report-only**: per-id ns/op
 //! and GFLOP/s deltas — shared CI runners are far too noisy to hard-gate
-//! on throughput, so regressions are printed for a human, never fatal
-//! *by default*.
-//!
-//! `--fail-on-regression <pct>` opts into a hard throughput gate: any
-//! matched id whose ns/op grew by more than `<pct>`% vs the same-mode
-//! baseline fails the run. `--groups <a,b,...>` restricts that hard gate
-//! to the named benchmark groups (deltas are still *reported* for every
-//! id) — CI uses this to gate only the groups whose workloads are
-//! long-running enough to be meaningful on a shared runner. The hard
-//! gate is skipped (with a note) when the baseline is cross-mode, since
-//! quick and full shapes are not comparable.
+//! on throughput, so regressions are printed for a human, never fatal.
+//! Paired, noise-cancelling throughput verdicts are opsbench's job.
 
 use tinymlops_bench::{fmt, print_table};
 
@@ -110,23 +101,22 @@ fn baseline_index(runs: &[serde_json::Value], newest: usize) -> Option<usize> {
         .or(Some(newest - 1))
 }
 
-/// Opt-in hard-gate knobs parsed from the command line.
-#[derive(Default)]
-struct GateOpts {
-    /// `Some(pct)`: a matched id whose ns/op grew more than `pct`% vs a
-    /// same-mode baseline is fatal.
-    fail_on_regression: Option<f64>,
-    /// When non-empty, the regression gate only applies to these groups.
-    groups: std::collections::BTreeSet<String>,
+/// `<mode> mode`, plus the commit / CPU / core-count stamp a run carries
+/// (runs recorded before `b01_kernels` stamped them print `unstamped`).
+fn describe(run: &serde_json::Value) -> String {
+    let text = |key| field(run, key).and_then(|v| v.as_str());
+    let stamp = match (
+        text("commit"),
+        text("cpu"),
+        field(run, "nproc").and_then(|v| v.as_u64()),
+    ) {
+        (Some(commit), Some(cpu), Some(nproc)) => format!("{commit}, {cpu}, nproc {nproc}"),
+        _ => "unstamped".into(),
+    };
+    format!("{} mode, {stamp}", mode_of(run))
 }
 
-impl GateOpts {
-    fn gates(&self, group: &str) -> bool {
-        self.groups.is_empty() || self.groups.contains(group)
-    }
-}
-
-fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>, String> {
+fn run_gate(payload: &serde_json::Value) -> Result<Vec<String>, String> {
     let mut notes = Vec::new();
     if field(payload, "schema_version").and_then(|v| v.as_u64()) != Some(1) {
         return Err("schema drift: schema_version != 1".into());
@@ -155,11 +145,9 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
         validate_entry(entry).map_err(|e| format!("schema drift in baseline run: {e}"))?;
     }
     notes.push(format!(
-        "comparing run #{} ({} mode) against run #{} ({} mode)",
-        newest_idx,
-        mode_of(newest),
-        base_idx,
-        mode_of(baseline),
+        "comparing run #{newest_idx} ({}) against run #{base_idx} ({})",
+        describe(newest),
+        describe(baseline),
     ));
 
     // Group-coverage gate: every baseline group must still exist. Hard
@@ -183,14 +171,7 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
         ));
     }
 
-    // Per-id deltas for ids present in both runs: report-only, except
-    // where `--fail-on-regression` arms the hard gate (same-mode
-    // baselines only — quick and full shapes are not comparable).
-    let same_mode = mode_of(newest) == mode_of(baseline);
-    let armed = opts.fail_on_regression.is_some() && same_mode;
-    if opts.fail_on_regression.is_some() && !same_mode {
-        notes.push("cross-mode baseline: --fail-on-regression gate skipped".into());
-    }
+    // Per-id deltas for ids present in both runs: report-only.
     let base_by_id: std::collections::BTreeMap<&str, &serde_json::Value> = entries_of(baseline)
         .into_iter()
         .filter_map(|e| field(e, "id").and_then(|i| i.as_str()).map(|id| (id, e)))
@@ -198,7 +179,6 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
     let mut rows = Vec::new();
     let mut matched = 0usize;
     let mut fresh = 0usize;
-    let mut violations: Vec<String> = Vec::new();
     for entry in entries_of(newest) {
         let id = field(entry, "id").and_then(|i| i.as_str()).unwrap_or("?");
         let Some(base) = base_by_id.get(id) else {
@@ -217,21 +197,6 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
         } else {
             0.0
         };
-        if armed {
-            let group = field(entry, "group")
-                .and_then(|g| g.as_str())
-                .unwrap_or("?");
-            let limit = opts.fail_on_regression.unwrap_or(f64::INFINITY);
-            if opts.gates(group) && delta_pct > limit {
-                violations.push(format!(
-                    "{id} ({group}): {} -> {} ns/op (+{}%, limit +{}%)",
-                    fmt(base_ns, 0),
-                    fmt(new_ns, 0),
-                    fmt(delta_pct, 1),
-                    fmt(limit, 1)
-                ));
-            }
-        }
         let gflops = |v: &serde_json::Value| field(v, "gflops").and_then(|g| g.as_f64());
         rows.push(vec![
             id.to_string(),
@@ -260,12 +225,6 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
             &rows,
         );
     }
-    if !violations.is_empty() {
-        return Err(format!(
-            "ns/op regression(s) past --fail-on-regression threshold:\n  {}",
-            violations.join("\n  ")
-        ));
-    }
     notes.push(format!(
         "{matched} id(s) matched, {fresh} new id(s), {} group(s) covered",
         groups_of(newest).len()
@@ -275,40 +234,12 @@ fn run_gate(payload: &serde_json::Value, opts: &GateOpts) -> Result<Vec<String>,
 
 fn main() {
     let mut path = DEFAULT_PATH.to_string();
-    let mut opts = GateOpts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fail-on-regression" => {
-                let pct = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|p| p.is_finite() && *p >= 0.0);
-                match pct {
-                    Some(p) => opts.fail_on_regression = Some(p),
-                    None => {
-                        eprintln!("b01_compare: --fail-on-regression needs a non-negative percent");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--groups" => {
-                let Some(list) = args.next() else {
-                    eprintln!("b01_compare: --groups needs a comma-separated list");
-                    std::process::exit(1);
-                };
-                opts.groups.extend(
-                    list.split(',')
-                        .filter(|g| !g.is_empty())
-                        .map(str::to_string),
-                );
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("b01_compare: unknown flag {flag}");
-                std::process::exit(1);
-            }
-            positional => path = positional.to_string(),
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            eprintln!("b01_compare: unknown flag {arg}");
+            std::process::exit(1);
         }
+        path = arg;
     }
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
@@ -324,7 +255,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    match run_gate(&payload, &opts) {
+    match run_gate(&payload) {
         Ok(notes) => {
             for note in notes {
                 println!("b01_compare: {note}");
@@ -362,7 +293,7 @@ mod tests {
     #[test]
     fn single_run_passes() {
         let p = payload(vec![run("full", vec![entry("a", "g", 10.0)])]);
-        assert!(run_gate(&p, &GateOpts::default()).is_ok());
+        assert!(run_gate(&p).is_ok());
     }
 
     #[test]
@@ -372,7 +303,7 @@ mod tests {
             // 10x slower: must still pass (report-only deltas).
             run("full", vec![entry("a", "g", 100.0)]),
         ]);
-        assert!(run_gate(&p, &GateOpts::default()).is_ok());
+        assert!(run_gate(&p).is_ok());
     }
 
     #[test]
@@ -381,7 +312,7 @@ mod tests {
             run("full", vec![entry("a", "g", 10.0), entry("b", "h", 5.0)]),
             run("full", vec![entry("a", "g", 10.0)]),
         ]);
-        let err = run_gate(&p, &GateOpts::default()).unwrap_err();
+        let err = run_gate(&p).unwrap_err();
         assert!(err.contains("vanished"), "{err}");
         assert!(err.contains('h'), "{err}");
     }
@@ -394,7 +325,7 @@ mod tests {
             run("full", vec![entry("a", "g", 10.0), entry("b", "h", 5.0)]),
             run("quick", vec![entry("aq", "g", 1.0)]),
         ]);
-        let notes = run_gate(&p, &GateOpts::default()).expect("cross-mode gap is not fatal");
+        let notes = run_gate(&p).expect("cross-mode gap is not fatal");
         assert!(
             notes
                 .iter()
@@ -418,70 +349,28 @@ mod tests {
     #[test]
     fn schema_drift_fails() {
         let bad_version = serde_json::json!({ "schema_version": 2u64, "runs": [] });
-        assert!(run_gate(&bad_version, &GateOpts::default()).is_err());
+        assert!(run_gate(&bad_version).is_err());
         let missing_field = payload(vec![run(
             "full",
             vec![serde_json::json!({ "id": "a", "group": "g", "shape": "s" })],
         )]);
-        let err = run_gate(&missing_field, &GateOpts::default()).unwrap_err();
+        let err = run_gate(&missing_field).unwrap_err();
         assert!(err.contains("reps"), "{err}");
     }
 
-    fn armed(pct: f64, groups: &[&str]) -> GateOpts {
-        GateOpts {
-            fail_on_regression: Some(pct),
-            groups: groups.iter().map(|g| g.to_string()).collect(),
-        }
-    }
-
     #[test]
-    fn regression_over_threshold_fails() {
-        let p = payload(vec![
-            run("full", vec![entry("a", "g", 100.0)]),
-            run("full", vec![entry("a", "g", 200.0)]), // +100%
-        ]);
-        let err = run_gate(&p, &armed(50.0, &[])).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        assert!(err.contains("a (g)"), "{err}");
-    }
-
-    #[test]
-    fn regression_within_threshold_passes() {
-        let p = payload(vec![
-            run("full", vec![entry("a", "g", 100.0)]),
-            run("full", vec![entry("a", "g", 140.0)]), // +40%
-        ]);
-        assert!(run_gate(&p, &armed(50.0, &[])).is_ok());
-    }
-
-    #[test]
-    fn groups_filter_limits_gate() {
-        // Both ids regress 10x, but only group `g` is gated.
-        let base = vec![entry("a", "g", 10.0), entry("b", "h", 10.0)];
-        let next = vec![entry("a", "g", 100.0), entry("b", "h", 100.0)];
-        let p = payload(vec![run("full", base), run("full", next)]);
-        let err = run_gate(&p, &armed(50.0, &["g"])).unwrap_err();
-        assert!(err.contains("a (g)"), "{err}");
-        assert!(!err.contains("b (h)"), "ungated group must not fail: {err}");
-        // Gating only the clean group passes despite `h`'s regression...
-        let clean = payload(vec![
-            run("full", vec![entry("a", "g", 10.0), entry("b", "h", 10.0)]),
-            run("full", vec![entry("a", "g", 10.0), entry("b", "h", 100.0)]),
-        ]);
-        assert!(run_gate(&clean, &armed(50.0, &["g"])).is_ok());
-    }
-
-    #[test]
-    fn cross_mode_baseline_skips_regression_gate() {
-        // Fallback baseline has a different mode: huge delta, still ok.
-        let p = payload(vec![
-            run("full", vec![entry("a", "g", 1.0)]),
-            run("quick", vec![entry("a", "g", 1000.0)]),
-        ]);
-        let notes = run_gate(&p, &armed(1.0, &[])).expect("cross-mode gate must skip");
+    fn comparison_note_carries_each_runs_stamp() {
+        let stamped = serde_json::json!({
+            "mode": "full", "unix_time_s": 0u64, "commit": "abc1234",
+            "cpu": "Test CPU @ 2.0GHz", "nproc": 2u64, "entries": [entry("a", "g", 10.0)],
+        });
+        let p = payload(vec![run("full", vec![entry("a", "g", 10.0)]), stamped]);
+        let notes = run_gate(&p).expect("a stamp is not schema drift");
+        let note = notes.iter().find(|n| n.starts_with("comparing")).unwrap();
         assert!(
-            notes.iter().any(|n| n.contains("skipped")),
-            "expected skip note: {notes:?}"
+            note.contains("#1 (full mode, abc1234, Test CPU @ 2.0GHz, nproc 2)"),
+            "{note}"
         );
+        assert!(note.contains("#0 (full mode, unstamped)"), "{note}");
     }
 }

@@ -1,33 +1,28 @@
-//! B01 — kernel and serving-plane performance, as a tracked artifact.
+//! B01 — kernel performance, as a tracked artifact.
 //!
-//! The ROADMAP's "as fast as the hardware allows" is unfalsifiable without
-//! numbers: this harness times the hot kernels every experiment funnels
-//! through — f32 GEMM (packed tiles vs the seed row-streaming kernel, on
-//! shapes spanning the parallelism threshold and remainder tiles), QDense
-//! integer forward at 8/4/2 bits (restructured vs the seed scalar loop),
-//! whole-model `Sequential`/`QuantizedModel` forwards, and an end-to-end
-//! e15-style serving replay — and appends one run record to
-//! `results/BENCH_kernels.json`. The schema is before/after-friendly:
-//! entries carry stable ids, so any later perf PR reruns this binary and
-//! diffs the same ids across runs.
+//! The serving path is measured end to end and stage by stage by opsbench
+//! (`BENCHMARK.json`); this harness times what opsbench does not isolate:
+//! f32 GEMM (packed tiles vs the seed row-streaming kernel, on shapes
+//! spanning the parallelism threshold and remainder tiles), QDense integer
+//! forward at 8/4/2 bits (vs the seed scalar loop), the `vpmaddwd`
+//! accumulate vs portable dots, whole-model `Sequential`/`QuantizedModel`
+//! forwards, brownout-ladder depth, pool dispatch and the audit-chain MAC.
+//! Each run appends one record — stamped with mode, time, commit, CPU and
+//! core count — to `results/BENCH_kernels.json`; entries carry stable ids,
+//! so `b01_compare` diffs the same ids across runs.
 //!
 //! `--quick` shrinks shapes and reps to CI-smoke size (the JSON is still
 //! written and self-parsed, so the harness cannot rot unnoticed).
 
 use rayon::pool::{configure_threads, effective_threads, with_dispatch, Dispatch};
 use std::time::Instant;
-use tinymlops_bench::{fmt, print_table, synthetic_family, synthetic_family_xnor};
+use tinymlops_bench::{fmt, print_table, synthetic_family_xnor};
 use tinymlops_nn::model::mlp;
-use tinymlops_observe::{LogHistogram, Telemetry};
-use tinymlops_quant::{QDense, QuantScheme, QuantizedModel};
-use tinymlops_serve::{
-    ExecConfig, FabricConfig, LoadPlan, ObserveConfig, ServeConfig, ServeFabric, ServePlane,
-    ServeSim, TenantSpec,
-};
+use tinymlops_quant::{dot_i8_portable, QDense, QuantScheme, QuantizedModel};
+use tinymlops_serve::{FabricConfig, LoadPlan, ServeConfig, ServeFabric, TenantSpec};
 use tinymlops_tensor::matmul::{
     gemm, gemm_naive, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_row_stream,
 };
-use tinymlops_tensor::stats::RunningStats;
 use tinymlops_tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 101;
@@ -41,10 +36,45 @@ struct Entry {
     shape: String,
     reps: usize,
     ns_per_op: f64,
-    /// `None` for entries where FLOP/s is not meaningful (serving replay).
+    /// `None` where FLOP/s is not meaningful (model forwards, serving, hashing).
     gflops: Option<f64>,
     baseline_id: Option<String>,
     speedup_vs_baseline: Option<f64>,
+}
+
+/// Appends one group's entries at one shape and rep count.
+struct Recorder<'a> {
+    entries: &'a mut Vec<Entry>,
+    group: &'static str,
+    shape: &'a str,
+    reps: usize,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(entries: &'a mut Vec<Entry>, group: &'static str, shape: &'a str, reps: usize) -> Self {
+        Recorder {
+            entries,
+            group,
+            shape,
+            reps,
+        }
+    }
+
+    /// Record `id` at `ns` per op; `flops` per op gives it GFLOP/s, and
+    /// `baseline` — `(id, ns)` of a kernel timed in the same run — a
+    /// speedup.
+    fn push(&mut self, id: String, ns: f64, flops: Option<f64>, baseline: Option<(String, f64)>) {
+        self.entries.push(Entry {
+            id,
+            group: self.group,
+            shape: self.shape.to_string(),
+            reps: self.reps,
+            ns_per_op: ns,
+            gflops: flops.map(|f| f / ns),
+            speedup_vs_baseline: baseline.as_ref().map(|(_, base_ns)| base_ns / ns),
+            baseline_id: baseline.map(|(id, _)| id),
+        });
+    }
 }
 
 /// Mean ns per call over `reps` calls (after one warmup call).
@@ -72,6 +102,19 @@ fn reps_for(ns_estimate: f64, target_ms: f64) -> usize {
 }
 
 type GemmFn = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// `c` must agree with the naive `a·b` to within f32 reassociation noise.
+fn assert_matches_naive(a: &Tensor, b: &Tensor, c: &[f32], what: &str) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut want = vec![0.0f32; m * n];
+    gemm_naive(a.data(), b.data(), &mut want, m, k, n);
+    let worst = c
+        .iter()
+        .zip(&want)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f32, f32::max);
+    assert!(worst < 1e-2 * k as f32 / 64.0, "{what} vs naive: {worst}");
+}
 
 fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
     let shapes: &[(usize, usize, usize)] = if quick {
@@ -105,6 +148,7 @@ fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
             ("packed", gemm_packed),
             ("dispatch", gemm),
         ];
+        let mut rec = Recorder::new(entries, "gemm_f32", &shape, reps);
         let mut row_ns = 0.0;
         for (tag, f) in variants {
             let ns = time_ns(reps, || {
@@ -114,27 +158,12 @@ fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
             if *tag == "rowstream" {
                 row_ns = ns;
             }
-            // The packed path must agree with the naive reference.
             if *tag == "packed" {
-                let mut want = vec![0.0f32; m * n];
-                gemm_naive(a.data(), b.data(), &mut want, m, k, n);
-                let worst = c
-                    .iter()
-                    .zip(&want)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(worst < 1e-2 * k as f32 / 64.0, "packed vs naive: {worst}");
+                assert_matches_naive(&a, &b, &c, "packed");
             }
-            entries.push(Entry {
-                id: format!("gemm_f32_{shape}_{tag}"),
-                group: "gemm_f32",
-                shape: shape.clone(),
-                reps,
-                ns_per_op: ns,
-                gflops: Some(flops / ns),
-                baseline_id: (*tag != "rowstream").then(|| format!("gemm_f32_{shape}_rowstream")),
-                speedup_vs_baseline: (*tag != "rowstream").then(|| row_ns / ns),
-            });
+            let baseline =
+                (*tag != "rowstream").then(|| (format!("gemm_f32_{shape}_rowstream"), row_ns));
+            rec.push(format!("gemm_f32_{shape}_{tag}"), ns, Some(flops), baseline);
         }
     }
 
@@ -149,6 +178,7 @@ fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
     let reps = if quick { 1 } else { 20 };
     let flops = 2.0 * (m * k * n) as f64;
     let sparse: &[(&str, GemmFn)] = &[("packed", gemm_packed), ("dispatch", gemm)];
+    let mut rec = Recorder::new(entries, "gemm_f32_sparse", &shape, reps);
     let mut packed_ns = 0.0;
     for (tag, f) in sparse {
         let ns = time_ns(reps, || {
@@ -158,16 +188,8 @@ fn bench_gemm_f32(quick: bool, entries: &mut Vec<Entry>) {
         if *tag == "packed" {
             packed_ns = ns;
         }
-        entries.push(Entry {
-            id: format!("gemm_f32_sparse_{tag}"),
-            group: "gemm_f32_sparse",
-            shape: shape.clone(),
-            reps,
-            ns_per_op: ns,
-            gflops: Some(flops / ns),
-            baseline_id: (*tag == "dispatch").then(|| "gemm_f32_sparse_packed".to_string()),
-            speedup_vs_baseline: (*tag == "dispatch").then(|| packed_ns / ns),
-        });
+        let baseline = (*tag == "dispatch").then(|| ("gemm_f32_sparse_packed".into(), packed_ns));
+        rec.push(format!("gemm_f32_sparse_{tag}"), ns, Some(flops), baseline);
     }
 }
 
@@ -183,7 +205,6 @@ fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
     for &(m, k, n) in shapes {
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let bt = rng.uniform(&[n, k], -1.0, 1.0);
-        let b = bt.transpose();
         let mut c = vec![0.0f32; m * n];
         let flops = 2.0 * (m * k * n) as f64;
         let shape = format!("{m}x{k}x{n}");
@@ -197,37 +218,21 @@ fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
             ("rowstream", gemm_nt_row_stream),
             ("packed", gemm_packed_nt),
         ];
-        let mut ns_of = [0.0f64; 2];
-        for (vi, (tag, f)) in variants.iter().enumerate() {
+        let mut rec = Recorder::new(entries, "gemm_nt", &shape, reps);
+        let mut row_ns = 0.0;
+        for (tag, f) in variants {
             let ns = time_ns_best(rounds, reps, || {
                 c.fill(0.0);
                 f(a.data(), bt.data(), &mut c, m, k, n);
             });
-            ns_of[vi] = ns;
-            if *tag == "packed" {
-                let mut want = vec![0.0f32; m * n];
-                gemm_naive(a.data(), b.data(), &mut want, m, k, n);
-                let worst = c
-                    .iter()
-                    .zip(&want)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(
-                    worst < 1e-2 * k as f32 / 64.0,
-                    "packed nt vs naive: {worst}"
-                );
+            if *tag == "rowstream" {
+                row_ns = ns;
+            } else {
+                assert_matches_naive(&a, &bt.transpose(), &c, "packed nt");
             }
-            let baseline = (*tag == "packed").then_some(("gemm_nt", "rowstream", ns_of[0]));
-            entries.push(Entry {
-                id: format!("gemm_nt_{shape}_{tag}"),
-                group: "gemm_nt",
-                shape: shape.clone(),
-                reps,
-                ns_per_op: ns,
-                gflops: Some(flops / ns),
-                baseline_id: baseline.map(|(g, b, _)| format!("{g}_{shape}_{b}")),
-                speedup_vs_baseline: baseline.map(|(_, _, base_ns)| base_ns / ns),
-            });
+            let baseline =
+                (*tag == "packed").then(|| (format!("gemm_nt_{shape}_rowstream"), row_ns));
+            rec.push(format!("gemm_nt_{shape}_{tag}"), ns, Some(flops), baseline);
         }
     }
 }
@@ -261,36 +266,18 @@ fn bench_qdense(quick: bool, entries: &mut Vec<Entry>) {
                 "int{bits} kernels diverge"
             );
             let ref_id = format!("qdense_int{bits}_{shape}_reference");
-            entries.push(Entry {
-                id: ref_id.clone(),
-                group: "qdense",
-                shape: shape.clone(),
-                reps,
-                ns_per_op: ref_ns,
-                gflops: Some(2.0 * macs / ref_ns),
-                baseline_id: None,
-                speedup_vs_baseline: None,
-            });
-            entries.push(Entry {
-                id: format!("qdense_int{bits}_{shape}_tuned"),
-                group: "qdense",
-                shape,
-                reps,
-                ns_per_op: new_ns,
-                gflops: Some(2.0 * macs / new_ns),
-                baseline_id: Some(ref_id),
-                speedup_vs_baseline: Some(ref_ns / new_ns),
-            });
+            let mut rec = Recorder::new(entries, "qdense", &shape, reps);
+            rec.push(ref_id.clone(), ref_ns, Some(2.0 * macs), None);
+            let tuned_id = format!("qdense_int{bits}_{shape}_tuned");
+            rec.push(tuned_id, new_ns, Some(2.0 * macs), Some((ref_id, ref_ns)));
         }
     }
 }
 
-/// The explicit `vpmaddwd`-shaped AVX2 int8 kernel vs the autovectorized
-/// widening-multiply row kernel it replaced, on the QDense batched path.
-/// The autovec path is retained as `forward_autovec` purely so this
-/// before/after lands in one run; both are asserted bit-identical first.
-/// Acceptance: maddwd wins at batch ≥ 8 (single-row calls are dominated
-/// by quantize/dequantize traffic, not MACs).
+/// The `vpmaddwd` quad-tile accumulate the integer forward runs
+/// (`QDense::int_accumulate`) vs a plain loop of [`dot_i8_portable`] over
+/// the same int8 layer, the exactness oracle it is held to; both are
+/// asserted bit-identical first. Acceptance: maddwd wins at batch ≥ 8.
 fn bench_dot_maddwd(quick: bool, entries: &mut Vec<Entry>) {
     let (out_d, in_d) = if quick { (64, 64) } else { (256, 256) };
     let batches: &[usize] = if quick { &[8] } else { &[1, 8, 32] };
@@ -298,47 +285,42 @@ fn bench_dot_maddwd(quick: bool, entries: &mut Vec<Entry>) {
     let w = rng.uniform(&[out_d, in_d], -1.0, 1.0);
     let bias = rng.uniform(&[out_d], -0.1, 0.1);
     let q = QDense::quantize(&w, &bias, 8, 1.0 / 127.0);
+    let wq = q.unpacked();
     for &batch in batches {
-        let x = rng.uniform(&[batch, in_d], -1.0, 1.0);
+        let xq = q.quantize_input(&rng.uniform(&[batch, in_d], -1.0, 1.0));
+        let portable = || -> Vec<i32> {
+            xq.chunks(in_d)
+                .flat_map(|x| wq.chunks(in_d).map(move |w| dot_i8_portable(x, w)))
+                .collect()
+        };
         assert_eq!(
-            q.forward(&x).data(),
-            q.forward_autovec(&x).data(),
-            "maddwd kernel diverges from autovec"
+            q.int_accumulate(&xq, batch),
+            portable(),
+            "maddwd kernel diverges from portable"
         );
         let shape = format!("b{batch}x{in_d}->{out_d}");
         let macs = (batch * in_d * out_d) as f64;
         let probe = time_ns(1, || {
-            std::hint::black_box(q.forward_autovec(&x));
+            std::hint::black_box(portable());
         });
         let reps = if quick { 1 } else { reps_for(probe, 40.0) };
         let rounds = if quick { 1 } else { 5 };
-        let auto_ns = time_ns_best(rounds, reps, || {
-            std::hint::black_box(q.forward_autovec(&x));
+        let portable_ns = time_ns_best(rounds, reps, || {
+            std::hint::black_box(portable());
         });
         let maddwd_ns = time_ns_best(rounds, reps, || {
-            std::hint::black_box(q.forward(&x));
+            std::hint::black_box(q.int_accumulate(&xq, batch));
         });
-        let base_id = format!("dot_i8_{shape}_autovec");
-        entries.push(Entry {
-            id: base_id.clone(),
-            group: "dot_i8_maddwd",
-            shape: shape.clone(),
-            reps,
-            ns_per_op: auto_ns,
-            gflops: Some(2.0 * macs / auto_ns),
-            baseline_id: None,
-            speedup_vs_baseline: None,
-        });
-        entries.push(Entry {
-            id: format!("dot_i8_{shape}_maddwd"),
-            group: "dot_i8_maddwd",
-            shape,
-            reps,
-            ns_per_op: maddwd_ns,
-            gflops: Some(2.0 * macs / maddwd_ns),
-            baseline_id: Some(base_id),
-            speedup_vs_baseline: Some(auto_ns / maddwd_ns),
-        });
+        let base_id = format!("dot_i8_{shape}_portable");
+        let mut rec = Recorder::new(entries, "dot_i8_maddwd", &shape, reps);
+        rec.push(base_id.clone(), portable_ns, Some(2.0 * macs), None);
+        let maddwd_id = format!("dot_i8_{shape}_maddwd");
+        rec.push(
+            maddwd_id,
+            maddwd_ns,
+            Some(2.0 * macs),
+            Some((base_id, portable_ns)),
+        );
     }
 }
 
@@ -386,22 +368,14 @@ fn bench_qmodel_fused(quick: bool, entries: &mut Vec<Entry>) {
             std::hint::black_box(q8.forward_fused(&x));
         }));
     }
-    let f32_id = "qmodel_fused_f32".to_string();
-    for (id, ns, scored) in [
-        (f32_id.clone(), f32_ns, false),
-        ("qmodel_fused_int8_unfused".to_string(), unfused_ns, true),
-        ("qmodel_fused_int8_fused".to_string(), fused_ns, true),
+    let mut rec = Recorder::new(entries, "qmodel_fused", &shape, reps);
+    for (tag, ns) in [
+        ("f32", f32_ns),
+        ("int8_unfused", unfused_ns),
+        ("int8_fused", fused_ns),
     ] {
-        entries.push(Entry {
-            id,
-            group: "qmodel_fused",
-            shape: shape.clone(),
-            reps,
-            ns_per_op: ns,
-            gflops: None,
-            baseline_id: scored.then(|| f32_id.clone()),
-            speedup_vs_baseline: scored.then(|| f32_ns / ns),
-        });
+        let baseline = (tag != "f32").then(|| ("qmodel_fused_f32".into(), f32_ns));
+        rec.push(format!("qmodel_fused_{tag}"), ns, None, baseline);
     }
 }
 
@@ -447,9 +421,10 @@ fn bench_xnor_serving(quick: bool, entries: &mut Vec<Entry>) {
         r.id = i as u64;
     }
 
-    // max_level 2 walks f32 → int8 → int2 on the 3-record catalog;
-    // max_level 3 on the 4-record catalog ends on the int1 XNOR record.
-    let run = |max_level: usize, xnor: bool| {
+    // All three runs share the 4-record catalog, so the only variable is
+    // ladder depth: max_level 2 bottoms out on int2, 3 reaches the int1
+    // XNOR record.
+    let run = |max_level: usize| {
         let cfg = FabricConfig {
             node_weights: vec![1.0; 3],
             serve: ServeConfig {
@@ -476,24 +451,16 @@ fn bench_xnor_serving(quick: bool, entries: &mut Vec<Entry>) {
         let fleets =
             Fleet::generate(if quick { 30 } else { 60 }, &default_mix(), SEED).partition(3);
         let mut fabric = ServeFabric::new(&cfg, fleets);
-        let fam = if xnor {
-            synthetic_family_xnor
-        } else {
-            synthetic_family
-        };
-        fabric.install_family("kws", fam("kws", 0));
-        fabric.install_family("vision", fam("vision", 100));
+        fabric.install_family("kws", synthetic_family_xnor("kws", 0));
+        fabric.install_family("vision", synthetic_family_xnor("vision", 100));
         fabric.provision(&base_plan);
         let start = Instant::now();
         let report = fabric.run(&flash).expect("flash run");
         (report, start.elapsed().as_secs_f64())
     };
-    // All three runs share the 4-record catalog, so the only variable is
-    // ladder depth: max_level 2 bottoms out on int2, 3 reaches the int1
-    // XNOR record.
-    let (shed_only, shed_wall) = run(0, true);
-    let (int2, int2_wall) = run(2, true);
-    let (xnor, xnor_wall) = run(3, true);
+    let (shed_only, shed_wall) = run(0);
+    let (int2, int2_wall) = run(2);
+    let (xnor, xnor_wall) = run(3);
     println!(
         "xnor serving: flash crowd {} requests; served shed-only {} / ladder-int2 {} / ladder-xnor {}",
         flash.len(),
@@ -571,6 +538,7 @@ fn bench_model_forward(quick: bool, entries: &mut Vec<Entry>) {
     let q8 = QuantizedModel::quantize(&model, &calib, QuantScheme::Int8).expect("dense mlp");
     let shape = format!("b{batch}-{widths:?}");
     let reps = if quick { 1 } else { 400 };
+    let mut rec = Recorder::new(entries, "model_forward", &shape, reps);
     for (tag, f) in [
         (
             "f32",
@@ -582,169 +550,14 @@ fn bench_model_forward(quick: bool, entries: &mut Vec<Entry>) {
         let ns = time_ns(reps, || {
             std::hint::black_box(&mut g)();
         });
-        entries.push(Entry {
-            id: format!("model_forward_{tag}"),
-            group: "model_forward",
-            shape: shape.clone(),
-            reps,
-            ns_per_op: ns,
-            gflops: None,
-            baseline_id: None,
-            speedup_vs_baseline: None,
-        });
+        rec.push(format!("model_forward_{tag}"), ns, None, None);
     }
 }
 
-fn bench_serving_replay(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-
-    let cfg = ServeConfig::default();
-    let fleet = Fleet::generate(if quick { 8 } else { 40 }, &default_mix(), SEED);
-    let mut plane = ServePlane::new(&cfg, fleet);
-    plane.install_family("kws", synthetic_family("kws", 0));
-    plane.install_family("vision", synthetic_family("vision", 100));
-    let rps = if quick { 2_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 4_000_000 };
-    let plan = LoadPlan {
-        tenants: vec![
-            TenantSpec {
-                id: 1,
-                rate_rps: rps * 0.6,
-                model: "kws".into(),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 200_000,
-            },
-            TenantSpec {
-                id: 2,
-                rate_rps: rps * 0.4,
-                model: "vision".into(),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 200_000,
-            },
-        ],
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let sim = ServeSim::new(cfg, None);
-    sim.provision(&mut plane, &plan);
-    let stream = plan.generate();
-    let start = Instant::now();
-    let report = sim.run(&mut plane, &stream).expect("families installed");
-    let wall_s = start.elapsed().as_secs_f64();
-    let reqs = stream.len() as f64;
-    println!(
-        "serving replay: {} requests in {:.1} ms wall ({:.0} req/s; served {}, shed rate {:.2})",
-        stream.len(),
-        wall_s * 1e3,
-        reqs / wall_s,
-        report.served,
-        report.shed_rate
-    );
-    entries.push(Entry {
-        id: "serve_replay_e15".into(),
-        group: "serving",
-        shape: format!("{}req-2tenant", stream.len()),
-        reps: 1,
-        ns_per_op: wall_s * 1e9 / reqs,
-        gflops: None,
-        baseline_id: None,
-        speedup_vs_baseline: None,
-    });
-}
-
-/// Sharded serving replay: the same two-family catalog replayed through a
-/// 3-node `ServeFabric` twice at one cache byte budget — least-loaded
-/// device routing vs the affinity score that weighs ModelCache residency
-/// against queue depth. The tracked datapoint is the fleet hit rate (the
-/// E15c LRU cliff is the bottleneck this targets); `speedup_vs_baseline`
-/// is the hit-rate ratio affinity/least-loaded.
-fn bench_serving_sharded(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-
-    let families = 6u64;
-    let budget = 12 * 1024u64;
-    let rps = if quick { 4_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 3_000_000 };
-    let plan = LoadPlan {
-        tenants: (0..12u32)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: rps / 12.0,
-                model: format!("family{}", u64::from(i) % families),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 250_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let stream = plan.generate();
-
-    let mut hit_rates = [0.0f64; 2];
-    let mut wall = [0.0f64; 2];
-    for (i, affinity_routing) in [false, true].into_iter().enumerate() {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            tenant_affinity: 0.0,
-            load_factor: f64::INFINITY,
-            serve: ServeConfig {
-                cache_budget_bytes: budget,
-                affinity_routing,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        for f in 0..families {
-            fabric.install_family(
-                &format!("family{f}"),
-                synthetic_family(&format!("family{f}"), f * 100),
-            );
-        }
-        fabric.provision(&plan);
-        let start = Instant::now();
-        let report = fabric.run(&stream).expect("families installed");
-        wall[i] = start.elapsed().as_secs_f64();
-        hit_rates[i] = report.fleet.cache_hit_rate;
-        assert!(
-            report.refunds_balance(),
-            "refunds must exactly match downstream sheds"
-        );
-    }
-    println!(
-        "sharded replay: {} requests x2 over 3 nodes; hit rate least-loaded {:.1}% vs affinity {:.1}%",
-        stream.len(),
-        hit_rates[0] * 100.0,
-        hit_rates[1] * 100.0,
-    );
-    for (i, tag) in ["leastload", "affinity"].into_iter().enumerate() {
-        entries.push(Entry {
-            id: format!("serve_fabric_{tag}"),
-            group: "serving_sharded",
-            shape: format!(
-                "{}req-3node-12KiB-hit{:.1}%",
-                stream.len(),
-                hit_rates[i] * 100.0
-            ),
-            reps: 1,
-            ns_per_op: wall[i] * 1e9 / stream.len() as f64,
-            gflops: None,
-            baseline_id: (i == 1).then(|| "serve_fabric_leastload".to_string()),
-            speedup_vs_baseline: (i == 1).then(|| hit_rates[1] / hit_rates[0].max(1e-9)),
-        });
-    }
-}
-
-/// Persistent-pool vs spawn-per-region dispatch, on the real packed GEMM.
-/// The pool is pinned to ≥2 threads for this process (see `main`), so
-/// even a 1-core CI host measures the dispatch mechanisms rather than two
-/// identical inline paths: `spawn` pays OS-thread creation per parallel
-/// region (per GEMM call × per K-block), `pool` reuses sleeping workers.
-/// `sequential` is the inline reference the other two are scored against.
+/// Persistent-pool vs inline dispatch, on the real packed GEMM. The pool
+/// is pinned to ≥2 threads for this process (see `main`), so even a
+/// 1-core CI host measures cross-thread dispatch rather than two identical
+/// inline paths; `pool` is scored against `sequential`.
 fn bench_pool_dispatch(quick: bool, entries: &mut Vec<Entry>) {
     let (m, k, n) = if quick { (64, 64, 64) } else { (256, 256, 256) };
     let mut rng = TensorRng::seed(SEED + 4);
@@ -759,895 +572,27 @@ fn bench_pool_dispatch(quick: bool, entries: &mut Vec<Entry>) {
     });
     let reps = if quick { 1 } else { reps_for(probe, 60.0) };
     let rounds = if quick { 1 } else { 5 };
-    let modes = [
+    let mut rec = Recorder::new(entries, "pool_dispatch", &shape, reps);
+    let mut seq_ns = 0.0;
+    for (tag, mode) in [
         ("sequential", Dispatch::Sequential),
-        ("spawn", Dispatch::Spawn),
         ("pool", Dispatch::Pool),
-    ];
-    let mut ns_of = [0.0f64; 3];
-    for (i, (tag, mode)) in modes.into_iter().enumerate() {
+    ] {
         let ns = time_ns_best(rounds, reps, || {
             with_dispatch(mode, || {
                 c.fill(0.0);
                 gemm_packed(a.data(), b.data(), &mut c, m, k, n);
             });
         });
-        ns_of[i] = ns;
-        // pool is scored against spawn (the dispatch this PR replaced);
-        // spawn against the inline reference.
-        let baseline = match tag {
-            "pool" => Some(("spawn", ns_of[1])),
-            "spawn" => Some(("sequential", ns_of[0])),
-            _ => None,
-        };
-        entries.push(Entry {
-            id: format!("gemm_dispatch_{tag}"),
-            group: "pool_dispatch",
-            shape: shape.clone(),
-            reps,
-            ns_per_op: ns,
-            gflops: Some(flops / ns),
-            baseline_id: baseline.map(|(b, _)| format!("gemm_dispatch_{b}")),
-            speedup_vs_baseline: baseline.map(|(_, base_ns)| base_ns / ns),
-        });
+        if mode == Dispatch::Sequential {
+            seq_ns = ns;
+        }
+        let baseline =
+            (mode == Dispatch::Pool).then(|| ("gemm_dispatch_sequential".into(), seq_ns));
+        rec.push(format!("gemm_dispatch_{tag}"), ns, Some(flops), baseline);
     }
 }
 
-/// Wall-clock serving: the same fabric workload through the
-/// single-threaded simulator and the threaded live backend
-/// (`ExecMode::Replay` — reports are asserted bit-identical, so the only
-/// thing this measures is the pipeline itself). The tracked datapoint is
-/// wall ns per request; `speedup_vs_baseline` on the live entry is
-/// sim_wall / live_wall (> 1 once node parallelism beats queue-handoff
-/// overhead; expected ≲ 1 on a 1-core host).
-fn bench_serving_live(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-
-    let families = 6u64;
-    let rps = if quick { 4_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 3_000_000 };
-    let plan = LoadPlan {
-        tenants: (0..12u32)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: rps / 12.0,
-                model: format!("family{}", u64::from(i) % families),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 250_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let stream = plan.generate();
-    let build = || {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            tenant_affinity: 0.0,
-            load_factor: f64::INFINITY,
-            serve: ServeConfig::default(),
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        for f in 0..families {
-            fabric.install_family(
-                &format!("family{f}"),
-                synthetic_family(&format!("family{f}"), f * 100),
-            );
-        }
-        fabric.provision(&plan);
-        fabric
-    };
-
-    let mut sim_fabric = build();
-    let start = Instant::now();
-    let sim_report = sim_fabric.run(&stream).expect("sim replay");
-    let sim_wall_s = start.elapsed().as_secs_f64();
-
-    let mut live_fabric = build();
-    let live = live_fabric
-        .run_live(&stream, &ExecConfig::default())
-        .expect("live replay");
-    assert_eq!(
-        live.fabric, sim_report,
-        "live backend must replay bit-identically"
-    );
-    let live_wall_s = live.wall_ms / 1e3;
-    println!(
-        "live serving: {} requests x2 over 3 node threads; sim {:.1} ms vs live {:.1} ms wall",
-        stream.len(),
-        sim_wall_s * 1e3,
-        live.wall_ms,
-    );
-    for (tag, wall_s) in [("sim", sim_wall_s), ("live", live_wall_s)] {
-        entries.push(Entry {
-            id: format!("serve_exec_{tag}_replay"),
-            group: "serving_live",
-            shape: format!("{}req-3node-replay", stream.len()),
-            reps: 1,
-            ns_per_op: wall_s * 1e9 / stream.len() as f64,
-            gflops: None,
-            baseline_id: (tag == "live").then(|| "serve_exec_sim_replay".to_string()),
-            speedup_vs_baseline: (tag == "live").then(|| sim_wall_s / live_wall_s),
-        });
-    }
-}
-
-/// Telemetry recording lanes, ns per event: string-keyed counter
-/// increments (BTreeMap lookup per event), pre-registered handle
-/// increments (`counter_id` once, `incr_id` per event — one lock each),
-/// and the single-writer local shard the serve engine uses (plain fields
-/// per event, one fold into the sink per run). Each lane is scored
-/// against the one it replaced on the serving path.
-fn bench_telemetry(quick: bool, entries: &mut Vec<Entry>) {
-    let telemetry = Telemetry::new();
-    // A realistic name population: the serve engine registers ~12
-    // counters; lookups pay for the tree, not a single-entry map.
-    for i in 0..12 {
-        telemetry.incr(&format!("serve.warm.counter.{i}"));
-    }
-    let id = telemetry.counter_id("serve.bench.hot");
-    let reps = if quick { 10_000 } else { 2_000_000 };
-    let rounds = if quick { 1 } else { 5 };
-    let str_ns = time_ns_best(rounds, 1, || {
-        for _ in 0..reps {
-            telemetry.incr(std::hint::black_box("serve.bench.hot"));
-        }
-    }) / reps as f64;
-    let handle_ns = time_ns_best(rounds, 1, || {
-        for _ in 0..reps {
-            telemetry.incr_id(std::hint::black_box(id));
-        }
-    }) / reps as f64;
-    println!(
-        "telemetry incr: string {:.1} ns vs handle {:.1} ns ({:.1}x)",
-        str_ns,
-        handle_ns,
-        str_ns / handle_ns
-    );
-    entries.push(Entry {
-        id: "telemetry_incr_str".into(),
-        group: "telemetry",
-        shape: "12-counter-sink".into(),
-        reps,
-        ns_per_op: str_ns,
-        gflops: None,
-        baseline_id: None,
-        speedup_vs_baseline: None,
-    });
-    entries.push(Entry {
-        id: "telemetry_incr_handle".into(),
-        group: "telemetry",
-        shape: "12-counter-sink".into(),
-        reps,
-        ns_per_op: handle_ns,
-        gflops: None,
-        baseline_id: Some("telemetry_incr_str".to_string()),
-        speedup_vs_baseline: Some(str_ns / handle_ns),
-    });
-
-    // What the serve engine does since it became the only writer of its
-    // node's metric set: one served event (counter + latency timer +
-    // latency histogram) accumulated in local fields, folded into the
-    // sink once per 100k events — against the same event recorded
-    // through the handle lane, three lock round-trips each.
-    let timer = telemetry.timer_id("serve.bench.latency_ms");
-    let hist = telemetry.hist_id("serve.bench.latency_us");
-    let events = if quick { 10_000 } else { 100_000 };
-    let flushes = if quick { 1 } else { 20 };
-    let latency_us = |i: usize| 900 + (i as u64 * 37) % 4_000;
-    let per_event_ns = time_ns_best(rounds, flushes, || {
-        for i in 0..events {
-            let us = std::hint::black_box(latency_us(i));
-            telemetry.incr_id(id);
-            telemetry.record_id(timer, us as f64 / 1000.0);
-            telemetry.record_hist_id(hist, us);
-        }
-    }) / events as f64;
-    let shard_ns = time_ns_best(rounds, flushes, || {
-        let mut served = 0u64;
-        let mut series = RunningStats::new();
-        let mut buckets = LogHistogram::new();
-        for i in 0..events {
-            let us = std::hint::black_box(latency_us(i));
-            served += 1;
-            series.push(us as f64 / 1000.0);
-            buckets.record(us);
-        }
-        telemetry.add_id(id, served);
-        telemetry.merge_timer_id(timer, &series);
-        telemetry.merge_hist_id(hist, &buckets);
-    }) / events as f64;
-    println!(
-        "telemetry served event: per-event handles {:.1} ns vs local shard + one flush {:.1} ns ({:.1}x)",
-        per_event_ns,
-        shard_ns,
-        per_event_ns / shard_ns
-    );
-    entries.push(Entry {
-        id: "telemetry_served_event_handles".into(),
-        group: "telemetry",
-        shape: format!("{events}ev-counter+timer+hist"),
-        reps: events * flushes,
-        ns_per_op: per_event_ns,
-        gflops: None,
-        baseline_id: None,
-        speedup_vs_baseline: None,
-    });
-    entries.push(Entry {
-        id: "telemetry_shard_flush".into(),
-        group: "telemetry",
-        shape: format!("{events}ev-counter+timer+hist"),
-        reps: events * flushes,
-        ns_per_op: shard_ns,
-        gflops: None,
-        baseline_id: Some("telemetry_served_event_handles".to_string()),
-        speedup_vs_baseline: Some(per_event_ns / shard_ns),
-    });
-}
-
-/// `MicroBatcher::push` in steady state: six families, `max_batch` 8, so
-/// seven pushes in eight queue and the eighth cuts a size-triggered
-/// batch. Requests are built, and flushed batches dropped, outside the
-/// timed region; the datapoint is ns per push (queue lookup, enqueue,
-/// and the amortised batch cut).
-fn bench_batcher_push(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_serve::{BatchPolicy, MicroBatcher, PushOutcome, Request};
-    let families: Vec<String> = (0..6).map(|f| format!("family-{f}")).collect();
-    let reps = if quick { 12_000 } else { 240_000 };
-    let rounds = if quick { 1 } else { 7 };
-    let mut batcher = MicroBatcher::new(BatchPolicy {
-        max_batch: 8,
-        max_delay_us: 2_000,
-    });
-    let mut best_ns = f64::INFINITY;
-    for round in 0..rounds {
-        let requests: Vec<Request> = (0..reps)
-            .map(|i| Request {
-                id: (round * reps + i) as u64,
-                tenant: (i % 12) as u32,
-                model: families[i % families.len()].clone(),
-                arrival_us: i as u64,
-                deadline_us: 50_000,
-                features: None,
-            })
-            .collect();
-        let mut flushed = Vec::with_capacity(reps / 8 + 1);
-        let start = Instant::now();
-        for request in requests {
-            if let PushOutcome::Flushed(batch) = batcher.push(std::hint::black_box(request)) {
-                flushed.push(batch);
-            }
-        }
-        best_ns = best_ns.min(start.elapsed().as_secs_f64() * 1e9 / reps as f64);
-        assert_eq!(
-            flushed.len(),
-            reps / 8,
-            "every eighth push per family flushes"
-        );
-    }
-    println!("batcher push (6 families, 8-deep): {best_ns:.1} ns per push");
-    entries.push(Entry {
-        id: "batcher_push_steady".into(),
-        group: "batcher_push",
-        shape: "6fam-batch8".into(),
-        reps,
-        ns_per_op: best_ns,
-        gflops: None,
-        baseline_id: None,
-        speedup_vs_baseline: None,
-    });
-}
-
-/// Observability overhead on the serving replay: the same 3-node fabric
-/// workload with the observer plane off (baseline) and on (flight
-/// recorder + windows + drift bank armed on every node). The reports
-/// must stay equal — the observer is passive — and the tracked
-/// datapoint is wall ns per request; `speedup_vs_baseline` on the
-/// traced entry is off_wall / traced_wall (≥ 0.95 is the acceptance
-/// target: < 5% overhead).
-fn bench_serving_traced(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-
-    let families = 6u64;
-    let rps = if quick { 4_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 1_000_000 };
-    let plan = LoadPlan {
-        tenants: (0..12u32)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: rps / 12.0,
-                model: format!("family{}", u64::from(i) % families),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 250_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let stream = plan.generate();
-    let build = |observe: ObserveConfig| {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            tenant_affinity: 0.0,
-            load_factor: f64::INFINITY,
-            serve: ServeConfig::default(),
-            observe,
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        for f in 0..families {
-            fabric.install_family(
-                &format!("family{f}"),
-                synthetic_family(&format!("family{f}"), f * 100),
-            );
-        }
-        fabric.provision(&plan);
-        fabric
-    };
-    // The two sides differ by only a few percent — far less than one
-    // preempted round's wall-clock jitter on a shared host. So the
-    // primary measurement is *CPU time* (`/proc/self/schedstat`, on-CPU
-    // ns of the replay thread) over interleaved rounds: other processes
-    // stealing the core don't count against either side, while the
-    // observer's own cache misses still do. Each round runs off and
-    // traced back-to-back — alternating which goes first each round, so
-    // ordering effects cancel — and slowly-drifting co-runner cache
-    // pressure hits both sides of a pair about equally. The *median of
-    // per-round paired differences* is therefore the overhead estimate
-    // (robust to rounds where a noise episode lands on one side),
-    // against the median off-side round as the baseline. A warmup round
-    // is excluded, and wall-clock minima are the fallback where
-    // schedstat is unavailable.
-    let cpu_ns = || -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
-    };
-    let rounds = if quick { 1 } else { 48 };
-    let mut diffs: Vec<i64> = Vec::new();
-    let mut off_cpus: Vec<u64> = Vec::new();
-    let mut walls = [f64::INFINITY; 2];
-    let mut fleets_match = true;
-    let mut warm = !quick;
-    let run_side = |on: bool, walls: &mut [f64; 2]| {
-        let mut fab = build(if on {
-            ObserveConfig::enabled()
-        } else {
-            ObserveConfig::default()
-        });
-        let c0 = cpu_ns();
-        let start = Instant::now();
-        let report = fab.run(&stream).expect("replay");
-        let side = usize::from(on);
-        walls[side] = walls[side].min(start.elapsed().as_secs_f64());
-        let cpu = match (c0, cpu_ns()) {
-            (Some(a), Some(b)) => Some(b - a),
-            _ => None,
-        };
-        (cpu, report.fleet)
-    };
-    for round in 0..rounds {
-        let traced_first = round % 2 == 1;
-        let first = run_side(traced_first, &mut walls);
-        let second = run_side(!traced_first, &mut walls);
-        fleets_match &= first.1 == second.1;
-        let (off_cpu, on_cpu) = if traced_first {
-            (second.0, first.0)
-        } else {
-            (first.0, second.0)
-        };
-        if let (Some(off), Some(on)) = (off_cpu, on_cpu) {
-            if !warm {
-                off_cpus.push(off);
-                diffs.push(on as i64 - off as i64);
-            }
-        }
-        warm = false;
-    }
-    assert!(fleets_match, "tracing must not perturb serving outcomes");
-    // ns/request per side: off = median CPU round, traced = off + median
-    // paired difference; wall minima where schedstat is unavailable.
-    let per_req: Vec<f64> = if !off_cpus.is_empty() {
-        diffs.sort_unstable();
-        off_cpus.sort_unstable();
-        let median_diff = diffs[diffs.len() / 2] as f64;
-        let off = off_cpus[off_cpus.len() / 2] as f64;
-        vec![
-            off / stream.len() as f64,
-            (off + median_diff).max(0.0) / stream.len() as f64,
-        ]
-    } else {
-        walls
-            .iter()
-            .map(|w| w * 1e9 / stream.len() as f64)
-            .collect()
-    };
-    println!(
-        "traced replay: {} requests x{} over 3 nodes; off {:.0} ns/req vs traced {:.0} ns/req ({}, {:+.1}% overhead)",
-        stream.len(),
-        2 * rounds,
-        per_req[0],
-        per_req[1],
-        if off_cpus.is_empty() {
-            "wall time"
-        } else {
-            "cpu time"
-        },
-        (per_req[1] / per_req[0] - 1.0) * 100.0,
-    );
-    for (i, tag) in ["off", "traced"].into_iter().enumerate() {
-        entries.push(Entry {
-            id: format!("serve_replay_{tag}"),
-            group: "serving_traced",
-            shape: format!("{}req-3node-replay", stream.len()),
-            reps: rounds,
-            ns_per_op: per_req[i],
-            gflops: None,
-            baseline_id: (i == 1).then(|| "serve_replay_off".to_string()),
-            speedup_vs_baseline: (i == 1).then(|| per_req[0] / per_req[1]),
-        });
-    }
-}
-
-/// Fault-plane overhead on the serving replay: the same 3-node fabric
-/// workload with the fault plane disabled (baseline, `FaultPlan::
-/// default()`) and armed-but-empty (`FaultPlan::armed()` — every
-/// engine-side hook alive, nothing scheduled). Reports must stay equal —
-/// an idle plane is byte-inert — and the datapoint is CPU ns per request
-/// via the same paired-difference protocol as `bench_serving_traced`
-/// (interleaved rounds, median of per-round differences, schedstat
-/// on-CPU time, wall minima as fallback). Acceptance: ~0% overhead.
-fn bench_serving_faults(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-    use tinymlops_serve::FaultPlan;
-
-    let families = 6u64;
-    let rps = if quick { 4_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 1_000_000 };
-    let plan = LoadPlan {
-        tenants: (0..12u32)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: rps / 12.0,
-                model: format!("family{}", u64::from(i) % families),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 250_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let stream = plan.generate();
-    let build = |fault: FaultPlan| {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            tenant_affinity: 0.0,
-            load_factor: f64::INFINITY,
-            serve: ServeConfig::default(),
-            fault,
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        for f in 0..families {
-            fabric.install_family(
-                &format!("family{f}"),
-                synthetic_family(&format!("family{f}"), f * 100),
-            );
-        }
-        fabric.provision(&plan);
-        fabric
-    };
-    let cpu_ns = || -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
-    };
-    let rounds = if quick { 1 } else { 48 };
-    let mut diffs: Vec<i64> = Vec::new();
-    let mut off_cpus: Vec<u64> = Vec::new();
-    let mut walls = [f64::INFINITY; 2];
-    let mut fleets_match = true;
-    let mut warm = !quick;
-    let run_side = |armed: bool, walls: &mut [f64; 2]| {
-        let mut fab = build(if armed {
-            FaultPlan::armed()
-        } else {
-            FaultPlan::default()
-        });
-        let c0 = cpu_ns();
-        let start = Instant::now();
-        let report = fab.run(&stream).expect("replay");
-        let side = usize::from(armed);
-        walls[side] = walls[side].min(start.elapsed().as_secs_f64());
-        let cpu = match (c0, cpu_ns()) {
-            (Some(a), Some(b)) => Some(b - a),
-            _ => None,
-        };
-        (cpu, report.fleet)
-    };
-    for round in 0..rounds {
-        let armed_first = round % 2 == 1;
-        let first = run_side(armed_first, &mut walls);
-        let second = run_side(!armed_first, &mut walls);
-        fleets_match &= first.1 == second.1;
-        let (off_cpu, on_cpu) = if armed_first {
-            (second.0, first.0)
-        } else {
-            (first.0, second.0)
-        };
-        if let (Some(off), Some(on)) = (off_cpu, on_cpu) {
-            if !warm {
-                off_cpus.push(off);
-                diffs.push(on as i64 - off as i64);
-            }
-        }
-        warm = false;
-    }
-    assert!(
-        fleets_match,
-        "an idle fault plane must not perturb serving outcomes"
-    );
-    let per_req: Vec<f64> = if !off_cpus.is_empty() {
-        diffs.sort_unstable();
-        off_cpus.sort_unstable();
-        let median_diff = diffs[diffs.len() / 2] as f64;
-        let off = off_cpus[off_cpus.len() / 2] as f64;
-        vec![
-            off / stream.len() as f64,
-            (off + median_diff).max(0.0) / stream.len() as f64,
-        ]
-    } else {
-        walls
-            .iter()
-            .map(|w| w * 1e9 / stream.len() as f64)
-            .collect()
-    };
-    println!(
-        "fault-plane replay: {} requests x{} over 3 nodes; off {:.0} ns/req vs armed {:.0} ns/req ({}, {:+.1}% overhead)",
-        stream.len(),
-        2 * rounds,
-        per_req[0],
-        per_req[1],
-        if off_cpus.is_empty() {
-            "wall time"
-        } else {
-            "cpu time"
-        },
-        (per_req[1] / per_req[0] - 1.0) * 100.0,
-    );
-    for (i, tag) in ["fault_off", "fault_armed"].into_iter().enumerate() {
-        entries.push(Entry {
-            id: format!("serve_replay_{tag}"),
-            group: "serving_faults",
-            shape: format!("{}req-3node-replay", stream.len()),
-            reps: rounds,
-            ns_per_op: per_req[i],
-            gflops: None,
-            baseline_id: (i == 1).then(|| "serve_replay_fault_off".to_string()),
-            speedup_vs_baseline: (i == 1).then(|| per_req[0] / per_req[1]),
-        });
-    }
-}
-
-/// Serving replay cost of the fleet controller: disabled
-/// (`ControllerConfig::default()`) vs armed-but-untrippable (enabled,
-/// ticking and sampling every interval, thresholds no sample can
-/// reach, no standby). Reports must stay equal — an idle controller is
-/// byte-inert — and the datapoint is CPU ns per request via the same
-/// paired-difference protocol as `bench_serving_faults` (interleaved
-/// rounds, median of per-round differences, schedstat on-CPU time,
-/// wall minima as fallback). The armed side pays for real work — the
-/// per-node control tap on every request plus a topology sample every
-/// control interval — so acceptance is small, not zero.
-fn bench_serving_controlled(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-    use tinymlops_serve::ControllerConfig;
-
-    let families = 6u64;
-    let rps = if quick { 4_000.0 } else { 25_000.0 };
-    let duration_us = if quick { 500_000 } else { 1_000_000 };
-    let plan = LoadPlan {
-        tenants: (0..12u32)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: rps / 12.0,
-                model: format!("family{}", u64::from(i) % families),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 250_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let stream = plan.generate();
-    let build = |controller: ControllerConfig| {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            tenant_affinity: 0.0,
-            load_factor: f64::INFINITY,
-            serve: ServeConfig::default(),
-            controller,
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        for f in 0..families {
-            fabric.install_family(
-                &format!("family{f}"),
-                synthetic_family(&format!("family{f}"), f * 100),
-            );
-        }
-        fabric.provision(&plan);
-        fabric
-    };
-    let armed_idle = || ControllerConfig {
-        enabled: true,
-        high_pressure: f64::INFINITY,
-        high_shed_rate: f64::INFINITY,
-        low_pressure: -1.0,
-        ..ControllerConfig::default()
-    };
-    let cpu_ns = || -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
-    };
-    let rounds = if quick { 1 } else { 48 };
-    let mut diffs: Vec<i64> = Vec::new();
-    let mut off_cpus: Vec<u64> = Vec::new();
-    let mut walls = [f64::INFINITY; 2];
-    let mut fleets_match = true;
-    let mut warm = !quick;
-    let run_side = |armed: bool, walls: &mut [f64; 2]| {
-        let mut fab = build(if armed {
-            armed_idle()
-        } else {
-            ControllerConfig::default()
-        });
-        let c0 = cpu_ns();
-        let start = Instant::now();
-        let report = fab.run(&stream).expect("replay");
-        let side = usize::from(armed);
-        walls[side] = walls[side].min(start.elapsed().as_secs_f64());
-        let cpu = match (c0, cpu_ns()) {
-            (Some(a), Some(b)) => Some(b - a),
-            _ => None,
-        };
-        (cpu, report.fleet)
-    };
-    for round in 0..rounds {
-        let armed_first = round % 2 == 1;
-        let first = run_side(armed_first, &mut walls);
-        let second = run_side(!armed_first, &mut walls);
-        fleets_match &= first.1 == second.1;
-        let (off_cpu, on_cpu) = if armed_first {
-            (second.0, first.0)
-        } else {
-            (first.0, second.0)
-        };
-        if let (Some(off), Some(on)) = (off_cpu, on_cpu) {
-            if !warm {
-                off_cpus.push(off);
-                diffs.push(on as i64 - off as i64);
-            }
-        }
-        warm = false;
-    }
-    assert!(
-        fleets_match,
-        "an idle controller must not perturb serving outcomes"
-    );
-    let per_req: Vec<f64> = if !off_cpus.is_empty() {
-        diffs.sort_unstable();
-        off_cpus.sort_unstable();
-        let median_diff = diffs[diffs.len() / 2] as f64;
-        let off = off_cpus[off_cpus.len() / 2] as f64;
-        vec![
-            off / stream.len() as f64,
-            (off + median_diff).max(0.0) / stream.len() as f64,
-        ]
-    } else {
-        walls
-            .iter()
-            .map(|w| w * 1e9 / stream.len() as f64)
-            .collect()
-    };
-    println!(
-        "controller replay: {} requests x{} over 3 nodes; off {:.0} ns/req vs armed {:.0} ns/req ({}, {:+.1}% overhead)",
-        stream.len(),
-        2 * rounds,
-        per_req[0],
-        per_req[1],
-        if off_cpus.is_empty() {
-            "wall time"
-        } else {
-            "cpu time"
-        },
-        (per_req[1] / per_req[0] - 1.0) * 100.0,
-    );
-    for (i, tag) in ["controller_off", "controller_armed"]
-        .into_iter()
-        .enumerate()
-    {
-        entries.push(Entry {
-            id: format!("serve_replay_{tag}"),
-            group: "serving_controlled",
-            shape: format!("{}req-3node-replay", stream.len()),
-            reps: rounds,
-            ns_per_op: per_req[i],
-            gflops: None,
-            baseline_id: (i == 1).then(|| "serve_replay_controller_off".to_string()),
-            speedup_vs_baseline: (i == 1).then(|| per_req[0] / per_req[1]),
-        });
-    }
-}
-
-/// Ingest-queue handoff: the retired mutex/condvar queue vs the
-/// lock-free Vyukov ring that replaced it (PR 10), measured as a paired
-/// producer→consumer handoff — one producer thread pushes `items`
-/// payloads through a bounded queue while the calling thread pops them
-/// all. The datapoint is ns per handoff; the lock-free entry's
-/// `speedup_vs_baseline` is mutex/lock-free (≥ 1 means the replacement
-/// is no slower — the acceptance gate for the swap).
-fn bench_ingest_queue(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_bench::MutexIngestQueue;
-    use tinymlops_serve::IngestQueue;
-
-    let items: u64 = if quick { 20_000 } else { 200_000 };
-    let capacity = 256;
-    let rounds = if quick { 2 } else { 5 };
-
-    fn handoff_ns<Q: Sync>(
-        items: u64,
-        rounds: usize,
-        queue: &Q,
-        push: impl Fn(&Q, u64) -> bool + Sync,
-        pop: impl Fn(&Q) -> Option<u64>,
-    ) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..rounds {
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for i in 0..items {
-                        assert!(push(queue, i), "queue closed mid-bench");
-                    }
-                });
-                let mut next = 0u64;
-                while next < items {
-                    let got = pop(queue).expect("producer still pushing");
-                    assert_eq!(got, next, "FIFO broken");
-                    next += 1;
-                }
-            });
-            best = best.min(start.elapsed().as_secs_f64() * 1e9 / items as f64);
-        }
-        best
-    }
-
-    let mutex_q = MutexIngestQueue::<u64>::new(capacity);
-    let mutex_ns = handoff_ns(items, rounds, &mutex_q, |q, i| q.push(i), |q| q.pop());
-    let lockfree_q = IngestQueue::<u64>::new(capacity);
-    let lockfree_ns = handoff_ns(items, rounds, &lockfree_q, |q, i| q.push(i), |q| q.pop());
-    println!(
-        "ingest queue handoff: mutex {mutex_ns:.0} ns/op vs lock-free {lockfree_ns:.0} ns/op \
-         ({items} items, cap {capacity})"
-    );
-    for (tag, ns) in [("mutex", mutex_ns), ("lockfree", lockfree_ns)] {
-        entries.push(Entry {
-            id: format!("ingest_queue_handoff_{tag}"),
-            group: "ingest_queue",
-            shape: format!("{items}x1prod-cap{capacity}"),
-            reps: rounds,
-            ns_per_op: ns,
-            gflops: None,
-            baseline_id: (tag == "lockfree").then(|| "ingest_queue_handoff_mutex".to_string()),
-            speedup_vs_baseline: (tag == "lockfree").then(|| mutex_ns / lockfree_ns),
-        });
-    }
-}
-
-/// Closed-loop serving driver vs open-loop replay of its own trace: the
-/// closed loop materializes every delivery it makes, and replaying that
-/// trace open loop through an identically provisioned fabric reproduces
-/// the fleet report bit-for-bit. The paired timing therefore isolates
-/// the *driver* overhead (completion tap, client bookkeeping, retry
-/// scheduling) from the serving work, which is identical on both sides.
-fn bench_serving_closed_loop(quick: bool, entries: &mut Vec<Entry>) {
-    use tinymlops_device::{default_mix, Fleet};
-    use tinymlops_serve::{ClientPlan, ClientSpec, RetryPolicy};
-
-    let tenants = 8u32;
-    let clients = if quick { 24 } else { 60 };
-    let duration_us = if quick { 400_000 } else { 2_000_000 };
-    let provision_plan = LoadPlan {
-        tenants: (0..tenants)
-            .map(|i| TenantSpec {
-                id: i + 1,
-                rate_rps: 1.0,
-                model: if i % 2 == 0 { "kws" } else { "vision" }.into(),
-                prepaid_queries: u64::MAX / 2,
-                deadline_us: 50_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-    };
-    let build = || {
-        let cfg = FabricConfig {
-            node_weights: vec![1.0; 3],
-            ..Default::default()
-        };
-        let fleets =
-            Fleet::generate(if quick { 12 } else { 24 }, &default_mix(), SEED).partition(3);
-        let mut fabric = ServeFabric::new(&cfg, fleets);
-        fabric.install_family("kws", synthetic_family("kws", 0));
-        fabric.install_family("vision", synthetic_family("vision", 100));
-        fabric.provision(&provision_plan);
-        fabric
-    };
-    let plan = ClientPlan {
-        clients: (0..clients)
-            .map(|c| ClientSpec {
-                tenant: (c % tenants) + 1,
-                model: if c % 2 == 0 { "kws" } else { "vision" }.into(),
-                think_mean_us: 10_000.0,
-                deadline_us: 50_000,
-            })
-            .collect(),
-        duration_us,
-        seed: SEED,
-        feature_dim: 0,
-        retry: RetryPolicy::default(),
-    };
-
-    let mut closed_fabric = build();
-    let start = Instant::now();
-    let closed = closed_fabric.run_closed_loop(&plan).expect("closed loop");
-    let closed_wall_s = start.elapsed().as_secs_f64();
-    let pushes = closed.clients.pushes().max(1) as f64;
-
-    let mut open_fabric = build();
-    let start = Instant::now();
-    let open_report = open_fabric.run(&closed.trace).expect("trace replay");
-    let open_wall_s = start.elapsed().as_secs_f64();
-    assert_eq!(
-        open_report, closed.fabric,
-        "open-loop replay of the closed-loop trace must be bit-identical"
-    );
-    println!(
-        "closed-loop serving: {} pushes from {clients} clients; closed {:.1} ms vs \
-         open trace replay {:.1} ms wall",
-        closed.clients.pushes(),
-        closed_wall_s * 1e3,
-        open_wall_s * 1e3,
-    );
-    for (tag, wall_s) in [("open_trace", open_wall_s), ("closed", closed_wall_s)] {
-        entries.push(Entry {
-            id: format!("serve_closed_loop_{tag}"),
-            group: "serving_closed_loop",
-            shape: format!("{}req-{clients}cl-3node", closed.clients.pushes()),
-            reps: 1,
-            ns_per_op: wall_s * 1e9 / pushes,
-            gflops: None,
-            baseline_id: (tag == "closed").then(|| "serve_closed_loop_open_trace".to_string()),
-            speedup_vs_baseline: (tag == "closed").then(|| open_wall_s / closed_wall_s),
-        });
-    }
-}
-
-/// Append this run to `results/BENCH_kernels.json` (creating the file on
-/// first run), then read it back and parse it as a self-check.
 /// The audit chain's entry MAC rebuilt on `compress_portable`: the same
 /// schedule-holding, three-compression walk as `HmacKey::mac` on a
 /// 57-byte entry, minus the runtime dispatch. Library code has exactly one
@@ -1852,16 +797,8 @@ fn bench_audit_chain(quick: bool, entries: &mut Vec<Entry>) {
         pairs[1].1, pairs[1].2, pairs[2].1, pairs[3].1
     );
     let mut push = |id: String, on: &str, ns: f64, baseline: Option<(String, f64)>| {
-        entries.push(Entry {
-            id,
-            group: "audit_chain",
-            shape: format!("{n}x-{on}"),
-            reps: rounds,
-            ns_per_op: ns,
-            gflops: None,
-            speedup_vs_baseline: baseline.as_ref().map(|(_, base_ns)| base_ns / ns),
-            baseline_id: baseline.map(|(id, _)| id),
-        });
+        let shape = format!("{n}x-{on}");
+        Recorder::new(entries, "audit_chain", &shape, rounds).push(id, ns, None, baseline);
     };
     let rekeyed_id = "hmac_entry_57B_portable_rekeyed".to_string();
     push(rekeyed_id.clone(), "portable", rekeyed_ns, None);
@@ -1879,6 +816,33 @@ fn bench_audit_chain(quick: bool, entries: &mut Vec<Entry>) {
     }
 }
 
+/// The checkout's short commit hash, or `"unknown"` outside a git tree.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter(|l| l.starts_with("model name"))
+                .find_map(|l| l.split_once(':').map(|(_, v)| v.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Append this run to `results/BENCH_kernels.json` (creating the file on
+/// first run), then read it back and parse it as a self-check.
 fn save_and_verify(mode: &str, entries: &[Entry]) {
     let entry_values: Vec<serde_json::Value> = entries
         .iter()
@@ -1905,6 +869,9 @@ fn save_and_verify(mode: &str, entries: &[Entry]) {
         "mode": mode,
         "unix_time_s": unix_s,
         "pool_threads": effective_threads() as u64,
+        "commit": commit(),
+        "cpu": cpu_model(),
+        "nproc": std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as u64,
         "entries": entry_values,
     });
 
@@ -1945,7 +912,7 @@ fn save_and_verify(mode: &str, entries: &[Entry]) {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
-    // Pin the pool to ≥2 threads before first use so the pool-vs-spawn
+    // Pin the pool to ≥2 threads before first use so the pool-vs-inline
     // dispatch comparison measures real cross-thread dispatch even on a
     // 1-core host (where the default pool would run inline on both
     // sides). Recorded as `pool_threads` in the run artifact.
@@ -1956,11 +923,9 @@ fn main() {
     );
 
     let mut entries = Vec::new();
-    // The historical kernel groups run inline (`Dispatch::Sequential`) —
-    // identical execution to every pre-pool run on 1-core hosts, so the
-    // per-id trajectories in BENCH_kernels.json stay comparable. The
-    // threading backends are measured explicitly by `pool_dispatch` and
-    // `serving_live` below.
+    // The kernel groups run inline (`Dispatch::Sequential`), so their
+    // numbers do not depend on the pool size; `pool_dispatch` measures
+    // the pool explicitly below.
     with_dispatch(Dispatch::Sequential, || {
         bench_gemm_f32(quick, &mut entries);
         bench_gemm_nt(quick, &mut entries);
@@ -1968,19 +933,9 @@ fn main() {
         bench_dot_maddwd(quick, &mut entries);
         bench_model_forward(quick, &mut entries);
         bench_qmodel_fused(quick, &mut entries);
-        bench_serving_replay(quick, &mut entries);
-        bench_serving_sharded(quick, &mut entries);
-        bench_telemetry(quick, &mut entries);
-        bench_batcher_push(quick, &mut entries);
-        bench_serving_traced(quick, &mut entries);
-        bench_serving_faults(quick, &mut entries);
-        bench_serving_controlled(quick, &mut entries);
         bench_xnor_serving(quick, &mut entries);
-        bench_serving_closed_loop(quick, &mut entries);
     });
     bench_pool_dispatch(quick, &mut entries);
-    bench_serving_live(quick, &mut entries);
-    bench_ingest_queue(quick, &mut entries);
     bench_audit_chain(quick, &mut entries);
 
     let rows: Vec<Vec<String>> = entries
@@ -1998,7 +953,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "B01 kernel & serving benchmarks",
+        "B01 kernel benchmarks",
         &["id", "shape", "reps", "ns/op", "GFLOP/s", "speedup"],
         &rows,
     );
@@ -2016,18 +971,13 @@ fn main() {
     if !quick {
         let gemm = speedup_of("gemm_f32_256x256x256_packed").unwrap_or(0.0);
         let q8 = speedup_of("qdense_int8_b32x256->256_tuned").unwrap_or(0.0);
-        let traced = speedup_of("serve_replay_traced").unwrap_or(0.0);
-        println!(
-            "acceptance: gemm 256^3 packed {gemm:.2}x (need >= 2), qdense int8 b32 {q8:.2}x (need >= 2), \
-             traced replay {:.1}% overhead (need < 5%)",
-            (1.0 / traced.max(1e-9) - 1.0) * 100.0
-        );
         let maddwd = speedup_of("dot_i8_b8x256->256_maddwd").unwrap_or(0.0);
         let unfused = speedup_of("qmodel_fused_int8_unfused").unwrap_or(0.0);
         let fused = speedup_of("qmodel_fused_int8_fused").unwrap_or(0.0);
         let xnor = speedup_of("xnor_serving_ladder_xnor").unwrap_or(0.0);
         println!(
-            "acceptance: maddwd b8 {maddwd:.2}x vs autovec (need > 1), fused int8 vs f32 b64 \
+            "acceptance: gemm 256^3 packed {gemm:.2}x (need >= 2), qdense int8 b32 {q8:.2}x \
+             (need >= 2), maddwd b8 {maddwd:.2}x vs portable (need > 1), fused int8 vs f32 b64 \
              {fused:.2}x (need > 1; unfused was {unfused:.2}x), xnor ladder served {xnor:.3}x \
              the int2 ladder (need >= 1)"
         );

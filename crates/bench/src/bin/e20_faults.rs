@@ -16,7 +16,8 @@
 //!   bit-identical reports on `ServeFabric::run` and `run_live`.
 //! * (c) **off means off** — a disabled plan and an armed-but-empty plan
 //!   are byte-identical to each other (the fault plane costs nothing
-//!   until it fires; `b01_kernels` bounds the CPU-time side).
+//!   until it fires; opsbench's `plane.fault_ns_per_req` row bounds the
+//!   CPU-time side).
 //! * (d) **brownout vs shed-only** — a flash crowd overruns a small
 //!   admission ceiling; the degradation ladder (f32 → int8 → int2 via
 //!   the router's per-level plans) serves strictly more than pure

@@ -5,8 +5,6 @@
 //! prints a human-readable table *and* writes the same rows as JSON under
 //! `results/` so EXPERIMENTS.md numbers are regenerable and diffable.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use tinymlops_core::Platform;
 use tinymlops_registry::{ModelFormat, ModelId, ModelRecord, SemVer};
@@ -66,9 +64,8 @@ pub fn save_json(name: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// The shared synthetic model family used by serving benchmarks and the
 /// sharding experiment: one fat f32, one mid int8, one small int2 record
-/// (40 KB / 10 KB / 2.5 KB). One definition, so `b01_kernels`'
-/// `serving_sharded` datapoint and `e16_sharding`'s affinity A/B measure
-/// the same catalog.
+/// (40 KB / 10 KB / 2.5 KB). One definition, so every serving experiment
+/// and `b01_kernels`' `xnor_serving` group replay the same catalog.
 #[must_use]
 pub fn synthetic_family(name: &str, base_id: u64) -> Vec<ModelRecord> {
     [
@@ -159,11 +156,6 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-struct MutexQueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
 /// Replay `plan` on the simulator through a fabric freshly built on
 /// `platform` with `specs` scheduled, folding the report into the
 /// platform's telemetry — the composition the fabric experiments repeat.
@@ -195,85 +187,6 @@ pub fn serve_live(
     live
 }
 
-/// The mutex/condvar ingest queue `tinymlops_serve::IngestQueue`'s
-/// lock-free ring replaced, kept here as the measurable baseline: the b01
-/// `ingest_queue` group runs the same handoff workload through both and
-/// reports the paired difference.
-pub struct MutexIngestQueue<T> {
-    state: Mutex<MutexQueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> MutexIngestQueue<T> {
-    /// A queue holding at most `capacity` items.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        MutexIngestQueue {
-            state: Mutex::new(MutexQueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueue, blocking while the queue is full. Returns `false` (and
-    /// drops the item) iff the queue is closed.
-    pub fn push(&self, item: T) -> bool {
-        let mut state = self.state.lock().unwrap();
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap();
-        }
-        if state.closed {
-            return false;
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Dequeue, blocking until an item arrives or the queue closes.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).unwrap();
-        }
-    }
-
-    /// Close the queue: pending items still drain, then pops return
-    /// `None` and pushes are refused.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// `true` when nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,19 +205,5 @@ mod tests {
         assert_eq!(v, 42);
         assert!(ms >= 0.0);
         assert!(time_ms_n(3, || {}) >= 0.0);
-    }
-
-    #[test]
-    fn mutex_baseline_queue_matches_semantics() {
-        let q = MutexIngestQueue::new(4);
-        assert!(q.push(1u64));
-        assert!(q.push(2));
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
-        q.close();
-        assert!(!q.push(3), "closed queue refuses pushes");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "then reports closed");
     }
 }

@@ -4,13 +4,15 @@
 //! once at boot, not once per inference: packed weights are unpacked into
 //! an i8 matrix a single time (cached in a [`OnceLock`]), activations are
 //! quantized by one shared helper (the same expression the verifier
-//! replays), and the i32 accumulation runs through [`dot_i8`] — an
-//! explicit `vpmaddwd`-shaped AVX2 kernel dispatched at runtime on
-//! x86-64, with the plain autovectorizable loop as the portable fallback
-//! — and parallelizes over batch rows via rayon. Integer addition is
-//! associative, so every restructuring is bit-identical to the seed scalar
-//! loop, which is retained as [`QDense::forward_reference`] for the
-//! property tests and the `b01_kernels` baseline.
+//! replays), and the i32 accumulation runs through one kernel,
+//! [`QDense::int_accumulate`] — an explicit `vpmaddwd`-shaped AVX2 tile
+//! dispatched at runtime on x86-64, with the plain autovectorizable
+//! [`dot_i8_portable`] loop as the portable fallback — parallelized over
+//! batch rows via rayon. The unfused [`QDense::forward`], the fused model
+//! forward and the verifier all accumulate through it. Integer addition
+//! is associative, so every restructuring is bit-identical to the seed
+//! scalar loop, which is retained as [`QDense::forward_reference`], the
+//! oracle of the property tests.
 //!
 //! # Fixed-point requantization
 //!
@@ -244,77 +246,24 @@ impl QDense {
         self.widened();
     }
 
-    /// Integer-kernel forward pass: `x [batch,in] → y [batch,out]`.
+    /// Integer-kernel forward pass: `x [batch,in] → y [batch,out]`, as
+    /// the three steps a verifier replays: [`QDense::quantize_input`],
+    /// [`QDense::int_accumulate`], [`QDense::dequantize_acc`].
     ///
     /// Bit-identical to [`QDense::forward_reference`] (the seed scalar
     /// loop): i32 accumulation is associative, so unrolling, row blocking
     /// and batch parallelism cannot change a single output bit.
     #[must_use]
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let batch = x.rows();
         assert_eq!(x.cols(), self.in_dim, "QDense input width");
-        let mut xq = vec![0i8; batch * self.in_dim];
-        quantize_activations(x.data(), self.in_scale, &mut xq);
-        let w = self.unpacked();
-        let w16 = self.widened();
-        let mut out = vec![0.0f32; batch * self.out_dim];
-        let body = |(b, out_row): (usize, &mut [f32])| {
-            let xrow = &xq[b * self.in_dim..(b + 1) * self.in_dim];
-            row_kernel(
-                w,
-                w16,
-                xrow,
-                self.in_dim,
-                self.in_scale,
-                &self.w_scales,
-                &self.bias,
-                out_row,
-            );
-        };
-        if batch > 1 && batch * self.out_dim * self.in_dim >= QPAR_MIN_MACS {
-            out.par_chunks_mut(self.out_dim).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(self.out_dim).enumerate().for_each(body);
-        }
-        Tensor::from_vec(out, &[batch, self.out_dim])
-    }
-
-    /// [`QDense::forward`] with the runtime SIMD dispatch pinned to the
-    /// pre-`vpmaddwd` autovectorized row kernel — the exact before-state
-    /// the explicit SIMD kernel replaced, kept callable so `b01_kernels`
-    /// measures both in one run. Bit-identical to [`QDense::forward`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn forward_autovec(&self, x: &Tensor) -> Tensor {
         let batch = x.rows();
-        assert_eq!(x.cols(), self.in_dim, "QDense input width");
-        let mut xq = vec![0i8; batch * self.in_dim];
-        quantize_activations(x.data(), self.in_scale, &mut xq);
-        let w = self.unpacked();
-        let mut out = vec![0.0f32; batch * self.out_dim];
-        let body = |(b, out_row): (usize, &mut [f32])| {
-            let xrow = &xq[b * self.in_dim..(b + 1) * self.in_dim];
-            row_kernel_autovec(
-                w,
-                xrow,
-                self.in_dim,
-                self.in_scale,
-                &self.w_scales,
-                &self.bias,
-                out_row,
-            );
-        };
-        if batch > 1 && batch * self.out_dim * self.in_dim >= QPAR_MIN_MACS {
-            out.par_chunks_mut(self.out_dim).enumerate().for_each(body);
-        } else {
-            out.chunks_mut(self.out_dim).enumerate().for_each(body);
-        }
-        Tensor::from_vec(out, &[batch, self.out_dim])
+        let acc = self.int_accumulate(&self.quantize_input(x), batch);
+        self.dequantize_acc(&acc, batch)
     }
 
     /// The seed per-forward-unpacking scalar kernel, retained verbatim as
-    /// the bit-exactness oracle for property tests and the baseline that
-    /// `b01_kernels` measures [`QDense::forward`] against.
+    /// the bit-exactness oracle for property tests (and the baseline
+    /// `b01_kernels` times [`QDense::forward`] against).
     #[must_use]
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
         let batch = x.rows();
@@ -362,10 +311,9 @@ impl QDense {
         self.unpacked().to_vec()
     }
 
-    /// Quantize an activation batch to the layer's int8 input grid —
-    /// exposed so a verifier can reproduce the exact kernel inputs. Shares
-    /// [`quantize_activations`] with [`QDense::forward`], so the verifier
-    /// provably sees the same integers the kernel multiplied.
+    /// Quantize an activation batch to the layer's int8 input grid — the
+    /// first step of [`QDense::forward`], exposed so a verifier reproduces
+    /// the exact integers the kernel multiplied.
     #[must_use]
     pub fn quantize_input(&self, x: &Tensor) -> Vec<i8> {
         let mut out = vec![0i8; x.len()];
@@ -732,86 +680,6 @@ fn acc_row_kernel(w: &[i8], w16: &[i16], xrow: &[i8], in_dim: usize, acc_row: &m
     }
 }
 
-/// One batch row of the integer forward: `out[r] = dequant(xq · w[r])` for
-/// every output row. Runtime-dispatches to the explicit `vpmaddwd` kernel
-/// on AVX2 hosts; the portable body keeps the plain autovectorizable loop.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn row_kernel(
-    w: &[i8],
-    w16: &[i16],
-    xrow: &[i8],
-    in_dim: usize,
-    in_scale: f32,
-    w_scales: &[f32],
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence checked on this CPU.
-        unsafe { row_kernel_maddwd_avx2(w, w16, xrow, in_dim, in_scale, w_scales, bias, out_row) };
-        return;
-    }
-    let _ = w16;
-    row_kernel_body(w, xrow, in_dim, in_scale, w_scales, bias, out_row);
-}
-
-/// The pre-`vpmaddwd` row kernel (widening multiplies autovectorized at
-/// 256-bit width), retained so `b01_kernels` measures the explicit SIMD
-/// kernel against the exact before-state in the same run.
-#[inline]
-fn row_kernel_autovec(
-    w: &[i8],
-    xrow: &[i8],
-    in_dim: usize,
-    in_scale: f32,
-    w_scales: &[f32],
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence checked on this CPU.
-        unsafe { row_kernel_autovec_avx2(w, xrow, in_dim, in_scale, w_scales, bias, out_row) };
-        return;
-    }
-    row_kernel_body(w, xrow, in_dim, in_scale, w_scales, bias, out_row);
-}
-
-#[inline(always)]
-fn row_kernel_body(
-    w: &[i8],
-    xrow: &[i8],
-    in_dim: usize,
-    in_scale: f32,
-    w_scales: &[f32],
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    for (r, o) in out_row.iter_mut().enumerate() {
-        let wrow = &w[r * in_dim..(r + 1) * in_dim];
-        *o = dot_i8_portable(xrow, wrow) as f32 * (in_scale * w_scales[r]) + bias[r];
-    }
-}
-
-/// AVX2 clone of [`row_kernel_body`]; a separate function because the
-/// vectorizer only uses 256-bit lanes when the enclosing function enables
-/// the feature.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn row_kernel_autovec_avx2(
-    w: &[i8],
-    xrow: &[i8],
-    in_dim: usize,
-    in_scale: f32,
-    w_scales: &[f32],
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    row_kernel_body(w, xrow, in_dim, in_scale, w_scales, bias, out_row);
-}
-
 /// Four weight rows reduced against one activation row in a single
 /// register tile: the x chunks are sign-extended once and reused across
 /// all four `vpmaddwd` streams, the weight rows arrive pre-widened to i16
@@ -911,39 +779,6 @@ fn accumulate_rows_maddwd_avx2(
     }
     for r in quads * 4..out_dim {
         acc_row[r] = dot_i8_maddwd_avx2(xrow, &w[r * in_dim..(r + 1) * in_dim]);
-    }
-}
-
-/// Row kernel around the `vpmaddwd` tile: quads of output rows share x
-/// loads and one combined reduce ([`madd_quad_avx2`]), remainder rows fall
-/// back to the single-row [`dot_i8_maddwd_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn row_kernel_maddwd_avx2(
-    w: &[i8],
-    w16: &[i16],
-    xrow: &[i8],
-    in_dim: usize,
-    in_scale: f32,
-    w_scales: &[f32],
-    bias: &[f32],
-    out_row: &mut [f32],
-) {
-    let out_dim = out_row.len();
-    let quads = out_dim / 4;
-    for qi in 0..quads {
-        let r = qi * 4;
-        let vals = madd_quad_avx2(w16, xrow, in_dim, r);
-        for (k, &v) in vals.iter().enumerate() {
-            out_row[r + k] = v as f32 * (in_scale * w_scales[r + k]) + bias[r + k];
-        }
-    }
-    for r in quads * 4..out_dim {
-        let wrow = &w[r * in_dim..(r + 1) * in_dim];
-        // Enclosing function already requires avx2, so this call is safe.
-        let dot = dot_i8_maddwd_avx2(xrow, wrow);
-        out_row[r] = dot as f32 * (in_scale * w_scales[r]) + bias[r];
     }
 }
 
@@ -1268,14 +1103,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_autovec_is_bit_identical() {
+    fn forward_matches_reference_on_awkward_dims() {
         let mut rng = TensorRng::seed(21);
         let w = rng.uniform(&[19, 45], -1.0, 1.0);
         let b = rng.uniform(&[19], -0.1, 0.1);
         let x = rng.uniform(&[5, 45], -1.0, 1.0);
         for bits in [8u32, 4, 2] {
             let q = QDense::quantize(&w, &b, bits, 1.0 / 127.0);
-            assert_eq!(q.forward(&x).data(), q.forward_autovec(&x).data());
             assert_eq!(q.forward(&x).data(), q.forward_reference(&x).data());
         }
     }

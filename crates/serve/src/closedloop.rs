@@ -36,9 +36,12 @@
 use crate::clock::{Clock, WallClock};
 use crate::coordinator::Routing;
 use crate::exec::{run_workers, ExecMode, Ingest, IngestQueue, LiveSetup};
-use crate::fabric::{FabricReport, NodeIndex, RetryStats, ServeFabric, SimNodes};
-use crate::fault::{account_retry, retryable, schedule_retry, RetryBudget, RetryPolicy};
+use crate::fabric::{FabricReport, NodeIndex, ServeFabric, SimNodes};
+use crate::fault::{
+    account_retry, retryable, schedule_retry, RetryBudget, RetryPolicy, RetryStats,
+};
 use crate::request::{Completion, Disposition, Request, RequestId, TenantId};
+use crate::stats::nearest_rank;
 use crate::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,12 +162,7 @@ impl ClosedLoopStats {
     /// microseconds (`pct` in (0, 100]); 0 when nothing was served.
     #[must_use]
     pub fn latency_us(&self, pct: f64) -> u64 {
-        let n = self.latencies.len();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((pct / 100.0) * n as f64).ceil() as usize;
-        self.latencies[rank.clamp(1, n) - 1]
+        nearest_rank(&self.latencies, pct)
     }
 
     /// Fold another shard's counters into this one.

@@ -182,8 +182,8 @@ enum Popped<T> {
 /// slow node stalls its producer instead of hiding behind RAM) or a
 /// consumer against an empty one; sleepers register in counters behind
 /// `SeqCst` fences (Dekker-style), so the waking side skips the lock
-/// entirely while nobody sleeps. The b01 `ingest_queue` group measures
-/// this ring against a plain mutex/condvar queue kept in `crates/bench`.
+/// entirely while nobody sleeps. opsbench's `exec.handoff_ns` row
+/// measures the handoff per request.
 ///
 /// Closing has two flavors with different race disciplines:
 ///

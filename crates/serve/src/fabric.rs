@@ -37,6 +37,7 @@ use crate::coordinator::{
 };
 use crate::fault::{
     account_retry, retryable, schedule_retry, FaultPlan, NodeFaults, RetryBudget, RetryPolicy,
+    RetryStats,
 };
 use crate::observer::{NodeObserver, ObserveConfig};
 use crate::request::{Request, ShedReason, TenantId};
@@ -409,23 +410,6 @@ impl FabricReport {
     pub fn refunds_balance(&self) -> bool {
         self.refunds == self.downstream_sheds()
     }
-}
-
-/// What the retrying driver ([`ServeFabric::run_with_retries`]) did with
-/// the run's retryable sheds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Retries scheduled (each re-enters admission at its backoff time).
-    pub scheduled: u64,
-    /// Retries that were admitted on re-delivery.
-    pub succeeded: u64,
-    /// Sheds not retried: per-request attempt allowance exhausted.
-    pub attempts_exhausted: u64,
-    /// Sheds not retried: the backoff would land past the request's
-    /// absolute deadline (retries never outlive the deadline).
-    pub deadline_denied: u64,
-    /// Sheds not retried: the tenant's token bucket was dry.
-    pub budget_denied: u64,
 }
 
 /// The retry loop closed at the simulator driver (inert without a

@@ -33,7 +33,6 @@
 //! ladder ([`BrownoutConfig`]) that steps overloaded tenants down to
 //! cheaper quantized variants before shedding them.
 
-use crate::fabric::RetryStats;
 use crate::request::{ShedReason, TenantId};
 use crate::shard::{node_loads, NodeId, ShardRouter, TrafficLedger};
 use rand::rngs::StdRng;
@@ -444,6 +443,23 @@ pub fn schedule_retry(
         return RetryDecision::BudgetExhausted;
     }
     RetryDecision::At(at)
+}
+
+/// What retrying ([`crate::ServeFabric::run_with_retries`], the closed
+/// loop) did with a run's retryable sheds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetryStats {
+    /// Retries scheduled (each re-enters admission at its backoff time).
+    pub scheduled: u64,
+    /// Retries that were admitted on re-delivery.
+    pub succeeded: u64,
+    /// Sheds not retried: per-request attempt allowance exhausted.
+    pub attempts_exhausted: u64,
+    /// Sheds not retried: the backoff would land past the request's
+    /// absolute deadline (retries never outlive the deadline).
+    pub deadline_denied: u64,
+    /// Sheds not retried: the tenant's token bucket was dry.
+    pub budget_denied: u64,
 }
 
 /// The accounting every retrying driver owes for a [`schedule_retry`]

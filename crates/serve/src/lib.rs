@@ -84,11 +84,11 @@ pub use controller::{
 pub use exec::{ExecConfig, ExecMode, IngestQueue, LiveReport, NodeFailure};
 pub use fabric::{
     FabricConfig, FabricNode, FabricReport, MigrationPhase, MigrationRecord, MigrationSpec,
-    RetryStats, ServeFabric, TenantQuota,
+    ServeFabric, TenantQuota,
 };
 pub use fault::{
     degrade_records, retryable, schedule_retry, BrownoutConfig, FaultEvent, FaultKind, FaultPlan,
-    RetryBudget, RetryDecision, RetryPolicy,
+    RetryBudget, RetryDecision, RetryPolicy, RetryStats,
 };
 pub use gateway::{Gateway, GatewayConfig, TenantAccount};
 pub use loadgen::{ArrivalPattern, LoadPlan, TenantSpec};

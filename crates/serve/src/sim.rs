@@ -21,7 +21,7 @@ use crate::observer::NodeObserver;
 use crate::request::{Completion, Disposition, Request, ShedReason, TenantId};
 use crate::router::Router;
 use crate::shard::NodeId;
-use crate::stats::{ServeReport, ServeStats};
+use crate::stats::{nearest_rank, ServeReport, ServeStats};
 use crate::ServeError;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -55,7 +55,7 @@ pub struct ServeConfig {
     /// Weigh "variant already resident in this node's [`ModelCache`]"
     /// against queue depth when picking a device
     /// ([`Router::route_affine`]); `false` restores the pure least-loaded
-    /// policy (kept for A/B comparison in `b01_kernels`/`e16_sharding`).
+    /// policy (kept for the affinity A/B in `e16_sharding`).
     pub affinity_routing: bool,
 }
 
@@ -432,12 +432,7 @@ impl<'t> ServeEngine<'t> {
         let taken = std::mem::take(tap);
         let mut lat = taken.latencies_us;
         lat.sort_unstable();
-        let p99_us = if lat.is_empty() {
-            0
-        } else {
-            let rank = ((lat.len() as f64) * 0.99).ceil() as usize;
-            lat[rank.clamp(1, lat.len()) - 1]
-        };
+        let p99_us = nearest_rank(&lat, 99.0);
         crate::controller::ControlSample {
             arrivals: taken.arrivals,
             served: taken.served,

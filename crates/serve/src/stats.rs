@@ -115,10 +115,10 @@ impl ServeStats {
             } else {
                 shed_total as f64 / (served + shed_total) as f64
             },
-            p50_ms: percentile_us(&sorted, 50.0) / 1000.0,
-            p95_ms: percentile_us(&sorted, 95.0) / 1000.0,
-            p99_ms: percentile_us(&sorted, 99.0) / 1000.0,
-            p999_ms: percentile_us(&sorted, 99.9) / 1000.0,
+            p50_ms: nearest_rank(&sorted, 50.0) as f64 / 1000.0,
+            p95_ms: nearest_rank(&sorted, 95.0) as f64 / 1000.0,
+            p99_ms: nearest_rank(&sorted, 99.0) as f64 / 1000.0,
+            p999_ms: nearest_rank(&sorted, 99.9) as f64 / 1000.0,
             max_ms: sorted.last().copied().unwrap_or(0) as f64 / 1000.0,
             throughput_rps,
             mean_batch: if self.batches == 0 {
@@ -140,13 +140,15 @@ impl ServeStats {
     }
 }
 
-/// Nearest-rank percentile over a sorted latency list (µs).
-fn percentile_us(sorted: &[u64], pct: f64) -> f64 {
+/// Nearest-rank percentile of an ascending list: the sample at rank
+/// `⌈pct/100 · n⌉` (`pct` in (0, 100]), 0 for an empty list. The one rank
+/// rule behind every latency percentile the serving plane reports.
+pub(crate) fn nearest_rank(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
-        return 0.0;
+        return 0;
     }
     let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as f64
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The per-run serving report (deterministic under a fixed seed).
@@ -223,12 +225,12 @@ mod tests {
     #[test]
     fn percentiles_nearest_rank() {
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&sorted, 50.0), 50.0);
-        assert_eq!(percentile_us(&sorted, 95.0), 95.0);
-        assert_eq!(percentile_us(&sorted, 99.0), 99.0);
-        assert_eq!(percentile_us(&sorted, 100.0), 100.0);
-        assert_eq!(percentile_us(&[], 50.0), 0.0);
-        assert_eq!(percentile_us(&[7], 99.0), 7.0);
+        assert_eq!(nearest_rank(&sorted, 50.0), 50);
+        assert_eq!(nearest_rank(&sorted, 95.0), 95);
+        assert_eq!(nearest_rank(&sorted, 99.0), 99);
+        assert_eq!(nearest_rank(&sorted, 100.0), 100);
+        assert_eq!(nearest_rank(&[], 50.0), 0);
+        assert_eq!(nearest_rank(&[7], 99.0), 7);
     }
 
     #[test]

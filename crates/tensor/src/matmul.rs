@@ -326,13 +326,14 @@ fn pack_a_tile(a: &[f32], k: usize, i0: usize, h: usize, l0: usize, kc: usize, a
 /// K-block, `H ≤ MR` rows tall.
 ///
 /// Per k-step this reads H contiguous A values and NR contiguous B values
-/// and issues H×NR multiply-adds on register-resident accumulators — no
-/// branches, no stores, so the compiler keeps the tile in vector registers.
-/// On x86-64 with AVX2+FMA (detected once at runtime) the same loop nest
-/// runs in a `#[target_feature]` clone whose `mul_add`s compile to
-/// `vfmadd231ps`, doubling per-cycle throughput over the portable build.
-/// An element's value does not depend on `H`: it is one accumulator
-/// chained over `l`.
+/// and issues H×NR fused multiply-adds on register-resident accumulators —
+/// no branches, no stores, so the compiler keeps the tile in vector
+/// registers. On x86-64 with AVX2+FMA (detected once at runtime) the loop
+/// nest runs in a `#[target_feature]` wrapper whose `mul_add`s compile to
+/// `vfmadd231ps`; elsewhere the same `mul_add`s are a native fused
+/// instruction (aarch64) or a correctly rounded `fmaf` call. Either way an
+/// element is one accumulator chained over `l`, rounded once per step, so
+/// its bits depend neither on `H` nor on the host.
 #[inline]
 fn micro_kernel<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     #[cfg(target_arch = "x86_64")]
@@ -343,37 +344,11 @@ fn micro_kernel<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     micro_kernel_portable(ap, bp)
 }
 
-#[inline]
+/// The micro-kernel loop nest. The tile is a local until the loop is
+/// done, so no accumulator address escapes it: under AVX2 LLVM promotes
+/// all H×16 floats into 2·H ymm registers.
+#[inline(always)]
 fn micro_kernel_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
-    let mut acc = [[0.0f32; NR]; H];
-    for (av, bv) in ap.chunks_exact(H).zip(bp.chunks_exact(NR)) {
-        for i in 0..H {
-            let ai = av[i];
-            for j in 0..NR {
-                acc[i][j] += ai * bv[j];
-            }
-        }
-    }
-    acc
-}
-
-/// Whether the AVX2+FMA micro-kernel can run (cached by the detection
-/// macro; an atomic load per call).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn fma_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
-/// AVX2+FMA clone of the micro-kernel. `mul_add` only lowers to a fused
-/// instruction (instead of a libm call) when the enclosing function
-/// enables the feature, hence the clone rather than a runtime branch in
-/// the portable body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
-    // The tile is a local until the loop is done, so no accumulator address
-    // escapes it: LLVM promotes all H×16 floats into 2·H ymm registers.
     let mut t = [[0.0f32; NR]; H];
     for (av, bv) in ap.chunks_exact(H).zip(bp.chunks_exact(NR)) {
         for i in 0..H {
@@ -384,6 +359,24 @@ fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
         }
     }
     t
+}
+
+/// Whether the AVX2+FMA micro-kernel can run (cached by the detection
+/// macro; an atomic load per call).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn fma_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// AVX2+FMA clone of [`micro_kernel_portable`]. `mul_add` only lowers to
+/// a fused instruction (instead of a libm call) when the enclosing
+/// function enables the feature, hence the wrapper rather than a runtime
+/// branch in the body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
+    micro_kernel_portable(ap, bp)
 }
 
 /// `C[i0..i0+H, j0..j0+nr] += Ap · Bp`: one micro-kernel call, then the
@@ -759,15 +752,15 @@ mod tests {
     /// The CI host always dispatches to `micro_kernel_fma`; this runs the
     /// portable body at every tile height the sweep instantiates, with a
     /// `kc` that is not a multiple of anything and a panel whose last
-    /// columns are padding.
+    /// columns are padding, and holds it bit-exact to a scalar `mul_add`
+    /// chain in the same k-order — and to the FMA kernel where the host
+    /// has one.
     #[test]
     fn portable_micro_kernel_matches_naive_at_every_tile_height() {
         fn check<const H: usize>(rng: &mut TensorRng) {
             for &(kc, nr) in &[(KC, NR), (37, NR), (37, 5), (1, 1)] {
                 let a = rng.uniform(&[H, kc], -1.0, 1.0);
                 let b = rng.uniform(&[kc, nr], -1.0, 1.0);
-                let mut want = vec![0.0; H * nr];
-                gemm_naive(a.data(), b.data(), &mut want, H, kc, nr);
                 let mut ap = vec![0.0; kc * H];
                 pack_a_tile(a.data(), kc, 0, H, 0, kc, &mut ap);
                 let mut bp = vec![0.0; kc * NR];
@@ -775,24 +768,23 @@ mod tests {
                 let acc = micro_kernel_portable::<H>(&ap, &bp);
                 for (i, acc_row) in acc.iter().enumerate() {
                     for (j, &got) in acc_row.iter().enumerate() {
-                        let w = if j < nr { want[i * nr + j] } else { 0.0 };
-                        assert!(
-                            (got - w).abs() < 1e-3,
-                            "H={H} kc={kc} [{i}][{j}]: {got} vs {w}"
+                        let want = if j < nr {
+                            (0..kc).fold(0.0f32, |s, l| a.at(i, l).mul_add(b.at(l, j), s))
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "H={H} kc={kc} [{i}][{j}]: {got} vs {want}"
                         );
                     }
                 }
-                // The dispatched kernel (FMA where the CPU has it) agrees
-                // to rounding: fused vs unfused multiply-add.
-                for (p, d) in acc
-                    .iter()
-                    .flatten()
-                    .zip(micro_kernel::<H>(&ap, &bp).iter().flatten())
-                {
-                    assert!(
-                        (p - d).abs() < 1e-3,
-                        "H={H} kc={kc}: portable {p} vs dispatched {d}"
-                    );
+                #[cfg(target_arch = "x86_64")]
+                if fma_available() {
+                    // SAFETY: `fma_available` checked avx2+fma on this CPU.
+                    let fused = unsafe { micro_kernel_fma::<H>(&ap, &bp) };
+                    assert_eq!(acc, fused, "H={H} kc={kc}: portable vs FMA");
                 }
             }
         }

@@ -2,7 +2,7 @@
 # Reproduce the full CI gate (.github/workflows/ci.yml) offline, in the
 # same order CI runs it: fmt, clippy, release build, tier-1 + workspace
 # tests + the benchmark's own suite, warning-free rustdoc, the experiment
-# smokes with their jq assertions, and the bench smoke + regression gate.
+# smokes with their jq assertions, and the bench smoke + b01_compare log check.
 #
 # Usage:
 #   scripts/ci_local.sh           # the whole gate
@@ -69,7 +69,7 @@ if run_stage smoke; then
 fi
 
 if run_stage bench; then
-    # The bench run, its jq assertions and the b01_compare gate live in
+    # The bench run, its jq assertions and the b01_compare check live in
     # scripts/smoke.sh too, shared verbatim with CI's bench-smoke job.
     scripts/smoke.sh b01
 fi

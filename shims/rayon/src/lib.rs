@@ -266,9 +266,7 @@ mod tests {
         let data: Vec<i64> = (0..2500).map(|i| i * 3 - 700).collect();
         let run = || -> Vec<i64> { data.par_iter().map(|x| x.wrapping_mul(17) ^ 5).collect() };
         let pooled = run();
-        let spawned = with_dispatch(Dispatch::Spawn, run);
         let sequential = with_dispatch(Dispatch::Sequential, run);
         assert_eq!(pooled, sequential);
-        assert_eq!(spawned, sequential);
     }
 }

@@ -19,10 +19,9 @@
 //!   carried back, and re-thrown on the submitting thread, matching
 //!   `std::thread::scope` semantics closely enough for tests.
 //!
-//! Dispatch can be redirected per thread via [`with_dispatch`] — the
-//! benchmark harness uses [`Dispatch::Spawn`] to measure the pool against
-//! the old spawn-per-region backend, and tests use
-//! [`Dispatch::Sequential`] as the bit-for-bit reference.
+//! Dispatch can be redirected per thread via [`with_dispatch`]: tests and
+//! the benchmark harness use [`Dispatch::Sequential`] as the bit-for-bit
+//! (and timing) reference for the pool.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -35,9 +34,6 @@ use std::thread;
 pub enum Dispatch {
     /// Persistent worker pool (the default).
     Pool,
-    /// Scoped OS threads spawned per region — the pre-pool backend, kept
-    /// as the benchmark baseline for pool-vs-spawn comparisons.
-    Spawn,
     /// Run inline on the calling thread. The reference for bit-for-bit
     /// equivalence tests, and the forced mode when the pool would be a
     /// pure loss (1 thread configured).
@@ -122,10 +118,6 @@ pub fn run_region(n: usize, task: &(dyn Fn(usize) + Sync)) {
         }
         return;
     }
-    if mode == Dispatch::Spawn {
-        run_region_spawn(effective_threads(), n, task);
-        return;
-    }
     match global() {
         Some(pool) => pool.run(n, task),
         None => {
@@ -134,35 +126,6 @@ pub fn run_region(n: usize, task: &(dyn Fn(usize) + Sync)) {
             }
         }
     }
-}
-
-/// The pre-pool backend: chunk the index space and spawn one scoped OS
-/// thread per chunk. Public so `b01_kernels` can measure the pool against
-/// the spawn cost it removed.
-pub fn run_region_spawn(threads: usize, n: usize, task: &(dyn Fn(usize) + Sync)) {
-    let workers = threads.clamp(1, n);
-    if workers == 1 {
-        for i in 0..n {
-            task(i);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    thread::scope(|s| {
-        let mut start = chunk; // caller runs the first chunk itself
-        while start < n {
-            let end = (start + chunk).min(n);
-            s.spawn(move || {
-                for i in start..end {
-                    task(i);
-                }
-            });
-            start = end;
-        }
-        for i in 0..chunk.min(n) {
-            task(i);
-        }
-    });
 }
 
 /// Run two closures, potentially in parallel, returning both results —
@@ -478,21 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn spawn_backend_covers_all_indices() {
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        run_region_spawn(4, 100, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn dispatch_modes_are_scoped_and_restored() {
         assert_eq!(DISPATCH.with(Cell::get), Dispatch::Pool);
         with_dispatch(Dispatch::Sequential, || {
             assert_eq!(DISPATCH.with(Cell::get), Dispatch::Sequential);
-            with_dispatch(Dispatch::Spawn, || {
-                assert_eq!(DISPATCH.with(Cell::get), Dispatch::Spawn);
+            with_dispatch(Dispatch::Pool, || {
+                assert_eq!(DISPATCH.with(Cell::get), Dispatch::Pool);
             });
             assert_eq!(DISPATCH.with(Cell::get), Dispatch::Sequential);
         });
