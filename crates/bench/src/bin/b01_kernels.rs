@@ -3,7 +3,8 @@
 //! The serving path is measured end to end and stage by stage by opsbench
 //! (`BENCHMARK.json`); this harness times what opsbench does not isolate:
 //! f32 GEMM (packed tiles vs the seed row-streaming kernel, on shapes
-//! spanning the parallelism threshold and remainder tiles), QDense integer
+//! spanning the parallelism threshold and remainder tiles; prepared weights
+//! vs the per-call pack at the served MLP's layer shapes), QDense integer
 //! forward at 8/4/2 bits (vs the seed scalar loop), the `vpmaddwd`
 //! accumulate vs portable dots, whole-model `Sequential`/`QuantizedModel`
 //! forwards, brownout-ladder depth, pool dispatch and the audit-chain MAC.
@@ -21,7 +22,8 @@ use tinymlops_nn::model::mlp;
 use tinymlops_quant::{dot_i8_portable, QDense, QuantScheme, QuantizedModel};
 use tinymlops_serve::{FabricConfig, LoadPlan, ServeConfig, ServeFabric, TenantSpec};
 use tinymlops_tensor::matmul::{
-    gemm, gemm_naive, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_row_stream,
+    gemm, gemm_naive, gemm_nt, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_prepacked,
+    gemm_prepacked_dot, gemm_row_stream, nt_uses_panels, with_isa_cap, Isa, PackedB,
 };
 use tinymlops_tensor::{Tensor, TensorRng};
 
@@ -233,6 +235,70 @@ fn bench_gemm_nt(quick: bool, entries: &mut Vec<Entry>) {
             let baseline =
                 (*tag == "packed").then(|| (format!("gemm_nt_{shape}_rowstream"), row_ns));
             rec.push(format!("gemm_nt_{shape}_{tag}"), ns, Some(flops), baseline);
+        }
+    }
+}
+
+/// A `Dense` layer's inference product at the `infer_serving` MLP's three
+/// layer shapes (8 rows — the mean micro-batch — × 64→512, 512→512 and
+/// the 512→10 head): per-call `gemm_nt` against the prepared weights
+/// (`gemm_prepacked` on the tiles, `gemm_prepacked_dot` where `gemm_nt`
+/// streams rows), on this host's widest arm and capped at AVX2+FMA. All
+/// three are asserted bit-identical first.
+fn bench_gemm_prepared(quick: bool, entries: &mut Vec<Entry>) {
+    let mut rng = TensorRng::seed(SEED + 6);
+    for (m, k, n) in [(8, 64, 512), (8, 512, 512), (8, 512, 10)] {
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let bt = rng.uniform(&[n, k], -1.0, 1.0);
+        let packed = PackedB::from_transposed(bt.data(), n, k);
+        let per_call = |c: &mut [f32]| {
+            c.fill(0.0);
+            gemm_nt(a.data(), bt.data(), c, m, k, n);
+        };
+        let prepared = |c: &mut [f32]| {
+            if nt_uses_panels(m, k, n) {
+                c.fill(0.0);
+                gemm_prepacked(a.data(), &packed, c, m);
+            } else {
+                gemm_prepacked_dot(a.data(), &packed, c, m);
+            }
+        };
+        let capped = |c: &mut [f32]| with_isa_cap(Isa::Avx2Fma, || prepared(c));
+        let (mut want, mut got, mut got_capped) =
+            (vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]);
+        per_call(&mut want);
+        prepared(&mut got);
+        capped(&mut got_capped);
+        assert_eq!(got, want, "prepared {m}x{k}x{n} diverges from gemm_nt");
+        assert_eq!(
+            got_capped, want,
+            "AVX2-capped prepared {m}x{k}x{n} diverges"
+        );
+        let shape = format!("{m}x{k}x{n}");
+        let flops = 2.0 * (m * k * n) as f64;
+        let mut c = vec![0.0f32; m * n];
+        let reps = if quick {
+            1
+        } else {
+            reps_for(time_ns(1, || per_call(&mut c)), 40.0)
+        };
+        let rounds = if quick { 1 } else { 5 };
+        let base_id = format!("gemm_prepared_{shape}_per_call");
+        let base_ns = time_ns_best(rounds, reps, || per_call(&mut c));
+        let mut rec = Recorder::new(entries, "gemm_prepared", &shape, reps);
+        rec.push(base_id.clone(), base_ns, Some(flops), None);
+        for (tag, f) in [
+            ("prepared_avx2fma", &capped as &dyn Fn(&mut [f32])),
+            ("prepared", &prepared),
+        ] {
+            let ns = time_ns_best(rounds, reps, || f(&mut c));
+            let baseline = Some((base_id.clone(), base_ns));
+            rec.push(
+                format!("gemm_prepared_{shape}_{tag}"),
+                ns,
+                Some(flops),
+                baseline,
+            );
         }
     }
 }
@@ -929,6 +995,7 @@ fn main() {
     with_dispatch(Dispatch::Sequential, || {
         bench_gemm_f32(quick, &mut entries);
         bench_gemm_nt(quick, &mut entries);
+        bench_gemm_prepared(quick, &mut entries);
         bench_qdense(quick, &mut entries);
         bench_dot_maddwd(quick, &mut entries);
         bench_model_forward(quick, &mut entries);

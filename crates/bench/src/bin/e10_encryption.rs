@@ -4,9 +4,12 @@
 //! trusted environment."
 //!
 //! Encrypted-load overhead across model sizes, amortization over reuse,
-//! and the partial-SPE latency curve.
+//! and the partial-SPE latency curve. "plain load" is `from_bytes` on
+//! bytes already in memory, "decrypt+load" is the device key, the AEAD
+//! open and the same `from_bytes`, and "AEAD open" is the open alone.
 
 use tinymlops_bench::{fmt, fmt_bytes, print_table, save_json, time_ms_n};
+use tinymlops_ipp::encrypt::device_key;
 use tinymlops_ipp::{decrypt_model, encrypt_model};
 use tinymlops_nn::model::mlp;
 use tinymlops_nn::Sequential;
@@ -26,12 +29,17 @@ fn main() {
         ("large (512-512-256-10)", vec![512, 512, 256, 10]),
     ] {
         let model = mlp(&widths, &mut TensorRng::seed(seed));
-        let bytes = model.to_bytes().expect("serialize").len();
+        let bytes = model.to_bytes().expect("serialize");
+        // Both arms end in the same `from_bytes`; only decryption differs.
         let plain_ms = time_ms_n(10, || {
-            let b = model.to_bytes().expect("serialize");
-            let _ = Sequential::from_bytes(&b).expect("deserialize");
+            let _ = Sequential::from_bytes(&bytes).expect("deserialize");
         });
         let enc = encrypt_model(&model, &master, 1, [1u8; 12]);
+        let key = device_key(&master, enc.device_id);
+        let aad = enc.device_id.to_le_bytes();
+        let open_ms = time_ms_n(10, || {
+            let _ = enc.sealed.open(&key, &aad).expect("open");
+        });
         let dec_ms = time_ms_n(10, || {
             let _ = decrypt_model(&enc, &master).expect("decrypt");
         });
@@ -40,12 +48,15 @@ fn main() {
         let inf_ms = time_ms_n(200, || {
             let _ = model.forward(&x);
         });
-        let overhead_once = (dec_ms - plain_ms).max(0.0);
+        // Unclamped: a negative value would be a measurement artefact, and
+        // should show as one.
+        let overhead_once = dec_ms - plain_ms;
         let amortized_pct = overhead_once / (overhead_once + 1000.0 * inf_ms) * 100.0;
         rows.push(vec![
             name.to_string(),
-            fmt_bytes(bytes as u64),
+            fmt_bytes(bytes.len() as u64),
             fmt(plain_ms, 2),
+            fmt(open_ms, 2),
             fmt(dec_ms, 2),
             fmt(dec_ms / plain_ms.max(1e-9), 2),
             fmt(amortized_pct, 3),
@@ -55,6 +66,7 @@ fn main() {
         "model",
         "artifact",
         "plain load ms",
+        "AEAD open ms",
         "decrypt+load ms",
         "ratio",
         "overhead % (1k inferences)",

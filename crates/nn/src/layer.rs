@@ -84,13 +84,11 @@ impl Dense {
         self.w.shape()[0]
     }
 
-    /// Build the prepared panels now rather than on the first batch that
-    /// needs them. A layer narrower than one panel never takes the packed
-    /// kernel and has none to build.
+    /// Build the prepared panels now rather than on the first batch. Every
+    /// layer has them: one narrower than a panel (a classifier head) is a
+    /// single zero-padded panel per K-block.
     pub fn prepare(&self) {
-        if self.out_dim() >= matmul::NR {
-            self.panels();
-        }
+        self.panels();
     }
 
     fn panels(&self) -> &PackedB {
@@ -103,9 +101,10 @@ impl Dense {
         })
     }
 
-    /// `x·Wᵀ + b` with the same kernel choice per shape as
-    /// [`Tensor::matmul_nt`], so it is bit-identical to
-    /// [`Dense::forward_train`]; only where `W`'s panels come from differs.
+    /// `x·Wᵀ + b` over the prepared panels, rounded per shape as
+    /// [`Tensor::matmul_nt`] rounds it — tiles where it takes the tiles,
+    /// `dot`'s chains where it streams rows — so it is bit-identical to
+    /// [`Dense::forward_train`] without reading `W`.
     fn forward(&self, x: &Tensor) -> Tensor {
         let (m, k, n) = (x.rows(), self.in_dim(), self.out_dim());
         assert_eq!(x.cols(), k, "dense shape checked by caller");
@@ -113,7 +112,7 @@ impl Dense {
         if matmul::nt_uses_panels(m, k, n) {
             matmul::gemm_prepacked(x.data(), self.panels(), &mut y, m);
         } else {
-            matmul::gemm_nt_row_stream(x.data(), self.w.data(), &mut y, m, k, n);
+            matmul::gemm_prepacked_dot(x.data(), self.panels(), &mut y, m);
         }
         self.add_bias(&mut y);
         Tensor::from_vec(y, &[m, n])

@@ -6,6 +6,7 @@
 mod golden;
 
 use golden::{digest, input, model, GOLDEN, MAX_BATCH};
+use tinymlops_tensor::matmul::{with_isa_cap, Isa};
 
 #[test]
 fn forward_is_bit_identical_to_the_per_call_pack_forward() {
@@ -19,6 +20,15 @@ fn forward_is_bit_identical_to_the_per_call_pack_forward() {
         }
     }
     assert!(wrong.is_empty(), "(model, batch) off the golden: {wrong:?}");
+}
+
+/// The same tables under every kernel arm this host has: the portable
+/// `mul_add` bodies, AVX2+FMA and AVX-512 give one set of bits.
+#[test]
+fn forward_is_bit_identical_under_every_isa_arm() {
+    for isa in Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected()) {
+        with_isa_cap(isa, forward_is_bit_identical_to_the_per_call_pack_forward);
+    }
 }
 
 /// A model that has already served (panels warm) answers exactly like a

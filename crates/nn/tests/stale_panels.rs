@@ -65,6 +65,21 @@ fn w_mut_drops_the_panels() {
     assert_serves_current_weights(&model, &x, &before);
 }
 
+/// A classifier head narrower than one panel has a prepared form too (one
+/// zero-padded panel, swept with `dot`'s rounding): `w_mut` drops it.
+#[test]
+fn w_mut_drops_a_narrow_heads_panels() {
+    let mut rng = TensorRng::seed(78);
+    let (k, n) = (WIDTHS[2], 10);
+    assert!(!nt_uses_panels(BATCH, k, n), "case must take the dot sweep");
+    let head = Dense::from_params(rng.kaiming(n, k), rng.uniform(&[n], -0.5, 0.5));
+    let mut model = Sequential::new(vec![Layer::Dense(head)]);
+    let x = rng.uniform(&[BATCH, k], -1.0, 1.0);
+    let before = model.forward(&x);
+    dense_mut(&mut model, 0).w_mut().map_inplace(|v| -2.0 * v);
+    assert_serves_current_weights(&model, &x, &before);
+}
+
 #[test]
 fn an_optimizer_step_through_params_mut_drops_the_panels() {
     let (mut model, x) = warm_model();

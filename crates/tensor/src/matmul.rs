@@ -23,12 +23,24 @@
 //! Inside a row slab the sweep runs B-panel-outer / A-tile-inner over A
 //! tiles packed once per K-block, so a small batch streams each B panel
 //! exactly once, and tile heights are balanced (8 rows = 4+4, not 6+2
-//! padded to 6). Every output element is still the same `mul_add` chain
-//! over `l` within a K-block, summed over K-blocks in order — tiling,
-//! loop order and pre-packing cannot change a bit of it.
+//! padded to 6). On a CPU with AVX-512F the sweep reads two adjacent
+//! panels per call (an `H × 32` tile in zmm registers); elsewhere one.
+//! Every output element is still the same `mul_add` chain over `l` within
+//! a K-block, summed over K-blocks in order — tiling, tile width, loop
+//! order and pre-packing cannot change a bit of it.
+//!
+//! Shapes [`nt_uses_panels`] keeps off the tiles (a 10-class head, a tiny
+//! batch) round like [`dot`]. [`gemm_prepacked_dot`] computes exactly
+//! that rounding over a [`PackedB`], with SIMD lanes across output
+//! columns, so a prepared weight matrix serves every shape.
+//!
+//! Which instruction set the kernels use is decided per call by [`Isa`]:
+//! the widest arm the CPU has, capped per thread by [`with_isa_cap`] so
+//! tests can run every arm on one host. No arm changes a bit.
 
 use crate::{Tensor, TensorError};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// FLOP threshold below which the sequential kernel is used; spawning
 /// rayon tasks for tiny matrices costs more than it saves.
@@ -41,9 +53,12 @@ const PACK_MIN_FLOPS: usize = 32 * 32 * 32;
 /// Rows per A-panel / micro-tile (register rows of C).
 pub const MR: usize = 6;
 
-/// Columns per B-panel / micro-tile (register columns of C; two AVX
-/// vectors of f32 — with MR=6 the 6×16 tile is the classic x86 register
-/// blocking: 12 accumulator vectors + 2 B vectors + 1 broadcast ≤ 16 ymm).
+/// Columns per B-panel (register columns of C). Under AVX2 a panel is two
+/// ymm vectors of f32, and with MR=6 the 6×16 tile is the classic x86
+/// register blocking: 12 accumulator vectors + 2 B vectors + 1 broadcast
+/// ≤ 16 ymm. Under AVX-512 a panel is one zmm vector and the sweep reads
+/// two adjacent panels per tile (6×32: 12 accumulators of 32 zmm). The
+/// panel layout is the same on every CPU, so a [`PackedB`] is too.
 pub const NR: usize = 16;
 
 /// K-dimension block: one A-panel strip of `MR×KC` f32 (4 KiB) plus the
@@ -62,6 +77,72 @@ pub const SPARSE_SKIP_THRESHOLD: f32 = 0.6;
 
 /// Elements sampled (evenly strided) when estimating the sparsity of A.
 const SPARSITY_SAMPLE: usize = 1024;
+
+/// An instruction-set arm of the f32 kernels, narrowest first. Every arm
+/// produces the same bits; they differ only in speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Isa {
+    /// The `mul_add` bodies compiled for the baseline target (native
+    /// fused instructions on aarch64, a correctly rounded `fmaf` call on
+    /// an x86-64 without FMA).
+    Portable,
+    /// x86-64 AVX2 + FMA: `H × 16` tiles in ymm registers.
+    Avx2Fma,
+    /// x86-64 AVX-512F (with AVX2 + FMA): `H × 32` two-panel tiles in zmm
+    /// registers.
+    Avx512,
+}
+
+impl Isa {
+    /// Every arm, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2Fma, Isa::Avx512];
+
+    /// The widest arm this CPU supports (CPUID, cached by the detection
+    /// macro).
+    #[must_use]
+    pub fn detected() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Isa::Avx512
+            } else {
+                Isa::Avx2Fma
+            };
+        }
+        Isa::Portable
+    }
+
+    /// The arm a kernel called on this thread runs: [`Isa::detected`],
+    /// capped by the innermost [`with_isa_cap`]. Never wider than the CPU,
+    /// which is what the kernels' `unsafe` dispatch relies on.
+    #[must_use]
+    pub(crate) fn current() -> Isa {
+        Isa::detected().min(ISA_CAP.with(Cell::get))
+    }
+}
+
+thread_local! {
+    static ISA_CAP: Cell<Isa> = const { Cell::new(Isa::Avx512) };
+}
+
+/// Run `f` with this thread's f32 kernels capped at `cap` (the arm is
+/// still never wider than the CPU). Restores the previous cap afterwards
+/// (also on panic); nestable. A GEMM reads the cap once on entry and
+/// hands the arm to its pool tasks, so worker threads follow the caller.
+pub fn with_isa_cap<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
+    ISA_CAP.with(|c| {
+        let prev = c.replace(cap);
+        struct Restore<'a>(&'a Cell<Isa>, Isa);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.1);
+            }
+        }
+        let _restore = Restore(c, prev);
+        f()
+    })
+}
 
 impl Tensor {
     /// Matrix product `self · rhs` for `[m,k] × [k,n] → [m,n]`.
@@ -115,7 +196,15 @@ fn two_d(t: &Tensor) -> (usize, usize) {
     }
 }
 
-/// Dot product with 4-way unrolling (reliably auto-vectorized).
+/// Dot product over four accumulation chains: chain `l mod 4` sums
+/// `a[l]·b[l]` (a multiply, then an add: two roundings) for `l` below the
+/// last multiple of 4, the chains are summed `((s0+s1)+s2)+s3`, and the
+/// `len mod 4` tail is added last.
+///
+/// Float adds cannot be reassociated, so the compiler runs this as four
+/// scalar, latency-bound chains rather than SIMD across `l`. The rounding
+/// is part of [`gemm_nt_row_stream`]'s arithmetic; [`gemm_prepacked_dot`]
+/// reproduces it bit for bit with the SIMD lanes across output columns.
 #[inline]
 #[must_use]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -191,7 +280,8 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 
 /// Whether [`gemm_nt`] runs this shape on packed tiles (else
 /// [`gemm_nt_row_stream`]). The two kernels round differently, so a caller
-/// holding a [`PackedB`] asks this to stay bit-identical to [`gemm_nt`].
+/// holding a [`PackedB`] asks this to stay bit-identical to [`gemm_nt`]:
+/// [`gemm_prepacked`] if it does, [`gemm_prepacked_dot`] if not.
 #[must_use]
 pub fn nt_uses_panels(m: usize, k: usize, n: usize) -> bool {
     n >= NR && m * k * n >= PACK_MIN_FLOPS
@@ -261,10 +351,11 @@ fn pack_b_block(b: &[f32], src: BSource, l0: usize, kc: usize, n: usize, block: 
 
 /// A constant transposed-B operand (`[n,k]` row-major — a `Dense` weight
 /// matrix) packed once into the panels [`gemm_packed_nt`] builds per call:
-/// every K-block's `⌈n/NR⌉` panels of `kc × NR`, K-blocks in order.
-/// [`gemm_prepacked`] multiplies against it without touching the source
-/// rows again. It is a snapshot: whoever owns the source matrix drops the
-/// `PackedB` when the matrix changes.
+/// every K-block's `⌈n/NR⌉` panels of `kc × NR`, K-blocks in order (a
+/// matrix narrower than `NR` is one zero-padded panel per K-block).
+/// [`gemm_prepacked`] and [`gemm_prepacked_dot`] multiply against it
+/// without touching the source rows again. It is a snapshot: whoever owns
+/// the source matrix drops the `PackedB` when the matrix changes.
 pub struct PackedB {
     k: usize,
     n: usize,
@@ -328,20 +419,38 @@ fn pack_a_tile(a: &[f32], k: usize, i0: usize, h: usize, l0: usize, kc: usize, a
 /// Per k-step this reads H contiguous A values and NR contiguous B values
 /// and issues H×NR fused multiply-adds on register-resident accumulators —
 /// no branches, no stores, so the compiler keeps the tile in vector
-/// registers. On x86-64 with AVX2+FMA (detected once at runtime) the loop
-/// nest runs in a `#[target_feature]` wrapper whose `mul_add`s compile to
-/// `vfmadd231ps`; elsewhere the same `mul_add`s are a native fused
-/// instruction (aarch64) or a correctly rounded `fmaf` call. Either way an
-/// element is one accumulator chained over `l`, rounded once per step, so
-/// its bits depend neither on `H` nor on the host.
+/// registers. On the AVX2+FMA and AVX-512 arms the loop nest runs in a
+/// `#[target_feature]` wrapper whose `mul_add`s compile to `vfmadd231ps`;
+/// on the portable arm the same `mul_add`s are a native fused instruction
+/// (aarch64) or a correctly rounded `fmaf` call. Either way an element is
+/// one accumulator chained over `l`, rounded once per step, so its bits
+/// depend neither on `H` nor on the arm.
 #[inline]
-fn micro_kernel<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
+fn micro_kernel<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `fma_available` checked avx2+fma on this CPU.
+    if isa >= Isa::Avx2Fma {
+        // SAFETY: `isa` is at most `Isa::detected()`, which checked
+        // avx2+fma on this CPU.
         return unsafe { micro_kernel_fma(ap, bp) };
     }
+    let _ = isa;
     micro_kernel_portable(ap, bp)
+}
+
+/// The two-panel micro-kernel: an `H × 2·NR` tile over two adjacent
+/// panels (`bp` holds panel `j` then panel `j+1`, each `kc × NR`), so one
+/// broadcast of A feeds two zmm FMAs. Column `j` of the tile is exactly
+/// [`micro_kernel`]'s chain for the panel it falls in.
+#[inline]
+fn micro_kernel2<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx512 {
+        // SAFETY: `isa` is at most `Isa::detected()`, which checked
+        // avx512f+avx2+fma on this CPU.
+        return unsafe { micro_kernel2_avx512(ap, bp) };
+    }
+    let _ = isa;
+    micro_kernel2_portable(ap, bp)
 }
 
 /// The micro-kernel loop nest. The tile is a local until the loop is
@@ -361,14 +470,6 @@ fn micro_kernel_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; 
     t
 }
 
-/// Whether the AVX2+FMA micro-kernel can run (cached by the detection
-/// macro; an atomic load per call).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn fma_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
 /// AVX2+FMA clone of [`micro_kernel_portable`]. `mul_add` only lowers to
 /// a fused instruction (instead of a libm call) when the enclosing
 /// function enables the feature, hence the wrapper rather than a runtime
@@ -379,20 +480,73 @@ fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     micro_kernel_portable(ap, bp)
 }
 
-/// `C[i0..i0+H, j0..j0+nr] += Ap · Bp`: one micro-kernel call, then the
-/// tile's live `nr` columns added into `c_tile` (the tile's H rows of C).
+/// The two-panel loop nest: [`micro_kernel_portable`] with each k-step
+/// reading NR floats from both panels. Under AVX-512 a tile row is two
+/// zmm accumulators, so `H ≤ MR` keeps the tile at ≤ 12 of the 32 zmm
+/// registers. (Taller tiles written this way are not kept in registers:
+/// go past `MR` rows only with intrinsics.)
+#[inline(always)]
+fn micro_kernel2_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
+    let (bp0, bp1) = bp.split_at(bp.len() / 2);
+    let mut t = [[0.0f32; 2 * NR]; H];
+    for ((av, b0), b1) in ap
+        .chunks_exact(H)
+        .zip(bp0.chunks_exact(NR))
+        .zip(bp1.chunks_exact(NR))
+    {
+        for i in 0..H {
+            let ai = av[i];
+            for j in 0..NR {
+                t[i][j] = ai.mul_add(b0[j], t[i][j]);
+                t[i][NR + j] = ai.mul_add(b1[j], t[i][NR + j]);
+            }
+        }
+    }
+    t
+}
+
+/// AVX-512F clone of [`micro_kernel2_portable`] (FMA enabled for the same
+/// reason as [`micro_kernel_fma`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+fn micro_kernel2_avx512<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
+    micro_kernel2_portable(ap, bp)
+}
+
+/// `C[i0..i0+H, j0..j0+cols] += Ap · Bp` for a one- or two-panel `bp`: one
+/// micro-kernel call, then the tile's live `cols` columns added into
+/// `c_tile` (the tile's H rows of C).
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 #[inline]
 fn sweep_tile<const H: usize>(
+    isa: Isa,
+    pair: bool,
     ap: &[f32],
     bp: &[f32],
     c_tile: &mut [f32],
     n: usize,
     j0: usize,
-    nr: usize,
+    cols: usize,
 ) {
-    let acc = micro_kernel::<H>(ap, bp);
-    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(&acc) {
-        for (cv, &av) in c_row[j0..j0 + nr].iter_mut().zip(acc_row) {
+    if pair {
+        add_tile(&micro_kernel2::<H>(isa, ap, bp), c_tile, n, j0, cols);
+    } else {
+        add_tile(&micro_kernel::<H>(isa, ap, bp), c_tile, n, j0, cols);
+    }
+}
+
+/// Add each accumulator row's first `cols` values into its row of C at
+/// column `j0`.
+#[inline]
+fn add_tile<const W: usize>(
+    acc: &[[f32; W]],
+    c_tile: &mut [f32],
+    n: usize,
+    j0: usize,
+    cols: usize,
+) {
+    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(acc) {
+        for (cv, &av) in c_row[j0..j0 + cols].iter_mut().zip(acc_row) {
             *cv += av;
         }
     }
@@ -406,10 +560,12 @@ const _: () = assert!(MR == 6);
 ///
 /// The slab's rows are cut into `⌈rows/MR⌉` tiles of balanced height (the
 /// first `rows mod tiles` one row taller) and packed into `ap` once; then
-/// each B panel is read once while the A tiles — at most
+/// each B panel — each adjacent pair of panels on the AVX-512 arm, with an
+/// odd last panel on its own — is read once while the A tiles — at most
 /// `M_TASK_ROWS·KC` floats, cache-resident — cycle under it.
 #[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 fn sweep_slab(
+    isa: Isa,
     a: &[f32],
     k: usize,
     bp_block: &[f32],
@@ -437,19 +593,24 @@ fn sweep_slab(
             &mut ap[i0 * kc..(i0 + h) * kc],
         );
     }
-    for (pj, bp) in bp_block.chunks_exact(kc * NR).enumerate() {
+    let n_panels = n.div_ceil(NR);
+    let step = if isa == Isa::Avx512 { 2 } else { 1 };
+    for pj in (0..n_panels).step_by(step) {
+        let width = step.min(n_panels - pj);
+        let pair = width == 2;
+        let bp = &bp_block[pj * kc * NR..(pj + width) * kc * NR];
         let j0 = pj * NR;
-        let nr = NR.min(n - j0);
+        let cols = (width * NR).min(n - j0);
         for (i0, h) in (0..tiles).map(tile) {
             let ap = &ap[i0 * kc..(i0 + h) * kc];
             let c_tile = &mut c_slab[i0 * n..(i0 + h) * n];
             match h {
-                1 => sweep_tile::<1>(ap, bp, c_tile, n, j0, nr),
-                2 => sweep_tile::<2>(ap, bp, c_tile, n, j0, nr),
-                3 => sweep_tile::<3>(ap, bp, c_tile, n, j0, nr),
-                4 => sweep_tile::<4>(ap, bp, c_tile, n, j0, nr),
-                5 => sweep_tile::<5>(ap, bp, c_tile, n, j0, nr),
-                6 => sweep_tile::<6>(ap, bp, c_tile, n, j0, nr),
+                1 => sweep_tile::<1>(isa, pair, ap, bp, c_tile, n, j0, cols),
+                2 => sweep_tile::<2>(isa, pair, ap, bp, c_tile, n, j0, cols),
+                3 => sweep_tile::<3>(isa, pair, ap, bp, c_tile, n, j0, cols),
+                4 => sweep_tile::<4>(isa, pair, ap, bp, c_tile, n, j0, cols),
+                5 => sweep_tile::<5>(isa, pair, ap, bp, c_tile, n, j0, cols),
+                6 => sweep_tile::<6>(isa, pair, ap, bp, c_tile, n, j0, cols),
                 _ => unreachable!("tile heights are 1..=MR"),
             }
         }
@@ -466,6 +627,7 @@ enum Panels<'a> {
 }
 
 fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
+    let isa = Isa::current();
     let n_panels = n.div_ceil(NR);
     // A single slab has nothing to hand the pool.
     let parallel = m > M_TASK_ROWS && m * k * n >= PAR_MIN_FLOPS;
@@ -496,11 +658,12 @@ fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: us
                 .enumerate()
                 .for_each(|(si, c_slab)| {
                     let ap = &mut vec![0.0f32; M_TASK_ROWS * kc];
-                    sweep_slab(a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, ap);
+                    sweep_slab(isa, a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, ap);
                 });
         } else {
             for (si, c_slab) in c.chunks_mut(M_TASK_ROWS * n).enumerate() {
-                sweep_slab(a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, &mut ap);
+                let i_base = si * M_TASK_ROWS;
+                sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, &mut ap);
             }
         }
     }
@@ -527,6 +690,110 @@ pub fn gemm_prepacked(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
     debug_assert_eq!(a.len(), m * b.k);
     debug_assert_eq!(c.len(), m * b.n);
     gemm_tiled(a, Panels::Packed(b), c, m, b.k, b.n);
+}
+
+/// [`gemm_nt_row_stream`] against panels packed ahead of time:
+/// `c[m×n] = a[m×k] · bᵀ`, every element rounded exactly as [`dot`] rounds
+/// it, so bit-identical to the row-stream kernel on the `[n,k]` matrix `b`
+/// was built from. The shapes [`nt_uses_panels`] keeps off the tiles —
+/// a classifier head narrower than `NR`, a batch too small to tile — take
+/// this with the same `PackedB` the tiles use.
+///
+/// Per row of A and panel of B it keeps [`dot`]'s four chains, one
+/// `NR`-lane vector each, with the lanes across the panel's output
+/// columns: the panel row for `l` is the `NR` weights `b[j][l]`, so lane
+/// `j` of chain `l mod 4` adds `a[l]·b[j][l]` in the order `dot` does.
+pub fn gemm_prepacked_dot(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
+    let (k, n) = (b.k, b.n);
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(c.len(), m * n);
+    let isa = Isa::current();
+    let body = |(i, c_row): (usize, &mut [f32])| {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (pj, c_cols) in c_row.chunks_mut(NR).enumerate() {
+            let sums = dot_panel(isa, a_row, b, pj);
+            c_cols.copy_from_slice(&sums[..c_cols.len()]);
+        }
+    };
+    if m * n * k >= PAR_MIN_FLOPS && m > 1 {
+        c.par_chunks_mut(n).enumerate().for_each(body);
+    } else {
+        c.chunks_mut(n).enumerate().for_each(body);
+    }
+}
+
+// `dot_panel_portable` runs `dot`'s chains across K-blocks.
+const _: () = assert!(KC.is_multiple_of(4));
+
+/// [`dot`] of `a_row` with each of panel `pj`'s `NR` columns, on `isa`.
+///
+/// Both x86 arms run the AVX2 clone. A zmm clone saved ≈0.6 µs on an
+/// 8-row 512→10 head, but a narrow-only model (every layer on this sweep)
+/// would then run 512-bit FP code and clock down whatever runs after it:
+/// an int8 forward following it measured ≈16 % slower.
+#[inline]
+fn dot_panel(isa: Isa, a_row: &[f32], b: &PackedB, pj: usize) -> [f32; NR] {
+    #[cfg(target_arch = "x86_64")]
+    if isa >= Isa::Avx2Fma {
+        // SAFETY: `isa` is at most `Isa::detected()`, which checked avx2
+        // on this CPU.
+        return unsafe { dot_panel_avx2(a_row, b, pj) };
+    }
+    let _ = isa;
+    dot_panel_portable(a_row, b, pj)
+}
+
+/// The body of [`dot_panel`]. A multiply and an add per step — never a
+/// fused one: `dot` rounds twice.
+#[inline(always)]
+fn dot_panel_portable(a_row: &[f32], b: &PackedB, pj: usize) -> [f32; NR] {
+    let k = a_row.len();
+    // `dot`'s chained prefix; K-blocks start at multiples of KC, and so of
+    // 4, so each block holds whole chain steps and the chains run across
+    // blocks unbroken.
+    let quads = k / 4 * 4;
+    let panel = |l0: usize, kc: usize| {
+        let block = &b.panels[b.block_range(l0, kc)];
+        &block[pj * kc * NR..(pj + 1) * kc * NR]
+    };
+    let mut s = [[0.0f32; NR]; 4];
+    for l0 in (0..quads).step_by(KC) {
+        let kc = KC.min(k - l0);
+        let q = kc.min(quads - l0);
+        let bp = &panel(l0, kc)[..q * NR];
+        for (av, bv) in a_row[l0..l0 + q]
+            .chunks_exact(4)
+            .zip(bp.chunks_exact(4 * NR))
+        {
+            for (r, s) in s.iter_mut().enumerate() {
+                for j in 0..NR {
+                    s[j] += av[r] * bv[r * NR + j];
+                }
+            }
+        }
+    }
+    let mut sum = [0.0f32; NR];
+    for j in 0..NR {
+        sum[j] = s[0][j] + s[1][j] + s[2][j] + s[3][j];
+    }
+    // The tail lies in the last K-block.
+    if quads < k {
+        let l0 = (k - 1) / KC * KC;
+        let bp = panel(l0, k - l0);
+        for l in quads..k {
+            for j in 0..NR {
+                sum[j] += a_row[l] * bp[(l - l0) * NR + j];
+            }
+        }
+    }
+    sum
+}
+
+/// AVX2 clone of [`dot_panel_portable`]: each chain is two ymm vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_panel_avx2(a_row: &[f32], b: &PackedB, pj: usize) -> [f32; NR] {
+    dot_panel_portable(a_row, b, pj)
 }
 
 /// The seed row-streaming kernel: k-outer loop per C row with contiguous B
@@ -749,42 +1016,71 @@ mod tests {
         }
     }
 
-    /// The CI host always dispatches to `micro_kernel_fma`; this runs the
-    /// portable body at every tile height the sweep instantiates, with a
-    /// `kc` that is not a multiple of anything and a panel whose last
-    /// columns are padding, and holds it bit-exact to a scalar `mul_add`
-    /// chain in the same k-order — and to the FMA kernel where the host
-    /// has one.
+    /// The CI host always dispatches to `micro_kernel2_avx512` /
+    /// `micro_kernel_fma`; this runs the portable bodies at every tile
+    /// height the sweep instantiates, with a `kc` that is not a multiple of
+    /// anything and a last panel whose last columns are padding, and holds
+    /// them bit-exact to a scalar `mul_add` chain in the same k-order — and
+    /// to the FMA and AVX-512 kernels where the host has them.
     #[test]
     fn portable_micro_kernel_matches_naive_at_every_tile_height() {
+        /// `H × cols` of A·B packed as `⌈cols/NR⌉` panels, and the scalar
+        /// chain each tile element must equal (0 in padding columns).
+        fn case<const H: usize>(
+            rng: &mut TensorRng,
+            kc: usize,
+            cols: usize,
+        ) -> (Vec<f32>, Vec<f32>, impl Fn(usize, usize) -> f32) {
+            let a = rng.uniform(&[H, kc], -1.0, 1.0);
+            let b = rng.uniform(&[kc, cols], -1.0, 1.0);
+            let mut ap = vec![0.0; kc * H];
+            pack_a_tile(a.data(), kc, 0, H, 0, kc, &mut ap);
+            let mut bp = vec![0.0; kc * cols.div_ceil(NR) * NR];
+            pack_b_block(b.data(), BSource::Normal { n: cols }, 0, kc, cols, &mut bp);
+            let want = move |i: usize, j: usize| {
+                if j < cols {
+                    (0..kc).fold(0.0f32, |s, l| a.at(i, l).mul_add(b.at(l, j), s))
+                } else {
+                    0.0
+                }
+            };
+            (ap, bp, want)
+        }
+        fn assert_chains<const W: usize>(acc: &[[f32; W]], want: impl Fn(usize, usize) -> f32) {
+            for (i, acc_row) in acc.iter().enumerate() {
+                for (j, &got) in acc_row.iter().enumerate() {
+                    let want = want(i, j);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "H={} W={W} [{i}][{j}]: {got} vs {want}",
+                        acc.len()
+                    );
+                }
+            }
+        }
         fn check<const H: usize>(rng: &mut TensorRng) {
             for &(kc, nr) in &[(KC, NR), (37, NR), (37, 5), (1, 1)] {
-                let a = rng.uniform(&[H, kc], -1.0, 1.0);
-                let b = rng.uniform(&[kc, nr], -1.0, 1.0);
-                let mut ap = vec![0.0; kc * H];
-                pack_a_tile(a.data(), kc, 0, H, 0, kc, &mut ap);
-                let mut bp = vec![0.0; kc * NR];
-                pack_b_panel(b.data(), BSource::Normal { n: nr }, 0, kc, 0, nr, &mut bp);
+                let (ap, bp, want) = case::<H>(rng, kc, nr);
                 let acc = micro_kernel_portable::<H>(&ap, &bp);
-                for (i, acc_row) in acc.iter().enumerate() {
-                    for (j, &got) in acc_row.iter().enumerate() {
-                        let want = if j < nr {
-                            (0..kc).fold(0.0f32, |s, l| a.at(i, l).mul_add(b.at(l, j), s))
-                        } else {
-                            0.0
-                        };
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "H={H} kc={kc} [{i}][{j}]: {got} vs {want}"
-                        );
-                    }
-                }
+                assert_chains(&acc, want);
                 #[cfg(target_arch = "x86_64")]
-                if fma_available() {
-                    // SAFETY: `fma_available` checked avx2+fma on this CPU.
+                if Isa::detected() >= Isa::Avx2Fma {
+                    // SAFETY: `Isa::detected` checked avx2+fma on this CPU.
                     let fused = unsafe { micro_kernel_fma::<H>(&ap, &bp) };
                     assert_eq!(acc, fused, "H={H} kc={kc}: portable vs FMA");
+                }
+            }
+            // Two panels; the second one partly or mostly padding.
+            for &(kc, cols) in &[(KC, 2 * NR), (37, 2 * NR), (37, NR + 5), (1, NR + 1)] {
+                let (ap, bp, want) = case::<H>(rng, kc, cols);
+                let acc = micro_kernel2_portable::<H>(&ap, &bp);
+                assert_chains(&acc, want);
+                #[cfg(target_arch = "x86_64")]
+                if Isa::detected() == Isa::Avx512 {
+                    // SAFETY: `Isa::detected` checked avx512f+avx2+fma.
+                    let wide = unsafe { micro_kernel2_avx512::<H>(&ap, &bp) };
+                    assert_eq!(acc, wide, "H={H} kc={kc}: portable vs AVX-512");
                 }
             }
         }
@@ -795,6 +1091,79 @@ mod tests {
         check::<4>(&mut rng);
         check::<5>(&mut rng);
         check::<6>(&mut rng);
+    }
+
+    /// The arms this host can run, narrowest first.
+    fn host_arms() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected())
+    }
+
+    #[test]
+    fn every_isa_arm_sweeps_the_same_bits() {
+        // One panel, a padded pair, a pair plus an odd last panel; one
+        // slab and slabs through the pool; a K-block remainder.
+        let mut rng = TensorRng::seed(43);
+        for &(m, k, n) in &[
+            (8, 64, NR),
+            (7, KC + 3, NR + 5),
+            (M_TASK_ROWS + 9, 2 * KC + 37, 3 * NR),
+        ] {
+            let a = rng.uniform(&[m, k], -1.0, 1.0);
+            let bt = rng.uniform(&[n, k], -1.0, 1.0);
+            let packed = PackedB::from_transposed(bt.data(), n, k);
+            let run = |isa: Isa| {
+                with_isa_cap(isa, || {
+                    let mut per_call = vec![0.0; m * n];
+                    gemm_packed_nt(a.data(), bt.data(), &mut per_call, m, k, n);
+                    let mut pre = vec![0.0; m * n];
+                    gemm_prepacked(a.data(), &packed, &mut pre, m);
+                    assert_eq!(per_call, pre, "{isa:?} {m}x{k}x{n}");
+                    pre
+                })
+            };
+            let portable = run(Isa::Portable);
+            for isa in host_arms() {
+                assert_eq!(run(isa), portable, "{isa:?} vs portable, {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn isa_cap_is_scoped_and_never_exceeds_the_cpu() {
+        assert_eq!(Isa::current(), Isa::detected());
+        with_isa_cap(Isa::Portable, || {
+            assert_eq!(Isa::current(), Isa::Portable);
+            with_isa_cap(Isa::Avx512, || assert_eq!(Isa::current(), Isa::detected()));
+            assert_eq!(Isa::current(), Isa::Portable);
+        });
+        assert_eq!(Isa::current(), Isa::detected());
+    }
+
+    #[test]
+    fn prepacked_dot_is_bit_identical_to_row_stream() {
+        // k mod 4 ≠ 0, k < 4, and several K-blocks; n below, at and above
+        // one panel; on the portable body and every arm the host has.
+        let mut rng = TensorRng::seed(47);
+        for k in [1, 3, 5, 64, 2 * KC + 37] {
+            for n in [1, 3, 10, 15, 16, 33] {
+                let bt = rng.uniform(&[n, k], -1.0, 1.0);
+                let packed = PackedB::from_transposed(bt.data(), n, k);
+                for m in 1..=9 {
+                    let a = rng.uniform(&[m, k], -1.0, 1.0);
+                    let mut want = vec![0.0; m * n];
+                    gemm_nt_row_stream(a.data(), bt.data(), &mut want, m, k, n);
+                    for isa in host_arms() {
+                        let mut got = vec![f32::NAN; m * n];
+                        with_isa_cap(isa, || gemm_prepacked_dot(a.data(), &packed, &mut got, m));
+                        assert_eq!(
+                            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "{isa:?} {m}x{k}x{n}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 mod golden;
 
 use golden::{digest, input, model, GOLDEN, MAX_BATCH};
+use tinymlops_tensor::matmul::{with_isa_cap, Isa};
 
 #[test]
 fn f32_forward_is_bit_identical_to_the_per_call_pack_forward() {
@@ -21,5 +22,17 @@ fn f32_forward_is_bit_identical_to_the_per_call_pack_forward() {
                 "model {which} batch {batch}: forward arithmetic changed"
             );
         }
+    }
+}
+
+/// The same slice under every kernel arm this host has (portable,
+/// AVX2+FMA, AVX-512): the host's widest arm is not the only one pinned.
+#[test]
+fn f32_forward_is_bit_identical_under_every_isa_arm() {
+    for isa in Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected()) {
+        with_isa_cap(
+            isa,
+            f32_forward_is_bit_identical_to_the_per_call_pack_forward,
+        );
     }
 }
