@@ -23,7 +23,7 @@ use tinymlops_quant::{dot_i8_portable, QDense, QuantScheme, QuantizedModel};
 use tinymlops_serve::{FabricConfig, LoadPlan, ServeConfig, ServeFabric, TenantSpec};
 use tinymlops_tensor::matmul::{
     gemm, gemm_naive, gemm_nt, gemm_nt_row_stream, gemm_packed, gemm_packed_nt, gemm_prepacked,
-    gemm_prepacked_dot, gemm_row_stream, nt_uses_panels, with_isa_cap, Isa, PackedB,
+    gemm_prepacked_dot, gemm_row_stream, nt_uses_panels, with_isa_cap, Epilogue, Isa, PackedB,
 };
 use tinymlops_tensor::{Tensor, TensorRng};
 
@@ -258,9 +258,9 @@ fn bench_gemm_prepared(quick: bool, entries: &mut Vec<Entry>) {
         let prepared = |c: &mut [f32]| {
             if nt_uses_panels(m, k, n) {
                 c.fill(0.0);
-                gemm_prepacked(a.data(), &packed, c, m);
+                gemm_prepacked(a.data(), &packed, c, m, Epilogue::default());
             } else {
-                gemm_prepacked_dot(a.data(), &packed, c, m);
+                gemm_prepacked_dot(a.data(), &packed, c, m, Epilogue::default());
             }
         };
         let capped = |c: &mut [f32]| with_isa_cap(Isa::Avx2Fma, || prepared(c));

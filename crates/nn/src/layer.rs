@@ -7,7 +7,7 @@
 use crate::conv::{Conv2d, MaxPool2d};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-use tinymlops_tensor::matmul::{self, PackedB};
+use tinymlops_tensor::matmul::{self, Epilogue, PackedB};
 use tinymlops_tensor::{Tensor, TensorRng};
 
 /// A fully-connected layer computing `y = x·Wᵀ + b`.
@@ -101,20 +101,25 @@ impl Dense {
         })
     }
 
-    /// `x·Wᵀ + b` over the prepared panels, rounded per shape as
-    /// [`Tensor::matmul_nt`] rounds it — tiles where it takes the tiles,
-    /// `dot`'s chains where it streams rows — so it is bit-identical to
-    /// [`Dense::forward_train`] without reading `W`.
-    fn forward(&self, x: &Tensor) -> Tensor {
+    /// `x·Wᵀ + b` over the prepared panels — then a ReLU if `relu`, the
+    /// bias and the ReLU both fused into the GEMM's store — rounded per
+    /// shape as [`Tensor::matmul_nt`] rounds it: tiles where it takes the
+    /// tiles, `dot`'s chains where it streams rows. So it is bit-identical
+    /// to [`Dense::forward_train`] (then [`Layer::Relu`]) without reading
+    /// `W`.
+    pub(crate) fn forward(&self, x: &Tensor, relu: bool) -> Tensor {
         let (m, k, n) = (x.rows(), self.in_dim(), self.out_dim());
         assert_eq!(x.cols(), k, "dense shape checked by caller");
         let mut y = vec![0.0f32; m * n];
+        let ep = Epilogue {
+            bias: Some(self.b.data()),
+            relu,
+        };
         if matmul::nt_uses_panels(m, k, n) {
-            matmul::gemm_prepacked(x.data(), self.panels(), &mut y, m);
+            matmul::gemm_prepacked(x.data(), self.panels(), &mut y, m, ep);
         } else {
-            matmul::gemm_prepacked_dot(x.data(), self.panels(), &mut y, m);
+            matmul::gemm_prepacked_dot(x.data(), self.panels(), &mut y, m, ep);
         }
-        self.add_bias(&mut y);
         Tensor::from_vec(y, &[m, n])
     }
 
@@ -257,7 +262,7 @@ impl Layer {
     #[must_use]
     pub fn forward(&self, x: &Tensor) -> Tensor {
         match self {
-            Layer::Dense(d) => d.forward(x),
+            Layer::Dense(d) => d.forward(x, false),
             Layer::Conv2d(c) => c.forward(x),
             Layer::MaxPool2d(p) => p.forward(x),
             _ => self.forward_owned(x.clone()),

@@ -197,13 +197,21 @@ impl Sequential {
 
 /// Inference through `layers`: the first reads `x`, each later one
 /// consumes its predecessor's output, so activations overwrite it in place.
+/// A `Dense` followed by a `Relu` runs as one step, the ReLU applied as the
+/// GEMM stores its output.
 fn run(layers: &[Layer], x: &Tensor) -> Tensor {
-    match layers.split_first() {
-        Some((first, rest)) => rest
-            .iter()
-            .fold(first.forward(x), |h, l| l.forward_owned(h)),
-        None => x.clone(),
+    let mut h: Option<Tensor> = None;
+    let mut rest = layers;
+    while let Some((layer, tail)) = rest.split_first() {
+        let fuse = matches!((layer, tail.first()), (Layer::Dense(_), Some(Layer::Relu)));
+        h = Some(match (layer, h.take()) {
+            (Layer::Dense(d), h) => d.forward(h.as_ref().unwrap_or(x), fuse),
+            (_, Some(h)) => layer.forward_owned(h),
+            (_, None) => layer.forward(x),
+        });
+        rest = &tail[usize::from(fuse)..];
     }
+    h.unwrap_or_else(|| x.clone())
 }
 
 /// Convenience constructor: an MLP with ReLU activations between the given
@@ -263,6 +271,41 @@ mod tests {
         let full = m.forward(&x);
         for (a, b) in out.data().iter().zip(full.data()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn collect_and_range_keep_the_dense_output_a_relu_fuses_into() {
+        // 8 rows take the tiles, 2 rows the `dot` sweep. `forward` fuses
+        // each Dense with the Relu after it; `forward_collect` and a range
+        // ending at a Dense must still return that Dense's own output,
+        // negatives and all, bit for bit what training's forward computes.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = TensorRng::seed(10);
+        let m = mlp(&[64, 64, 64, 10], &mut rng);
+        for batch in [8, 2] {
+            let x = rng.uniform(&[batch, 64], -1.0, 1.0);
+            let acts = m.forward_collect(&x);
+            let Layer::Dense(d) = &m.layers[0] else {
+                unreachable!("mlp starts with a Dense")
+            };
+            let mut dense = x.matmul_nt(d.w()).unwrap();
+            for row in dense.data_mut().chunks_exact_mut(64) {
+                for (v, b) in row.iter_mut().zip(d.b.data()) {
+                    *v += b;
+                }
+            }
+            assert_eq!(bits(&acts[1]), bits(&dense), "batch {batch}");
+            assert!(acts[1].data().iter().any(|&v| v < 0.0));
+            let mut relu = dense.clone();
+            relu.map_inplace(|v| v.max(0.0));
+            assert_eq!(bits(&acts[2]), bits(&relu), "batch {batch}");
+            assert_eq!(bits(&m.forward_range(&x, 0, 1)), bits(&dense));
+            assert_eq!(bits(&m.forward_range(&x, 0, 2)), bits(&relu));
+            assert_eq!(bits(&m.forward_range(&acts[2], 2, 3)), bits(&acts[3]));
+            let out = acts.last().unwrap();
+            assert_eq!(bits(&m.forward(&x)), bits(out));
+            assert_eq!(bits(&m.clone().forward_train(&x)), bits(out));
         }
     }
 

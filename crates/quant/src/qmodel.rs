@@ -238,8 +238,10 @@ impl QuantizedModel {
 
     /// Do everything [`Self::forward_fused`] would do lazily on its first
     /// batch — unpack and widen each integer layer's weights, build the
-    /// fusion plan — now (model install).
+    /// fusion plan, start the worker pool its layers fan batch rows out
+    /// on — now (model install).
     pub fn prepare(&self) {
+        rayon::current_num_threads();
         self.fused_plan();
         for l in &self.layers {
             match l {

@@ -77,8 +77,7 @@ impl Router {
     }
 
     /// Recompute per-device selections for `family` (call after
-    /// `fleet.step()` or when a new family version lands). Uses the
-    /// fleet-sweep primitive, so it parallelizes across devices.
+    /// `fleet.step()` or when a new family version lands).
     pub fn refresh_family(&mut self, family: &str, records: &[ModelRecord]) {
         self.refresh_at(family, 0, records);
     }
@@ -87,10 +86,15 @@ impl Router {
     /// set.
     pub(crate) fn refresh_at(&mut self, family: &str, level: usize, records: &[ModelRecord]) {
         let records = degrade_records(records, level);
-        let req = self.requirements.clone();
+        let req = &self.requirements;
+        // Sequential: a node's few dozen selections cost less than waking
+        // the worker pool for them.
         let plan = self
             .fleet
-            .par_map(|device| select_variant(&records, device, &req).ok().map(Arc::new));
+            .devices
+            .iter()
+            .map(|device| select_variant(&records, device, req).ok().map(Arc::new))
+            .collect();
         let levels = self.plans.entry(family.to_string()).or_default();
         if levels.len() <= level {
             levels.resize(level + 1, None);

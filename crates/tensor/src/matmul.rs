@@ -22,12 +22,14 @@
 //! [`gemm_prepacked`]: the same panels, the same sweep, no per-call pack.
 //! Inside a row slab the sweep runs B-panel-outer / A-tile-inner over A
 //! tiles packed once per K-block, so a small batch streams each B panel
-//! exactly once, and tile heights are balanced (8 rows = 4+4, not 6+2
-//! padded to 6). On a CPU with AVX-512F the sweep reads two adjacent
-//! panels per call (an `H × 32` tile in zmm registers); elsewhere one.
-//! Every output element is still the same `mul_add` chain over `l` within
-//! a K-block, summed over K-blocks in order — tiling, tile width, loop
-//! order and pre-packing cannot change a bit of it.
+//! exactly once, and tile heights are balanced (7 rows are 4+3 on a 6-row
+//! tile, not 6+1). On a CPU with AVX-512F the tile is up to 8 rows by
+//! three adjacent panels (8 × 48: 24 zmm accumulators), so the 8-row batch
+//! the serving micro-batcher sends is one tile; elsewhere it is up to
+//! 6 × 16. Every output element is still the same `mul_add` chain over `l`
+//! within a K-block, added into C K-block by K-block in order — tiling,
+//! tile shape, loop order and pre-packing cannot change a bit of it. An
+//! [`Epilogue`] (a bias, then a ReLU) rides on the last K-block's store.
 //!
 //! Shapes [`nt_uses_panels`] keeps off the tiles (a 10-class head, a tiny
 //! batch) round like [`dot`]. [`gemm_prepacked_dot`] computes exactly
@@ -50,23 +52,31 @@ const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
 /// row-streaming kernel is used instead of the tiled path.
 const PACK_MIN_FLOPS: usize = 32 * 32 * 32;
 
-/// Rows per A-panel / micro-tile (register rows of C).
+/// Rows per A tile (register rows of C) on the portable and AVX2+FMA arms.
 pub const MR: usize = 6;
 
-/// Columns per B-panel (register columns of C). Under AVX2 a panel is two
-/// ymm vectors of f32, and with MR=6 the 6×16 tile is the classic x86
-/// register blocking: 12 accumulator vectors + 2 B vectors + 1 broadcast
-/// ≤ 16 ymm. Under AVX-512 a panel is one zmm vector and the sweep reads
-/// two adjacent panels per tile (6×32: 12 accumulators of 32 zmm). The
-/// panel layout is the same on every CPU, so a [`PackedB`] is too.
+/// Columns per B-panel. Under AVX2 a panel is two ymm vectors of f32, and
+/// with MR=6 the 6×16 tile is the classic x86 register blocking: 12
+/// accumulator vectors + 2 B vectors + 1 broadcast ≤ 16 ymm. Under AVX-512
+/// a panel is one zmm vector and a tile spans up to three adjacent panels. The panel layout is the same on every CPU, so a [`PackedB`] is
+/// too.
 pub const NR: usize = 16;
+
+/// Rows per A tile on the AVX-512 arm. With `WR_ZMM` panels an 8 × 48
+/// tile is 24 zmm accumulators + 3 B vectors + 1 broadcast = 28 of 32
+/// registers, and 8 is the batch the serving micro-batcher fills.
+const MR_ZMM: usize = 8;
+
+/// Adjacent B panels per tile on the AVX-512 arm (a row's last one or two
+/// panels take a narrower tile).
+const WR_ZMM: usize = 3;
 
 /// K-dimension block: one A-panel strip of `MR×KC` f32 (4 KiB) plus the
 /// B-panel block stay L2-resident while the M sweep reuses them.
 pub const KC: usize = 256;
 
-/// Rows of C per parallel task: a multiple of MR large enough to amortize
-/// task spawn, small enough to load-balance odd shapes.
+/// Rows of C per parallel task: a multiple of `MR_ZMM` large enough to
+/// amortize task spawn, small enough to load-balance odd shapes.
 const M_TASK_ROWS: usize = 32;
 
 /// Zero fraction of A at which the row-streaming kernel's pruned-weight
@@ -88,8 +98,8 @@ pub enum Isa {
     Portable,
     /// x86-64 AVX2 + FMA: `H × 16` tiles in ymm registers.
     Avx2Fma,
-    /// x86-64 AVX-512F (with AVX2 + FMA): `H × 32` two-panel tiles in zmm
-    /// registers.
+    /// x86-64 AVX-512F (with AVX2 + FMA): tiles of up to 8 rows × 3 panels
+    /// (8 × 48) in zmm registers.
     Avx512,
 }
 
@@ -413,18 +423,49 @@ fn pack_a_tile(a: &[f32], k: usize, i0: usize, h: usize, l0: usize, kc: usize, a
     }
 }
 
-/// The register micro-kernel: an `H × NR` tile of `Ap · Bp` over one
-/// K-block, `H ≤ MR` rows tall.
+/// What [`gemm_prepacked`] and [`gemm_prepacked_dot`] apply to each
+/// output element as they store it: `+ bias[j]`, then `max(·, 0)` — a
+/// `Dense` layer's bias and a ReLU after it, fused into the GEMM's last
+/// store instead of two more passes over C, and rounded exactly as those
+/// passes round them (`v += bias[j]`, then `v = v.max(0.0)`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Epilogue<'a> {
+    /// Added to column `j` of every row; `n` long.
+    pub bias: Option<&'a [f32]>,
+    /// Clamp at zero after the bias as `v.max(0.0)` does: a NaN becomes
+    /// `+0.0`. (No `-0.0` reaches it: a sum whose chain starts at `+0.0`
+    /// plus a bias is `-0.0` only if both are.)
+    pub relu: bool,
+}
+
+impl Epilogue<'_> {
+    /// The epilogue applied to output `v` of column `j`.
+    #[inline(always)]
+    fn apply(self, v: f32, j: usize) -> f32 {
+        let v = match self.bias {
+            Some(bias) => v + bias[j],
+            None => v,
+        };
+        if self.relu {
+            v.max(0.0)
+        } else {
+            v
+        }
+    }
+}
+
+/// The register micro-kernel of the portable and AVX2+FMA arms: an
+/// `H × NR` tile of `Ap · Bp` over one K-block, `H ≤ MR` rows tall.
 ///
 /// Per k-step this reads H contiguous A values and NR contiguous B values
 /// and issues H×NR fused multiply-adds on register-resident accumulators —
 /// no branches, no stores, so the compiler keeps the tile in vector
-/// registers. On the AVX2+FMA and AVX-512 arms the loop nest runs in a
+/// registers. On the AVX2+FMA arm the loop nest runs in a
 /// `#[target_feature]` wrapper whose `mul_add`s compile to `vfmadd231ps`;
 /// on the portable arm the same `mul_add`s are a native fused instruction
 /// (aarch64) or a correctly rounded `fmaf` call. Either way an element is
-/// one accumulator chained over `l`, rounded once per step, so its bits
-/// depend neither on `H` nor on the arm.
+/// one accumulator chained over `l` from zero, rounded once per step, so
+/// its bits depend neither on `H` nor on the arm.
 #[inline]
 fn micro_kernel<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     #[cfg(target_arch = "x86_64")]
@@ -435,22 +476,6 @@ fn micro_kernel<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; NR];
     }
     let _ = isa;
     micro_kernel_portable(ap, bp)
-}
-
-/// The two-panel micro-kernel: an `H × 2·NR` tile over two adjacent
-/// panels (`bp` holds panel `j` then panel `j+1`, each `kc × NR`), so one
-/// broadcast of A feeds two zmm FMAs. Column `j` of the tile is exactly
-/// [`micro_kernel`]'s chain for the panel it falls in.
-#[inline]
-fn micro_kernel2<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx512 {
-        // SAFETY: `isa` is at most `Isa::detected()`, which checked
-        // avx512f+avx2+fma on this CPU.
-        return unsafe { micro_kernel2_avx512(ap, bp) };
-    }
-    let _ = isa;
-    micro_kernel2_portable(ap, bp)
 }
 
 /// The micro-kernel loop nest. The tile is a local until the loop is
@@ -480,89 +505,195 @@ fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
     micro_kernel_portable(ap, bp)
 }
 
-/// The two-panel loop nest: [`micro_kernel_portable`] with each k-step
-/// reading NR floats from both panels. Under AVX-512 a tile row is two
-/// zmm accumulators, so `H ≤ MR` keeps the tile at ≤ 12 of the 32 zmm
-/// registers. (Taller tiles written this way are not kept in registers:
-/// go past `MR` rows only with intrinsics.)
-#[inline(always)]
-fn micro_kernel2_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
-    let (bp0, bp1) = bp.split_at(bp.len() / 2);
-    let mut t = [[0.0f32; 2 * NR]; H];
-    for ((av, b0), b1) in ap
-        .chunks_exact(H)
-        .zip(bp0.chunks_exact(NR))
-        .zip(bp1.chunks_exact(NR))
-    {
-        for i in 0..H {
-            let ai = av[i];
-            for j in 0..NR {
-                t[i][j] = ai.mul_add(b0[j], t[i][j]);
-                t[i][NR + j] = ai.mul_add(b1[j], t[i][NR + j]);
-            }
+/// Add each accumulator row's first `cols` values into its row of C at
+/// column `j0`, then apply `ep`.
+#[inline]
+fn add_tile(
+    acc: &[[f32; NR]],
+    c_tile: &mut [f32],
+    n: usize,
+    j0: usize,
+    cols: usize,
+    ep: Epilogue<'_>,
+) {
+    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(acc) {
+        for (j, (cv, &av)) in c_row[j0..j0 + cols].iter_mut().zip(acc_row).enumerate() {
+            *cv = ep.apply(*cv + av, j0 + j);
         }
     }
-    t
 }
 
-/// AVX-512F clone of [`micro_kernel2_portable`] (FMA enabled for the same
-/// reason as [`micro_kernel_fma`]).
+/// The AVX-512 register tile: `C[i0..i0+H, j0..j0+cols] += Ap · Bp` over
+/// one K-block for `W` adjacent panels (`bp` holds panels `j..j+W`, each
+/// `kc × NR`), then `ep` on the stored values. `H ≤ MR_ZMM`, `W ≤ WR_ZMM`,
+/// and the last panel's dead columns (`cols < W·NR`) are masked off.
+///
+/// The 8 × 48 tile is 24 zmm accumulators, 3 B vectors and a broadcast of
+/// A: 28 of the 32 registers. Per k-step each A value is broadcast once
+/// and feeds `W` FMAs, and each B vector feeds `H`. Every accumulator
+/// starts from zero and chains `vfmadd231ps` over `l` — exactly
+/// [`micro_kernel_portable`]'s chain for its element — and the finished
+/// tile is *added* into C, so an element's bits do not depend on `H`, `W`
+/// or the arm.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-fn micro_kernel2_avx512<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; 2 * NR]; H] {
-    micro_kernel2_portable(ap, bp)
-}
-
-/// `C[i0..i0+H, j0..j0+cols] += Ap · Bp` for a one- or two-panel `bp`: one
-/// micro-kernel call, then the tile's live `cols` columns added into
-/// `c_tile` (the tile's H rows of C).
-#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
-#[inline]
-fn sweep_tile<const H: usize>(
-    isa: Isa,
-    pair: bool,
+#[target_feature(enable = "avx512f")]
+fn tile_avx512<const H: usize, const W: usize>(
     ap: &[f32],
     bp: &[f32],
     c_tile: &mut [f32],
     n: usize,
     j0: usize,
     cols: usize,
+    ep: Epilogue<'_>,
 ) {
-    if pair {
-        add_tile(&micro_kernel2::<H>(isa, ap, bp), c_tile, n, j0, cols);
-    } else {
-        add_tile(&micro_kernel::<H>(isa, ap, bp), c_tile, n, j0, cols);
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let kc = ap.len() / H;
+    // The bounds every pointer below stays inside.
+    assert!(
+        ap.len() == H * kc && bp.len() == W * kc * NR,
+        "tile operands"
+    );
+    assert!(cols > (W - 1) * NR && cols <= W * NR, "tile columns");
+    assert!(c_tile.len() >= (H - 1) * n + j0 + cols, "tile rows of C");
+    assert!(ep.bias.is_none_or(|b| b.len() >= j0 + cols), "bias columns");
+    let (a, b) = (ap.as_ptr(), bp.as_ptr());
+    let mut acc = [[_mm512_setzero_ps(); W]; H];
+    for l in 0..kc {
+        let mut bv = [_mm512_setzero_ps(); W];
+        for (w, bw) in bv.iter_mut().enumerate() {
+            // SAFETY: `w < W` and `l < kc`, so the 16 floats at
+            // `(w·kc + l)·NR` lie in `bp` (asserted `W·kc·NR` long).
+            *bw = unsafe { _mm512_loadu_ps(b.add((w * kc + l) * NR)) };
+        }
+        for (i, row) in acc.iter_mut().enumerate() {
+            // SAFETY: `l·H + i < kc·H`, asserted to be `ap.len()`.
+            let ai = _mm512_set1_ps(unsafe { *a.add(l * H + i) });
+            for (t, &bw) in row.iter_mut().zip(&bv) {
+                *t = _mm512_fmadd_ps(ai, bw, *t);
+            }
+        }
     }
-}
-
-/// Add each accumulator row's first `cols` values into its row of C at
-/// column `j0`.
-#[inline]
-fn add_tile<const W: usize>(
-    acc: &[[f32; W]],
-    c_tile: &mut [f32],
-    n: usize,
-    j0: usize,
-    cols: usize,
-) {
-    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(acc) {
-        for (cv, &av) in c_row[j0..j0 + cols].iter_mut().zip(acc_row) {
-            *cv += av;
+    let zero = _mm512_setzero_ps();
+    for (i, row) in acc.iter().enumerate() {
+        for (w, &t) in row.iter().enumerate() {
+            let j = j0 + w * NR;
+            let live = (cols - w * NR).min(NR);
+            let mask = u16::MAX >> (NR - live);
+            // SAFETY: the lanes `mask` keeps are columns `j..j+live` of
+            // row `i`, `j + live ≤ j0 + cols`, so they lie in `c_tile` and
+            // in `bias` (asserted above); masked-off lanes are not touched.
+            unsafe {
+                let p = c_tile.as_mut_ptr().add(i * n + j);
+                let mut v: __m512 = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, p), t);
+                if let Some(bias) = ep.bias {
+                    v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, bias.as_ptr().add(j)));
+                }
+                if ep.relu {
+                    // `vmaxps` returns its second operand when either is a
+                    // NaN (or both are zeros), so a NaN becomes `+0.0`, as
+                    // under `f32::max(v, 0.0)`.
+                    v = _mm512_max_ps(v, zero);
+                }
+                _mm512_mask_storeu_ps(p, mask, v);
+            }
         }
     }
 }
 
-// `sweep_slab` instantiates `sweep_tile` for every height `1..=MR`.
-const _: () = assert!(MR == 6);
+/// [`tile_avx512`] at height `H` for a run-time panel count `w`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
+unsafe fn tile_avx512_w<const H: usize>(
+    w: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c_tile: &mut [f32],
+    n: usize,
+    j0: usize,
+    cols: usize,
+    ep: Epilogue<'_>,
+) {
+    // SAFETY: the caller guarantees avx512f.
+    unsafe {
+        match w {
+            1 => tile_avx512::<H, 1>(ap, bp, c_tile, n, j0, cols, ep),
+            2 => tile_avx512::<H, 2>(ap, bp, c_tile, n, j0, cols, ep),
+            3 => tile_avx512::<H, 3>(ap, bp, c_tile, n, j0, cols, ep),
+            _ => unreachable!("tiles are 1..=WR_ZMM panels wide"),
+        }
+    }
+}
+
+/// [`tile_avx512_w`] at one height.
+#[cfg(target_arch = "x86_64")]
+type TileAvx512 = unsafe fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize, Epilogue<'_>);
+
+/// `C[i0..i0+h, j0..j0+cols] += Ap · Bp` for an `h`-row, `w`-panel tile
+/// (the tile's h rows of C are `c_tile`), then `ep`: [`tile_avx512`] on
+/// the AVX-512 arm, else [`micro_kernel`] and [`add_tile`] (`w` = 1).
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
+fn sweep_tile(
+    isa: Isa,
+    h: usize,
+    w: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c_tile: &mut [f32],
+    n: usize,
+    j0: usize,
+    cols: usize,
+    ep: Epilogue<'_>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx512 {
+        let tile: TileAvx512 = match h {
+            1 => tile_avx512_w::<1>,
+            2 => tile_avx512_w::<2>,
+            3 => tile_avx512_w::<3>,
+            4 => tile_avx512_w::<4>,
+            5 => tile_avx512_w::<5>,
+            6 => tile_avx512_w::<6>,
+            7 => tile_avx512_w::<7>,
+            8 => tile_avx512_w::<8>,
+            _ => unreachable!("AVX-512 tile heights are 1..=MR_ZMM"),
+        };
+        // SAFETY: `isa` is at most `Isa::detected()`, which checked
+        // avx512f on this CPU.
+        return unsafe { tile(w, ap, bp, c_tile, n, j0, cols, ep) };
+    }
+    debug_assert_eq!(w, 1, "the ymm and portable tiles are one panel wide");
+    let add = |acc: &[[f32; NR]], c_tile: &mut [f32]| add_tile(acc, c_tile, n, j0, cols, ep);
+    match h {
+        1 => add(&micro_kernel::<1>(isa, ap, bp), c_tile),
+        2 => add(&micro_kernel::<2>(isa, ap, bp), c_tile),
+        3 => add(&micro_kernel::<3>(isa, ap, bp), c_tile),
+        4 => add(&micro_kernel::<4>(isa, ap, bp), c_tile),
+        5 => add(&micro_kernel::<5>(isa, ap, bp), c_tile),
+        6 => add(&micro_kernel::<6>(isa, ap, bp), c_tile),
+        _ => unreachable!("tile heights are 1..=MR"),
+    }
+}
+
+// `sweep_tile` instantiates every height `1..=MR` and `1..=MR_ZMM`, and
+// `tile_avx512_w` every width `1..=WR_ZMM`.
+const _: () = assert!(MR == 6 && MR_ZMM == 8 && WR_ZMM == 3);
 
 /// Sweep one horizontal slab of C (rows `i_base..`, `c_slab.len() / n` of
-/// them) against the packed B block for K-rows `l0..l0+kc`.
+/// them) against the packed B block for K-rows `l0..l0+kc`, then `ep`.
 ///
-/// The slab's rows are cut into `⌈rows/MR⌉` tiles of balanced height (the
-/// first `rows mod tiles` one row taller) and packed into `ap` once; then
-/// each B panel — each adjacent pair of panels on the AVX-512 arm, with an
-/// odd last panel on its own — is read once while the A tiles — at most
-/// `M_TASK_ROWS·KC` floats, cache-resident — cycle under it.
+/// The slab's rows are cut into tiles of balanced height at most `MR`
+/// (`MR_ZMM` on the AVX-512 arm) — the first `rows mod tiles` one row
+/// taller — and packed into `ap` once; then each group of adjacent B
+/// panels (`WR_ZMM` on the AVX-512 arm while that many remain, else one)
+/// is read once while the A tiles — at most `M_TASK_ROWS·KC` floats,
+/// cache-resident — cycle under it.
 #[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 fn sweep_slab(
     isa: Isa,
@@ -575,9 +706,15 @@ fn sweep_slab(
     l0: usize,
     kc: usize,
     ap: &mut [f32],
+    ep: Epilogue<'_>,
 ) {
+    let (mr, wr) = if isa == Isa::Avx512 {
+        (MR_ZMM, WR_ZMM)
+    } else {
+        (MR, 1)
+    };
     let rows = c_slab.len() / n;
-    let tiles = rows.div_ceil(MR);
+    let tiles = rows.div_ceil(mr);
     let (short, taller) = (rows / tiles, rows % tiles);
     // Tile `t` starts at row `t·short + min(t, taller)` of the slab.
     let tile = |t: usize| (t * short + t.min(taller), short + usize::from(t < taller));
@@ -594,25 +731,15 @@ fn sweep_slab(
         );
     }
     let n_panels = n.div_ceil(NR);
-    let step = if isa == Isa::Avx512 { 2 } else { 1 };
-    for pj in (0..n_panels).step_by(step) {
-        let width = step.min(n_panels - pj);
-        let pair = width == 2;
-        let bp = &bp_block[pj * kc * NR..(pj + width) * kc * NR];
+    for pj in (0..n_panels).step_by(wr) {
+        let w = wr.min(n_panels - pj);
+        let bp = &bp_block[pj * kc * NR..(pj + w) * kc * NR];
         let j0 = pj * NR;
-        let cols = (width * NR).min(n - j0);
+        let cols = (w * NR).min(n - j0);
         for (i0, h) in (0..tiles).map(tile) {
             let ap = &ap[i0 * kc..(i0 + h) * kc];
             let c_tile = &mut c_slab[i0 * n..(i0 + h) * n];
-            match h {
-                1 => sweep_tile::<1>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                2 => sweep_tile::<2>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                3 => sweep_tile::<3>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                4 => sweep_tile::<4>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                5 => sweep_tile::<5>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                6 => sweep_tile::<6>(isa, pair, ap, bp, c_tile, n, j0, cols),
-                _ => unreachable!("tile heights are 1..=MR"),
-            }
+            sweep_tile(isa, h, w, ap, bp, c_tile, n, j0, cols, ep);
         }
     }
 }
@@ -626,7 +753,27 @@ enum Panels<'a> {
     Packed(&'a PackedB),
 }
 
-fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: usize) {
+/// `c += a · b` over the tiles, then `ep` on the stored values: the
+/// epilogue rides on the last K-block's store.
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
+fn gemm_tiled(
+    a: &[f32],
+    b: Panels<'_>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    ep: Epilogue<'_>,
+) {
+    if k == 0 {
+        // No K-block to ride on: C is the whole product.
+        for row in c.chunks_exact_mut(n.max(1)) {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = ep.apply(*v, j);
+            }
+        }
+        return;
+    }
     let isa = Isa::current();
     let n_panels = n.div_ceil(NR);
     // A single slab has nothing to hand the pool.
@@ -645,6 +792,11 @@ fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: us
     let mut ap = vec![0.0f32; ap_len];
     for l0 in (0..k).step_by(KC) {
         let kc = KC.min(k - l0);
+        let ep = if l0 + kc == k {
+            ep
+        } else {
+            Epilogue::default()
+        };
         let bp_block = match b {
             Panels::PerCall(b, src) => {
                 let block = &mut bp_scratch[..n_panels * kc * NR];
@@ -658,12 +810,13 @@ fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: us
                 .enumerate()
                 .for_each(|(si, c_slab)| {
                     let ap = &mut vec![0.0f32; M_TASK_ROWS * kc];
-                    sweep_slab(isa, a, k, bp_block, c_slab, si * M_TASK_ROWS, n, l0, kc, ap);
+                    let i_base = si * M_TASK_ROWS;
+                    sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, ap, ep);
                 });
         } else {
             for (si, c_slab) in c.chunks_mut(M_TASK_ROWS * n).enumerate() {
                 let i_base = si * M_TASK_ROWS;
-                sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, &mut ap);
+                sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, &mut ap, ep);
             }
         }
     }
@@ -673,46 +826,54 @@ fn gemm_tiled(a: &[f32], b: Panels<'_>, c: &mut [f32], m: usize, k: usize, n: us
 /// `b01_kernels` can exercise the tiled path regardless of the sparsity /
 /// size dispatch in [`gemm`].
 pub fn gemm_packed(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_tiled(a, Panels::PerCall(b, BSource::Normal { n }), c, m, k, n);
+    let b = Panels::PerCall(b, BSource::Normal { n });
+    gemm_tiled(a, b, c, m, k, n, Epilogue::default());
 }
 
 /// Packed-tile GEMM over `b` in transposed `[n,k]` layout: same micro-kernel
 /// as [`gemm_packed`], B packed via a blocked transpose (contiguous source
 /// reads) instead of strided column gathers.
 pub fn gemm_packed_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_tiled(a, Panels::PerCall(b, BSource::Transposed { k }), c, m, k, n);
+    let b = Panels::PerCall(b, BSource::Transposed { k });
+    gemm_tiled(a, b, c, m, k, n, Epilogue::default());
 }
 
-/// [`gemm_packed_nt`] against panels packed ahead of time:
-/// `c[m×n] = a[m×k] · bᵀ` for the `[n,k]` matrix `b` was built from, `c`
-/// pre-zeroed — bit-identical to the per-call pack.
-pub fn gemm_prepacked(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
+/// [`gemm_packed_nt`] against panels packed ahead of time, with `ep` fused
+/// into the store: `c[m×n] = ep(a[m×k] · bᵀ)` for the `[n,k]` matrix `b`
+/// was built from, `c` pre-zeroed — bit-identical to the per-call pack
+/// followed by `ep` as a separate pass.
+pub fn gemm_prepacked(a: &[f32], b: &PackedB, c: &mut [f32], m: usize, ep: Epilogue<'_>) {
     debug_assert_eq!(a.len(), m * b.k);
     debug_assert_eq!(c.len(), m * b.n);
-    gemm_tiled(a, Panels::Packed(b), c, m, b.k, b.n);
+    assert!(ep.bias.is_none_or(|bias| bias.len() == b.n), "bias length");
+    gemm_tiled(a, Panels::Packed(b), c, m, b.k, b.n, ep);
 }
 
-/// [`gemm_nt_row_stream`] against panels packed ahead of time:
-/// `c[m×n] = a[m×k] · bᵀ`, every element rounded exactly as [`dot`] rounds
-/// it, so bit-identical to the row-stream kernel on the `[n,k]` matrix `b`
-/// was built from. The shapes [`nt_uses_panels`] keeps off the tiles —
-/// a classifier head narrower than `NR`, a batch too small to tile — take
-/// this with the same `PackedB` the tiles use.
+/// [`gemm_nt_row_stream`] against panels packed ahead of time, with `ep`
+/// fused into the store: `c[m×n] = ep(a[m×k] · bᵀ)`, every product
+/// rounded exactly as [`dot`] rounds it, so bit-identical to the
+/// row-stream kernel on the `[n,k]` matrix `b` was built from followed by
+/// `ep` as a separate pass. The shapes [`nt_uses_panels`] keeps off the
+/// tiles — a classifier head narrower than `NR`, a batch too small to
+/// tile — take this with the same `PackedB` the tiles use.
 ///
 /// Per row of A and panel of B it keeps [`dot`]'s four chains, one
 /// `NR`-lane vector each, with the lanes across the panel's output
 /// columns: the panel row for `l` is the `NR` weights `b[j][l]`, so lane
 /// `j` of chain `l mod 4` adds `a[l]·b[j][l]` in the order `dot` does.
-pub fn gemm_prepacked_dot(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
+pub fn gemm_prepacked_dot(a: &[f32], b: &PackedB, c: &mut [f32], m: usize, ep: Epilogue<'_>) {
     let (k, n) = (b.k, b.n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(c.len(), m * n);
+    assert!(ep.bias.is_none_or(|bias| bias.len() == n), "bias length");
     let isa = Isa::current();
     let body = |(i, c_row): (usize, &mut [f32])| {
         let a_row = &a[i * k..(i + 1) * k];
         for (pj, c_cols) in c_row.chunks_mut(NR).enumerate() {
             let sums = dot_panel(isa, a_row, b, pj);
-            c_cols.copy_from_slice(&sums[..c_cols.len()]);
+            for (j, (cv, &sum)) in c_cols.iter_mut().zip(&sums).enumerate() {
+                *cv = ep.apply(sum, pj * NR + j);
+            }
         }
     };
     if m * n * k >= PAR_MIN_FLOPS && m > 1 {
@@ -992,7 +1153,7 @@ mod tests {
             let mut blocked = vec![0.0; m * n];
             gemm_packed_nt(a.data(), bt.data(), &mut blocked, m, k, n);
             let mut via_gather = vec![0.0; m * n];
-            gemm_prepacked(a.data(), &gathered, &mut via_gather, m);
+            gemm_prepacked(a.data(), &gathered, &mut via_gather, m, Epilogue::default());
             assert_eq!(blocked, via_gather, "{m}x{k}x{n}");
         }
     }
@@ -1010,77 +1171,67 @@ mod tests {
                 let mut per_call = vec![0.0; m * n];
                 gemm_packed_nt(a.data(), bt.data(), &mut per_call, m, k, n);
                 let mut pre = vec![0.0; m * n];
-                gemm_prepacked(a.data(), &packed, &mut pre, m);
+                gemm_prepacked(a.data(), &packed, &mut pre, m, Epilogue::default());
                 assert_eq!(per_call, pre, "{m}x{k}x{n}");
             }
         }
     }
 
-    /// The CI host always dispatches to `micro_kernel2_avx512` /
-    /// `micro_kernel_fma`; this runs the portable bodies at every tile
-    /// height the sweep instantiates, with a `kc` that is not a multiple of
-    /// anything and a last panel whose last columns are padding, and holds
-    /// them bit-exact to a scalar `mul_add` chain in the same k-order — and
-    /// to the FMA and AVX-512 kernels where the host has them.
-    #[test]
-    fn portable_micro_kernel_matches_naive_at_every_tile_height() {
-        /// `H × cols` of A·B packed as `⌈cols/NR⌉` panels, and the scalar
-        /// chain each tile element must equal (0 in padding columns).
-        fn case<const H: usize>(
-            rng: &mut TensorRng,
-            kc: usize,
-            cols: usize,
-        ) -> (Vec<f32>, Vec<f32>, impl Fn(usize, usize) -> f32) {
-            let a = rng.uniform(&[H, kc], -1.0, 1.0);
-            let b = rng.uniform(&[kc, cols], -1.0, 1.0);
-            let mut ap = vec![0.0; kc * H];
-            pack_a_tile(a.data(), kc, 0, H, 0, kc, &mut ap);
-            let mut bp = vec![0.0; kc * cols.div_ceil(NR) * NR];
-            pack_b_block(b.data(), BSource::Normal { n: cols }, 0, kc, cols, &mut bp);
-            let want = move |i: usize, j: usize| {
-                if j < cols {
-                    (0..kc).fold(0.0f32, |s, l| a.at(i, l).mul_add(b.at(l, j), s))
-                } else {
-                    0.0
-                }
-            };
-            (ap, bp, want)
-        }
-        fn assert_chains<const W: usize>(acc: &[[f32; W]], want: impl Fn(usize, usize) -> f32) {
-            for (i, acc_row) in acc.iter().enumerate() {
-                for (j, &got) in acc_row.iter().enumerate() {
-                    let want = want(i, j);
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "H={} W={W} [{i}][{j}]: {got} vs {want}",
-                        acc.len()
-                    );
-                }
+    /// `h × cols` of A·B packed as `⌈cols/NR⌉` adjacent panels, and the
+    /// scalar `mul_add` chain from zero that each tile element must equal
+    /// (0 in padding columns). Row 0 of A is zero and every even column of
+    /// B negative, so those chains add only `-0.0` products: seeded with
+    /// the first product instead of zero, such a chain ends at `-0.0`.
+    fn tile_case(
+        rng: &mut TensorRng,
+        h: usize,
+        kc: usize,
+        cols: usize,
+    ) -> (Vec<f32>, Vec<f32>, impl Fn(usize, usize) -> f32) {
+        let mut a = rng.uniform(&[h, kc], -1.0, 1.0);
+        a.data_mut()[..kc].fill(0.0);
+        let mut b = rng.uniform(&[kc, cols], -1.0, 1.0);
+        for (x, v) in b.data_mut().iter_mut().enumerate() {
+            if (x % cols).is_multiple_of(2) {
+                *v = -v.abs();
             }
         }
+        let mut ap = vec![0.0; kc * h];
+        pack_a_tile(a.data(), kc, 0, h, 0, kc, &mut ap);
+        let mut bp = vec![0.0; kc * cols.div_ceil(NR) * NR];
+        pack_b_block(b.data(), BSource::Normal { n: cols }, 0, kc, cols, &mut bp);
+        let want = move |i: usize, j: usize| {
+            if j < cols {
+                (0..kc).fold(0.0f32, |s, l| a.at(i, l).mul_add(b.at(l, j), s))
+            } else {
+                0.0
+            }
+        };
+        (ap, bp, want)
+    }
+
+    /// The CI host dispatches to the AVX-512 tile; this runs the portable
+    /// body at every tile height its arm instantiates, with a `kc` that is
+    /// not a multiple of anything and a panel whose last columns are
+    /// padding, and holds it bit-exact to a scalar `mul_add` chain in the
+    /// same k-order — and to the FMA kernel where the host has it.
+    #[test]
+    fn portable_micro_kernel_matches_naive_at_every_tile_height() {
         fn check<const H: usize>(rng: &mut TensorRng) {
             for &(kc, nr) in &[(KC, NR), (37, NR), (37, 5), (1, 1)] {
-                let (ap, bp, want) = case::<H>(rng, kc, nr);
+                let (ap, bp, want) = tile_case(rng, H, kc, nr);
                 let acc = micro_kernel_portable::<H>(&ap, &bp);
-                assert_chains(&acc, want);
+                for (i, acc_row) in acc.iter().enumerate() {
+                    for (j, &got) in acc_row.iter().enumerate() {
+                        let want = want(i, j);
+                        assert_eq!(got.to_bits(), want.to_bits(), "H={H} [{i}][{j}]");
+                    }
+                }
                 #[cfg(target_arch = "x86_64")]
                 if Isa::detected() >= Isa::Avx2Fma {
                     // SAFETY: `Isa::detected` checked avx2+fma on this CPU.
                     let fused = unsafe { micro_kernel_fma::<H>(&ap, &bp) };
                     assert_eq!(acc, fused, "H={H} kc={kc}: portable vs FMA");
-                }
-            }
-            // Two panels; the second one partly or mostly padding.
-            for &(kc, cols) in &[(KC, 2 * NR), (37, 2 * NR), (37, NR + 5), (1, NR + 1)] {
-                let (ap, bp, want) = case::<H>(rng, kc, cols);
-                let acc = micro_kernel2_portable::<H>(&ap, &bp);
-                assert_chains(&acc, want);
-                #[cfg(target_arch = "x86_64")]
-                if Isa::detected() == Isa::Avx512 {
-                    // SAFETY: `Isa::detected` checked avx512f+avx2+fma.
-                    let wide = unsafe { micro_kernel2_avx512::<H>(&ap, &bp) };
-                    assert_eq!(acc, wide, "H={H} kc={kc}: portable vs AVX-512");
                 }
             }
         }
@@ -1093,6 +1244,76 @@ mod tests {
         check::<6>(&mut rng);
     }
 
+    /// The AVX-512 tile at every height `1..=MR_ZMM` × width `1..=WR_ZMM`
+    /// × `kc` ∈ {1, 37, KC}, full and ragged last panel, stored into a C
+    /// that already holds values (`-0.0` in row 0) between untouched
+    /// margins: each live element must be `(C + chain) + bias`, then
+    /// `max(·, 0)` when the epilogue asks — the chain the scalar `mul_add`
+    /// fold computes, added, not stored.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tile_matches_a_scalar_chain_at_every_shape() {
+        if Isa::detected() < Isa::Avx512 {
+            eprintln!("skipped: this CPU has no AVX-512F");
+            return;
+        }
+        fn check<const H: usize>(rng: &mut TensorRng) {
+            for w in 1..=WR_ZMM {
+                for kc in [1, 37, KC] {
+                    for cols in [w * NR, (w - 1) * NR + 5] {
+                        let (ap, bp, want) = tile_case(rng, H, kc, cols);
+                        let bp = &bp[..w * kc * NR];
+                        let (j0, n) = (3, cols + 5);
+                        let mut c0 = rng.uniform(&[H, n], -1.0, 1.0).into_vec();
+                        c0[..n].fill(-0.0);
+                        let bias = rng.uniform(&[n], -1.0, 1.0).into_vec();
+                        for ep in [
+                            Epilogue::default(),
+                            Epilogue {
+                                bias: Some(&bias),
+                                relu: true,
+                            },
+                        ] {
+                            let mut c = c0.clone();
+                            // SAFETY: `Isa::detected` checked avx512f.
+                            unsafe { tile_avx512_w::<H>(w, &ap, bp, &mut c, n, j0, cols, ep) };
+                            for (x, (&got, &before)) in c.iter().zip(&c0).enumerate() {
+                                let (i, j) = (x / n, x % n);
+                                let want = if (j0..j0 + cols).contains(&j) {
+                                    let v = before + want(i, j - j0);
+                                    let v = ep.bias.map_or(v, |b| v + b[j]);
+                                    if ep.relu {
+                                        v.max(0.0)
+                                    } else {
+                                        v
+                                    }
+                                } else {
+                                    before
+                                };
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "H={H} W={w} kc={kc} cols={cols} relu={} [{i}][{j}]: \
+                                     {got} vs {want}",
+                                    ep.relu
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut rng = TensorRng::seed(59);
+        check::<1>(&mut rng);
+        check::<2>(&mut rng);
+        check::<3>(&mut rng);
+        check::<4>(&mut rng);
+        check::<5>(&mut rng);
+        check::<6>(&mut rng);
+        check::<7>(&mut rng);
+        check::<8>(&mut rng);
+    }
+
     /// The arms this host can run, narrowest first.
     fn host_arms() -> impl Iterator<Item = Isa> {
         Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected())
@@ -1100,14 +1321,18 @@ mod tests {
 
     #[test]
     fn every_isa_arm_sweeps_the_same_bits() {
-        // One panel, a padded pair, a pair plus an odd last panel; one
-        // slab and slabs through the pool; a K-block remainder.
+        // Every tile height on every arm (m 1..=17: one, two and three
+        // 8-row tiles, balanced), every 3-panel remainder (1..=9 panels,
+        // even counts with a ragged last panel), one K-block, a ragged
+        // one, several; then slabs through the pool.
         let mut rng = TensorRng::seed(43);
-        for &(m, k, n) in &[
-            (8, 64, NR),
-            (7, KC + 3, NR + 5),
-            (M_TASK_ROWS + 9, 2 * KC + 37, 3 * NR),
-        ] {
+        let shapes = (1..=17).flat_map(|m| {
+            (1..=9).flat_map(move |p: usize| {
+                let n = p * NR - if p.is_multiple_of(2) { 5 } else { 0 };
+                [1, 37, KC, 2 * KC + 37].map(|k| (m, k, n))
+            })
+        });
+        for (m, k, n) in shapes.chain([(M_TASK_ROWS + 9, 2 * KC + 37, 3 * NR)]) {
             let a = rng.uniform(&[m, k], -1.0, 1.0);
             let bt = rng.uniform(&[n, k], -1.0, 1.0);
             let packed = PackedB::from_transposed(bt.data(), n, k);
@@ -1116,14 +1341,77 @@ mod tests {
                     let mut per_call = vec![0.0; m * n];
                     gemm_packed_nt(a.data(), bt.data(), &mut per_call, m, k, n);
                     let mut pre = vec![0.0; m * n];
-                    gemm_prepacked(a.data(), &packed, &mut pre, m);
+                    gemm_prepacked(a.data(), &packed, &mut pre, m, Epilogue::default());
                     assert_eq!(per_call, pre, "{isa:?} {m}x{k}x{n}");
                     pre
                 })
             };
             let portable = run(Isa::Portable);
-            for isa in host_arms() {
+            for isa in host_arms().skip(1) {
                 assert_eq!(run(isa), portable, "{isa:?} vs portable, {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_epilogue_matches_separate_bias_and_relu_passes() {
+        // The tiles (n ≥ NR: full and ragged panels, one and three
+        // K-blocks, no K at all) and the `dot` sweep (a 10-wide head, a
+        // tiny product); every arm. Row 0 of A is zero, so its sums are `+0.0`; the bias
+        // holds `-0.0`, NaN, ±inf, and row 1's sums negated, so that
+        // `(Σ)+b` cancels to zero exactly.
+        let mut rng = TensorRng::seed(53);
+        type Sweep = fn(&[f32], &PackedB, &mut [f32], usize, Epilogue<'_>);
+        for &(m, k, n) in &[
+            (8, 64, 3 * NR + 5),
+            (9, 2 * KC + 37, 2 * NR),
+            (8, 512, 10),
+            (3, 5, NR + 1),
+            (4, 0, NR + 1),
+        ] {
+            let mut a = rng.uniform(&[m, k], -1.0, 1.0);
+            a.data_mut()[..k].fill(0.0);
+            let bt = rng.uniform(&[n, k], -1.0, 1.0);
+            let packed = PackedB::from_transposed(bt.data(), n, k);
+            for isa in host_arms() {
+                for sweep in [gemm_prepacked as Sweep, gemm_prepacked_dot] {
+                    with_isa_cap(isa, || {
+                        let mut sums = Tensor::zeros(&[m, n]);
+                        sweep(a.data(), &packed, sums.data_mut(), m, Epilogue::default());
+                        let bias: Vec<f32> = (0..n)
+                            .map(|j| match j % 6 {
+                                0 => -0.0,
+                                1 => f32::NAN,
+                                2 => f32::INFINITY,
+                                3 => f32::NEG_INFINITY,
+                                4 => -sums.at(1, j),
+                                _ => rng.next_f32() - 0.5,
+                            })
+                            .collect();
+                        for relu in [false, true] {
+                            let mut want = sums.clone();
+                            for row in want.data_mut().chunks_exact_mut(n) {
+                                for (v, b) in row.iter_mut().zip(&bias) {
+                                    *v += b;
+                                }
+                            }
+                            if relu {
+                                want.map_inplace(|v| v.max(0.0));
+                            }
+                            let mut got = vec![0.0; m * n];
+                            let ep = Epilogue {
+                                bias: Some(&bias),
+                                relu,
+                            };
+                            sweep(a.data(), &packed, &mut got, m, ep);
+                            assert_eq!(
+                                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                "{isa:?} {m}x{k}x{n} relu={relu}"
+                            );
+                        }
+                    });
+                }
             }
         }
     }
@@ -1154,7 +1442,9 @@ mod tests {
                     gemm_nt_row_stream(a.data(), bt.data(), &mut want, m, k, n);
                     for isa in host_arms() {
                         let mut got = vec![f32::NAN; m * n];
-                        with_isa_cap(isa, || gemm_prepacked_dot(a.data(), &packed, &mut got, m));
+                        with_isa_cap(isa, || {
+                            gemm_prepacked_dot(a.data(), &packed, &mut got, m, Epilogue::default())
+                        });
                         assert_eq!(
                             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -2,7 +2,7 @@
 //! plus `join`, executed on a persistent worker pool ([`pool`]) instead of
 //! spawning OS threads per region. Only the adapters this workspace uses
 //! are provided (`par_iter`, `par_iter_mut`, `par_chunks_mut`, `map`,
-//! `enumerate`, `for_each`, `collect`, `join`).
+//! `enumerate`, `for_each`, `collect`, `join`, `current_num_threads`).
 //!
 //! Ordering guarantees (documented in `shims/README.md`): every adapter
 //! assigns each element/chunk a fixed index and each task writes only its
@@ -12,7 +12,7 @@
 
 pub mod pool;
 
-pub use pool::join;
+pub use pool::{current_num_threads, join};
 
 use pool::run_region;
 

@@ -104,6 +104,14 @@ fn global() -> Option<&'static Pool> {
         .as_ref()
 }
 
+/// Total parallelism of the global pool, starting the pool if no region
+/// has yet — as `rayon::current_num_threads` initializes rayon's global
+/// registry. Load-time code calls it so the first parallel region does not
+/// pay the worker spawns.
+pub fn current_num_threads() -> usize {
+    global().map_or(1, Pool::threads)
+}
+
 /// Execute `task(0)`, …, `task(n - 1)` exactly once each, in parallel when
 /// the current dispatch mode and pool allow it. Blocks until every index
 /// has finished; panics from tasks are re-thrown here.
@@ -209,7 +217,6 @@ impl Job {
     }
 }
 
-#[derive(Default)]
 struct PoolState {
     /// FIFO of live regions. A job leaves the queue when its submitter
     /// observes completion; workers skip fully-claimed jobs.
@@ -241,7 +248,12 @@ impl Pool {
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState::default()),
+            // Room for a region per thread up front: the queue's first
+            // allocation belongs to the pool's start, not its first region.
+            state: Mutex::new(PoolState {
+                jobs: Vec::with_capacity(threads),
+                shutdown: false,
+            }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
         });
