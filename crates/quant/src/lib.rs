@@ -8,6 +8,14 @@
 //! * [`QuantizedModel`] — post-training static quantization of dense
 //!   networks to int8 / int4 / int2 with per-output-channel symmetric
 //!   scales and integer accumulation, plus XNOR-popcount binary networks.
+//!   Every [`QDense`] runs one integer tile: weights unpacked once into
+//!   16-column panels of 4-byte k-groups, activations as `u8` operand
+//!   rows (`q + 128`, corrected by `128·colsum` in the store), and an
+//!   integer epilogue in the store — the identity, requantization into the
+//!   next layer's operand, or dequantization to f32. Its arms (an 8 × 48
+//!   `vpdpbusd` tile on AVX-512-VNNI, a `vpmaddwd` tile on AVX2, a plain
+//!   loop elsewhere) follow `tensor::matmul::Isa` and agree bit for bit;
+//!   see [`qtensor`].
 //! * [`fake_quantize`] — weight-grid rounding for any architecture
 //!   (including conv), used for quick accuracy-vs-bits sweeps and
 //!   watermark-robustness attacks.
@@ -21,6 +29,7 @@ pub mod distill;
 pub mod prune;
 pub mod qmodel;
 pub mod qtensor;
+mod tile;
 
 pub use binary_train::{binary_aware_finetune, export_binary, export_quantized, BinaryAwareConfig};
 pub use calibrate::Calibration;

@@ -9,8 +9,10 @@
 
 use crate::calibrate::Calibration;
 use crate::qtensor::{BinaryDense, QDense, RequantPlan};
+use crate::tile::Requant;
 use crate::QuantError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use tinymlops_nn::{Layer, Sequential};
 use tinymlops_tensor::Tensor;
@@ -182,11 +184,16 @@ impl QuantizedModel {
     /// Fused forward pass: activations stay int8 across
     /// `Dense → (ReLU/Dropout)* → Dense` chains, with the scale bridge
     /// `in_scale · w_scale / next_in_scale` applied as a fixed-point
-    /// multiplier straight off the i32 accumulators
-    /// ([`QDense::requantize_acc`]). f32 tensors materialize only at the
-    /// head/tail of each integer segment: before a [`BinaryDense`], at a
-    /// passthrough other than ReLU/Dropout, at a boundary whose scales
-    /// yield no valid [`RequantPlan`], and at the model output.
+    /// multiplier straight off the i32 accumulators, in the integer
+    /// tile's store (bit-identical to [`QDense::requantize_acc`]). f32
+    /// tensors materialize only at the head/tail of each integer segment:
+    /// before a [`BinaryDense`], at a passthrough other than ReLU/Dropout,
+    /// at a boundary whose scales yield no valid [`RequantPlan`], and at
+    /// the model output.
+    ///
+    /// A segment quantizes its f32 input straight into the first layer's
+    /// tile operand, and each fused edge writes the next layer's operand;
+    /// one pair of operand buffers serves every step of the call.
     ///
     /// Differs from the unfused [`Self::forward`] by at most one requant
     /// ULP per fused boundary (the fixed-point multiply rounds once where
@@ -194,29 +201,37 @@ impl QuantizedModel {
     #[must_use]
     pub fn forward_fused(&self, x: &Tensor) -> Tensor {
         let plan = self.fused_plan();
-        let mut h = x.clone();
+        let mut h = Cow::Borrowed(x);
+        let (mut a, mut next_a) = (Vec::new(), Vec::new());
         let mut i = 0;
         while i < self.layers.len() {
             match &self.layers[i] {
                 QLayer::Dense(d) => {
                     // Integer segment: quantize once, then chase fused
-                    // edges without leaving the i8/i32 domain.
+                    // edges without leaving the integer domain.
                     let batch = h.rows();
                     let mut cur = d;
-                    let mut xq = cur.quantize_input(&h);
+                    cur.load_operand(h.data(), batch, &mut a);
                     loop {
-                        let acc = cur.int_accumulate(&xq, batch);
                         match &plan.edges[i] {
                             Some(edge) => {
-                                xq = cur.requantize_acc(&acc, batch, &edge.plan, edge.relu);
-                                i = edge.next;
-                                cur = match &self.layers[i] {
-                                    QLayer::Dense(d2) => d2,
-                                    _ => unreachable!("fused edge targets a Dense"),
+                                let QLayer::Dense(next) = &self.layers[edge.next] else {
+                                    unreachable!("fused edge targets a Dense");
                                 };
+                                let lda = next.lda();
+                                next_a.resize(batch * lda, 0);
+                                let ep = Requant {
+                                    plan: &edge.plan,
+                                    relu: edge.relu,
+                                };
+                                cur.run(&a, batch, &mut next_a, lda, ep);
+                                std::mem::swap(&mut a, &mut next_a);
+                                (i, cur) = (edge.next, next);
                             }
                             None => {
-                                h = cur.dequantize_acc(&acc, batch);
+                                let mut out = vec![0.0f32; batch * cur.out_dim];
+                                cur.run(&a, batch, &mut out, cur.out_dim, cur.dequant());
+                                h = Cow::Owned(Tensor::from_vec(out, &[batch, cur.out_dim]));
                                 i += 1;
                                 break;
                             }
@@ -224,22 +239,22 @@ impl QuantizedModel {
                     }
                 }
                 QLayer::BinaryDense(b) => {
-                    h = b.forward(&h);
+                    h = Cow::Owned(b.forward(&h));
                     i += 1;
                 }
                 QLayer::Passthrough(p) => {
-                    h = p.forward(&h);
+                    h = Cow::Owned(p.forward(&h));
                     i += 1;
                 }
             }
         }
-        h
+        h.into_owned()
     }
 
     /// Do everything [`Self::forward_fused`] would do lazily on its first
-    /// batch — unpack and widen each integer layer's weights, build the
-    /// fusion plan, start the worker pool its layers fan batch rows out
-    /// on — now (model install).
+    /// batch — build each integer layer's tile panel, build the fusion
+    /// plan, start the worker pool large batches fan out on — now (model
+    /// install).
     pub fn prepare(&self) {
         rayon::current_num_threads();
         self.fused_plan();

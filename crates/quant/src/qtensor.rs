@@ -1,18 +1,22 @@
 //! Quantized dense kernels: packed int8/int4/int2 and binary XNOR.
 //!
 //! The integer forward path mirrors what a flash-resident deployment does
-//! once at boot, not once per inference: packed weights are unpacked into
-//! an i8 matrix a single time (cached in a [`OnceLock`]), activations are
-//! quantized by one shared helper (the same expression the verifier
-//! replays), and the i32 accumulation runs through one kernel,
-//! [`QDense::int_accumulate`] — an explicit `vpmaddwd`-shaped AVX2 tile
-//! dispatched at runtime on x86-64, with the plain autovectorizable
-//! [`dot_i8_portable`] loop as the portable fallback — parallelized over
-//! batch rows via rayon. The unfused [`QDense::forward`], the fused model
-//! forward and the verifier all accumulate through it. Integer addition
-//! is associative, so every restructuring is bit-identical to the seed
-//! scalar loop, which is retained as [`QDense::forward_reference`], the
-//! oracle of the property tests.
+//! once at boot, not once per inference: the packed weights are unpacked a
+//! single time, straight into the integer tile's panel layout (cached in a
+//! [`OnceLock`]; the layout is documented in the private `tile` module);
+//! activations are quantized by one shared helper
+//! ([`quantize_activations`], the expression the verifier replays); and
+//! every accumulation runs through that one tile, whose store
+//! applies an integer epilogue — the identity for
+//! [`QDense::int_accumulate`], requantization onto the next layer's grid on
+//! a fused edge, dequantization plus bias for [`QDense::forward`] and the
+//! last layer of a fused chain. The tile's arms — `vpdpbusd` on
+//! AVX-512-VNNI, a portable body (with an AVX2 clone) elsewhere — are
+//! chosen by `tensor::matmul::Isa` and capped per thread by
+//! `tensor::matmul::with_isa_cap`. Integer addition is associative, so
+//! every arm and tile shape is bit-identical to the seed scalar loop,
+//! which is retained as [`QDense::forward_reference`], the oracle of the
+//! property tests.
 //!
 //! # Fixed-point requantization
 //!
@@ -50,14 +54,11 @@
 //! outside `2^-62..2^31`) yield no plan and the caller falls back to the
 //! f32 boundary.
 
-use rayon::prelude::*;
+use crate::tile::{self, operand_byte, Dequant, IntEpilogue, Panel};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
+use tinymlops_tensor::matmul::Isa;
 use tinymlops_tensor::Tensor;
-
-/// MAC threshold below which the batch-parallel path is skipped (thread
-/// spawn costs more than the multiply saves).
-const QPAR_MIN_MACS: usize = 256 * 1024;
 
 /// Round a weight row onto a symmetric `bits`-bit grid in place.
 ///
@@ -79,8 +80,8 @@ pub fn fake_quantize_tensor(row: &mut [f32], bits: u32) {
 /// scales), int8 input quantization and i32 accumulation.
 ///
 /// Weights are stored **packed** (2 values/byte at 4 bits, 4 at 2 bits) —
-/// what a flash image would hold — and unpacked row-by-row into a scratch
-/// buffer during the integer kernel.
+/// what a flash image would hold — and unpacked once, into the integer
+/// tile's panel, when the layer is prepared.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QDense {
     /// Packed weight bytes, rows concatenated.
@@ -97,21 +98,12 @@ pub struct QDense {
     pub in_dim: usize,
     /// Output dimension.
     pub out_dim: usize,
-    /// Lazily unpacked `[out,in]` i8 weight matrix — computed once per
-    /// layer lifetime instead of once per forward call. Rebuilt empty on
-    /// deserialize/clone-from-empty; invariant: `packed` is immutable
+    /// The weights as the integer tile reads them, built from `packed`
+    /// on first use (the only RAM image of the weights besides `packed`).
+    /// Rebuilt empty on deserialize; invariant: `packed` is immutable
     /// after construction (records are republished, never edited).
     #[serde(skip)]
-    unpacked: OnceLock<Vec<i8>>,
-    /// [`QDense::unpacked`] sign-extended to i16, cached so the
-    /// `vpmaddwd` tile kernel loads weight rows directly instead of
-    /// spending shuffle-port `vpmovsxbw` uops per chunk — the values are
-    /// identical, only the storage width changes, so parity with the i8
-    /// kernels is structural. Doubles the RAM image of a layer (the
-    /// flash image `packed` stays put), which is the deployment-side
-    /// trade §II prices in bytes-vs-latency terms.
-    #[serde(skip)]
-    unpacked_i16: OnceLock<Vec<i16>>,
+    panel: OnceLock<Panel>,
 }
 
 fn qmax_for(bits: u32) -> i32 {
@@ -156,6 +148,7 @@ fn pack_row(q: &[i8], bits: u32, out: &mut Vec<u8>) {
 }
 
 fn unpack_row(packed: &[u8], bits: u32, in_dim: usize, out: &mut [i8]) {
+    let out = &mut out[..in_dim];
     match bits {
         8 => {
             for (o, &b) in out.iter_mut().zip(packed) {
@@ -163,18 +156,18 @@ fn unpack_row(packed: &[u8], bits: u32, in_dim: usize, out: &mut [i8]) {
             }
         }
         4 => {
-            for i in 0..in_dim {
-                let b = packed[i / 2];
-                let nib = if i % 2 == 0 { b & 0x0f } else { b >> 4 };
-                // Sign-extend 4-bit two's complement.
-                out[i] = ((nib << 4) as i8) >> 4;
+            for (pair, &b) in out.chunks_mut(2).zip(packed) {
+                for (i, o) in pair.iter_mut().enumerate() {
+                    // Sign-extend 4-bit two's complement.
+                    *o = (((b >> (4 * i)) << 4) as i8) >> 4;
+                }
             }
         }
         2 => {
-            for i in 0..in_dim {
-                let b = packed[i / 4];
-                let two = (b >> (2 * (i % 4))) & 0x03;
-                out[i] = ((two << 6) as i8) >> 6;
+            for (quad, &b) in out.chunks_mut(4).zip(packed) {
+                for (i, o) in quad.iter_mut().enumerate() {
+                    *o = (((b >> (2 * i)) << 6) as i8) >> 6;
+                }
             }
         }
         _ => panic!("unsupported bit width {bits}"),
@@ -210,55 +203,98 @@ impl QDense {
             bias: bias.data().to_vec(),
             in_dim,
             out_dim,
-            unpacked: OnceLock::new(),
-            unpacked_i16: OnceLock::new(),
+            panel: OnceLock::new(),
         }
     }
 
-    /// The unpacked `[out,in]` i8 weight matrix, computed on first use and
-    /// cached for the layer's lifetime (flash image → RAM image, once).
-    #[must_use]
-    pub fn unpacked(&self) -> &[i8] {
-        self.unpacked.get_or_init(|| {
-            let rb = row_bytes(self.in_dim, self.bits);
-            let mut out = vec![0i8; self.out_dim * self.in_dim];
-            for (r, dst) in out.chunks_mut(self.in_dim).enumerate() {
-                unpack_row(
-                    &self.packed[r * rb..(r + 1) * rb],
-                    self.bits,
-                    self.in_dim,
-                    dst,
-                );
-            }
-            out
+    /// Unpack row `r` of the integer weights into `out` (`in_dim` long).
+    fn unpack_row_into(&self, r: usize, out: &mut [i8]) {
+        let rb = row_bytes(self.in_dim, self.bits);
+        unpack_row(
+            &self.packed[r * rb..(r + 1) * rb],
+            self.bits,
+            self.in_dim,
+            out,
+        );
+    }
+
+    /// The tile's panel, built from `packed` in one pass on first use.
+    fn panel(&self) -> &Panel {
+        self.panel.get_or_init(|| {
+            Panel::build(self.out_dim, self.in_dim, |r, row| {
+                self.unpack_row_into(r, row)
+            })
         })
     }
 
-    /// The i16-widened weight matrix for the `vpmaddwd` tile kernel (see
-    /// the `unpacked_i16` field docs), computed on first use.
-    fn widened(&self) -> &[i16] {
-        self.unpacked_i16
-            .get_or_init(|| self.unpacked().iter().map(|&v| i16::from(v)).collect())
-    }
-
-    /// Build both cached weight images now instead of on the first batch.
+    /// Build the tile's panel now instead of on the first batch.
     pub fn prepare(&self) {
-        self.widened();
+        self.panel();
     }
 
-    /// Integer-kernel forward pass: `x [batch,in] → y [batch,out]`, as
-    /// the three steps a verifier replays: [`QDense::quantize_input`],
-    /// [`QDense::int_accumulate`], [`QDense::dequantize_acc`].
+    /// Bytes per row of this layer's tile operand ([`QDense::load_operand`]).
+    pub(crate) fn lda(&self) -> usize {
+        self.panel().lda()
+    }
+
+    /// Quantize the `batch × in_dim` activations `x` onto this layer's
+    /// input grid, straight into its tile operand `a` (resized to
+    /// `batch·lda`): [`quantize_activations`] with the `+128` offset fused
+    /// into the store.
+    pub(crate) fn load_operand(&self, x: &[f32], batch: usize, a: &mut Vec<u8>) {
+        debug_assert_eq!(x.len(), batch * self.in_dim);
+        let lda = self.lda();
+        a.resize(batch * lda, 0);
+        if self.in_dim == 0 {
+            return;
+        }
+        let (isa, inv) = (Isa::current(), 1.0 / self.in_scale);
+        for (src, dst) in x.chunks_exact(self.in_dim).zip(a.chunks_exact_mut(lda)) {
+            quantize_into(isa, src, inv, &mut dst[..self.in_dim], 0x80);
+        }
+    }
+
+    /// The tile over this layer's weights: `c[i·ldc + j] = ep(Σ_l
+    /// q[i][l]·w[j][l])` for the `batch` rows of operand `a`.
+    pub(crate) fn run<E: IntEpilogue>(
+        &self,
+        a: &[u8],
+        batch: usize,
+        c: &mut [E::Out],
+        ldc: usize,
+        ep: E,
+    ) {
+        tile::sweep(a, batch, self.panel(), c, ldc, ep);
+    }
+
+    /// The epilogue that turns accumulators into this layer's f32 output,
+    /// as [`QDense::dequantize_acc`] does.
+    pub(crate) fn dequant(&self) -> Dequant<'_> {
+        Dequant {
+            in_scale: self.in_scale,
+            w_scales: &self.w_scales,
+            bias: &self.bias,
+        }
+    }
+
+    /// Integer-kernel forward pass: `x [batch,in] → y [batch,out]`.
+    /// Bit-identical to the three steps a verifier replays —
+    /// [`QDense::quantize_input`], [`QDense::int_accumulate`],
+    /// [`QDense::dequantize_acc`] — run as one: quantize into the tile's
+    /// operand, dequantize in its store.
     ///
     /// Bit-identical to [`QDense::forward_reference`] (the seed scalar
-    /// loop): i32 accumulation is associative, so unrolling, row blocking
-    /// and batch parallelism cannot change a single output bit.
+    /// loop): i32 accumulation is associative, so tiling, panel order and
+    /// batch parallelism cannot change a single output bit.
     #[must_use]
     pub fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.cols(), self.in_dim, "QDense input width");
         let batch = x.rows();
-        let acc = self.int_accumulate(&self.quantize_input(x), batch);
-        self.dequantize_acc(&acc, batch)
+        let mut a = Vec::new();
+        self.load_operand(x.data(), batch, &mut a);
+        let mut out = vec![0.0f32; batch * self.out_dim];
+        self.run(&a, batch, &mut out, self.out_dim, self.dequant());
+        Tensor::from_vec(out, &[batch, self.out_dim])
     }
 
     /// The seed per-forward-unpacking scalar kernel, retained verbatim as
@@ -304,11 +340,17 @@ impl QDense {
 
     /// Unpack the full integer weight matrix `[out,in]` (row-major i8) —
     /// used by the verifiable-execution layer, whose sum-check operates on
-    /// the exact integers the kernel multiplies. Served from the
-    /// [`QDense::unpacked`] cache.
+    /// the exact integers the kernel multiplies. Unpacked from `packed` on
+    /// each call; no copy is cached.
     #[must_use]
     pub fn unpack_matrix(&self) -> Vec<i8> {
-        self.unpacked().to_vec()
+        let mut out = vec![0i8; self.out_dim * self.in_dim];
+        if self.in_dim > 0 {
+            for (r, row) in out.chunks_exact_mut(self.in_dim).enumerate() {
+                self.unpack_row_into(r, row);
+            }
+        }
+        out
     }
 
     /// Quantize an activation batch to the layer's int8 input grid — the
@@ -322,21 +364,22 @@ impl QDense {
     }
 
     /// Integer accumulator matmul: `acc[b][r] = Σ_j xq[b][j]·w[r][j]` —
-    /// the exact integers the proof system commits to.
+    /// the exact integers the proof system commits to. The tile the
+    /// forward passes run, with the identity epilogue.
     #[must_use]
     pub fn int_accumulate(&self, xq: &[i8], batch: usize) -> Vec<i32> {
-        let w = self.unpacked();
-        let w16 = self.widened();
-        let mut acc = vec![0i32; batch * self.out_dim];
-        let body = |(b, acc_row): (usize, &mut [i32])| {
-            let xrow = &xq[b * self.in_dim..(b + 1) * self.in_dim];
-            acc_row_kernel(w, w16, xrow, self.in_dim, acc_row);
-        };
-        if batch > 1 && batch * self.out_dim * self.in_dim >= QPAR_MIN_MACS {
-            acc.par_chunks_mut(self.out_dim).enumerate().for_each(body);
-        } else {
-            acc.chunks_mut(self.out_dim).enumerate().for_each(body);
+        assert_eq!(xq.len(), batch * self.in_dim, "int_accumulate input");
+        let lda = self.lda();
+        let mut a = vec![0u8; batch * lda];
+        if self.in_dim > 0 {
+            for (src, dst) in xq.chunks_exact(self.in_dim).zip(a.chunks_exact_mut(lda)) {
+                for (d, &q) in dst.iter_mut().zip(src) {
+                    *d = operand_byte(q);
+                }
+            }
         }
+        let mut acc = vec![0i32; batch * self.out_dim];
+        self.run(&a, batch, &mut acc, self.out_dim, tile::Identity);
         acc
     }
 
@@ -448,8 +491,9 @@ impl QDense {
         assert_eq!(plan.mult.len(), self.out_dim, "requant plan width");
         out.resize(batch * self.out_dim, 0);
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 presence checked on this CPU.
+        if Isa::current() >= Isa::Avx2Fma {
+            // SAFETY: `Isa::current()` is at most `Isa::detected()`, which
+            // checked avx2 on this CPU.
             unsafe { requantize_rows_avx2(acc, batch, self.out_dim, plan, relu, out) };
             return;
         }
@@ -518,7 +562,7 @@ fn requantize_rows_avx2(
 /// round-half-away-from-zero right shift, and saturate to the symmetric
 /// int8 grid.
 #[inline(always)]
-fn requant_one(acc: i32, mult: i32, rshift: u32, bias_q: i32, relu: bool) -> i8 {
+pub(crate) fn requant_one(acc: i32, mult: i32, rshift: u32, bias_q: i32, relu: bool) -> i8 {
     let mut v = i64::from(acc) + i64::from(bias_q);
     if relu {
         v = v.max(0);
@@ -538,41 +582,88 @@ fn requant_one(acc: i32, mult: i32, rshift: u32, bias_q: i32, relu: bool) -> i8 
 
 /// Quantize activations onto the int8 grid at `scale` — the single
 /// expression shared by [`QDense::forward`] and [`QDense::quantize_input`]
-/// (paper §V: the verifier must see the exact kernel inputs).
+/// (paper §V: the verifier must see the exact kernel inputs): `v / scale`
+/// (as `v · (1/scale)`) rounded half away from zero, saturated to ±127,
+/// NaN to 0.
 #[inline]
 pub fn quantize_activations(src: &[f32], scale: f32, dst: &mut [i8]) {
     debug_assert_eq!(src.len(), dst.len());
-    let inv = 1.0 / scale;
+    // SAFETY: `i8` and `u8` have the same size and alignment, and every
+    // bit pattern is valid for both.
+    let dst = unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<u8>(), dst.len()) };
+    quantize_into(Isa::current(), src, 1.0 / scale, dst, 0);
+}
+
+/// Quantize `src` at reciprocal scale `inv` into `dst` as the bytes
+/// `q ^ flip` — `flip` 0 stores `q`, `0x80` the tile operand `q + 128`.
+#[inline]
+fn quantize_into(isa: Isa, src: &[f32], inv: f32, dst: &mut [u8], flip: u8) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence checked on this CPU.
-        unsafe { quantize_activations_avx2(src, inv, dst) };
+    if isa >= Isa::Avx2Fma {
+        // SAFETY: `isa` is at most `Isa::detected()`, which checked avx2.
+        unsafe { quantize_avx2(src, inv, dst, flip) };
         return;
     }
-    quantize_activations_body(src, inv, dst);
+    let _ = isa;
+    quantize_body(src, inv, dst, flip);
 }
 
-/// The quantize loop: hoisted reciprocal and a trunc/copysign
-/// round-half-away-from-zero. Under a baseline x86-64 target both
-/// `.round()` and `.trunc()` lower to per-element libm calls (no SSE4.1
-/// `roundps`), so the AVX2 clone below is what makes this loop vector
-/// code — the head-of-pipeline quantize is a top-three cost of the fused
-/// integer forward.
+/// One activation onto the grid: a hoisted reciprocal and a
+/// trunc/copysign round-half-away-from-zero, then a saturating cast.
 #[inline(always)]
-fn quantize_activations_body(src: &[f32], inv: f32, dst: &mut [i8]) {
+fn quantize_one(v: f32, inv: f32) -> i8 {
+    let t = v * inv;
+    (t + 0.5f32.copysign(t)).trunc().clamp(-127.0, 127.0) as i8
+}
+
+/// The quantize loop of the portable arm, and the tail of the AVX2 one.
+#[inline(always)]
+fn quantize_body(src: &[f32], inv: f32, dst: &mut [u8], flip: u8) {
     for (q, &v) in dst.iter_mut().zip(src) {
-        let t = v * inv;
-        *q = (t + 0.5f32.copysign(t)).trunc().clamp(-127.0, 127.0) as i8;
+        *q = (quantize_one(v, inv) as u8) ^ flip;
     }
 }
 
-/// AVX2 clone of [`quantize_activations_body`]: with the feature enabled
-/// the compiler lowers `trunc` to `vroundps` and `copysign` to bitwise
-/// sign transfer, vectorizing the whole loop.
+/// [`quantize_one`] eight lanes at a time: the same multiply, add of
+/// `copysign(0.5, t)` and truncation (`vroundps`), then a clamp whose NaN
+/// lanes are zeroed before the conversion — the saturating `as i8` cast
+/// the compiler would otherwise scalarize. Every lane stores what
+/// [`quantize_one`] returns, NaN → 0 and ±∞ → ±127 included.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn quantize_activations_avx2(src: &[f32], inv: f32, dst: &mut [i8]) {
-    quantize_activations_body(src, inv, dst);
+fn quantize_avx2(src: &[f32], inv: f32, dst: &mut [u8], flip: u8) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_and_ps, _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvttps_epi32,
+        _mm256_extracti128_si256, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+        _mm256_or_ps, _mm256_round_ps, _mm256_set1_ps, _mm_packs_epi16, _mm_packs_epi32,
+        _mm_set1_epi8, _mm_storel_epi64, _mm_xor_si128, _CMP_ORD_Q, _MM_FROUND_NO_EXC,
+        _MM_FROUND_TO_ZERO,
+    };
+    let n = src.len().min(dst.len());
+    let body = n - n % 8;
+    let inv_v = _mm256_set1_ps(inv);
+    let sign = _mm256_set1_ps(-0.0);
+    let half = _mm256_set1_ps(0.5);
+    let (lo, hi) = (_mm256_set1_ps(-127.0), _mm256_set1_ps(127.0));
+    let flip_v = _mm_set1_epi8(flip as i8);
+    for c in (0..body).step_by(8) {
+        // SAFETY: `c + 8 ≤ n`, so the 8 floats read and 8 bytes written
+        // lie in `src` and `dst`; unaligned access is permitted.
+        unsafe {
+            let t = _mm256_mul_ps(_mm256_loadu_ps(src.as_ptr().add(c)), inv_v);
+            let r = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_ps(
+                t,
+                _mm256_or_ps(_mm256_and_ps(t, sign), half),
+            ));
+            let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(t, t);
+            let q = _mm256_and_ps(_mm256_min_ps(_mm256_max_ps(r, lo), hi), ordered);
+            let i = _mm256_cvttps_epi32(q);
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(i), _mm256_extracti128_si256::<1>(i));
+            let b = _mm_xor_si128(_mm_packs_epi16(w, w), flip_v);
+            _mm_storel_epi64(dst.as_mut_ptr().add(c).cast(), b);
+        }
+    }
+    quantize_body(&src[body..n], inv, &mut dst[body..n], flip);
 }
 
 /// i8·i8 → i32 dot product, runtime-dispatched: the explicit
@@ -584,8 +675,9 @@ fn quantize_activations_avx2(src: &[f32], inv: f32, dst: &mut [i8]) {
 #[must_use]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence checked on this CPU.
+    if Isa::current() >= Isa::Avx2Fma {
+        // SAFETY: `Isa::current()` is at most `Isa::detected()`, which
+        // checked avx2 on this CPU.
         return unsafe { dot_i8_maddwd_avx2(a, b) };
     }
     dot_i8_portable(a, b)
@@ -661,125 +753,6 @@ fn dot_i8_maddwd_avx2(a: &[i8], b: &[i8]) -> i32 {
         total = total.wrapping_add(i32::from(a[i]) * i32::from(b[i]));
     }
     total
-}
-
-/// One batch row of accumulator-only integer matmul: `acc[r] = xq · w[r]`
-/// for every output row. Runtime-dispatches to the `vpmaddwd` tile kernel
-/// on AVX2 hosts; the portable body keeps the plain autovectorizable loop.
-#[inline]
-fn acc_row_kernel(w: &[i8], w16: &[i16], xrow: &[i8], in_dim: usize, acc_row: &mut [i32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence checked on this CPU.
-        unsafe { accumulate_rows_maddwd_avx2(w, w16, xrow, in_dim, acc_row) };
-        return;
-    }
-    let _ = w16;
-    for (r, a) in acc_row.iter_mut().enumerate() {
-        *a = dot_i8_portable(xrow, &w[r * in_dim..(r + 1) * in_dim]);
-    }
-}
-
-/// Four weight rows reduced against one activation row in a single
-/// register tile: the x chunks are sign-extended once and reused across
-/// all four `vpmaddwd` streams, the weight rows arrive pre-widened to i16
-/// ([`QDense::widened`]) so the hot loop is pure load+madd with no
-/// shuffle-port `vpmovsxbw` traffic, and the four accumulators collapse
-/// in one `vphaddd` tree instead of four full horizontal sums. At
-/// MLP-sized `in_dim` (64–128) the per-dot horizontal sum dominates
-/// [`dot_i8_maddwd_avx2`]; amortizing it 4× is what lets the integer
-/// forward pass the f32 GEMM. Wrapping lane adds keep the result
-/// bit-identical to four scalar dots.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn madd_quad_avx2(w16: &[i16], xrow: &[i8], in_dim: usize, r: usize) -> [i32; 4] {
-    use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
-        _mm256_hadd_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256,
-        _mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128,
-    };
-    debug_assert!((r + 4) * in_dim <= w16.len());
-    debug_assert!(in_dim <= xrow.len());
-    let chunks = in_dim / 32;
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    let mut acc2 = _mm256_setzero_si256();
-    let mut acc3 = _mm256_setzero_si256();
-    for c in 0..chunks {
-        // SAFETY: c·32 + 32 ≤ in_dim ≤ xrow.len() and (r+4)·in_dim ≤
-        // w16.len() (debug-asserted above), so every load below stays in
-        // bounds; unaligned loads are permitted.
-        unsafe {
-            let px = xrow.as_ptr().add(c * 32);
-            let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(px.cast()));
-            let x1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(px.add(16).cast()));
-            let p0 = w16.as_ptr().add(r * in_dim + c * 32);
-            let p1 = w16.as_ptr().add((r + 1) * in_dim + c * 32);
-            let p2 = w16.as_ptr().add((r + 2) * in_dim + c * 32);
-            let p3 = w16.as_ptr().add((r + 3) * in_dim + c * 32);
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(_mm256_loadu_si256(p0.cast()), x0));
-            acc0 = _mm256_add_epi32(
-                acc0,
-                _mm256_madd_epi16(_mm256_loadu_si256(p0.add(16).cast()), x1),
-            );
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(_mm256_loadu_si256(p1.cast()), x0));
-            acc1 = _mm256_add_epi32(
-                acc1,
-                _mm256_madd_epi16(_mm256_loadu_si256(p1.add(16).cast()), x1),
-            );
-            acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(_mm256_loadu_si256(p2.cast()), x0));
-            acc2 = _mm256_add_epi32(
-                acc2,
-                _mm256_madd_epi16(_mm256_loadu_si256(p2.add(16).cast()), x1),
-            );
-            acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(_mm256_loadu_si256(p3.cast()), x0));
-            acc3 = _mm256_add_epi32(
-                acc3,
-                _mm256_madd_epi16(_mm256_loadu_si256(p3.add(16).cast()), x1),
-            );
-        }
-    }
-    // Cross-register reduce: hadd(A,B) / hadd(C,D) / hadd(·,·) leaves
-    // [ΣA,ΣB,ΣC,ΣD] split across the two 128-bit lanes; one lane add
-    // finishes all four sums (wrapping, order-free).
-    let t01 = _mm256_hadd_epi32(acc0, acc1);
-    let t23 = _mm256_hadd_epi32(acc2, acc3);
-    let t = _mm256_hadd_epi32(t01, t23);
-    let s = _mm_add_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256::<1>(t));
-    let mut out = [0i32; 4];
-    // SAFETY: `out` is 16 bytes; unaligned stores are permitted.
-    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), s) };
-    // Scalar tails (< 32 elements per row).
-    for (k, o) in out.iter_mut().enumerate() {
-        let base = (r + k) * in_dim;
-        for i in chunks * 32..in_dim {
-            *o = o.wrapping_add(i32::from(xrow[i]) * i32::from(w16[base + i]));
-        }
-    }
-    out
-}
-
-/// Fill one batch row of i32 accumulators with the `vpmaddwd` tile kernel:
-/// quads of output rows through [`madd_quad_avx2`], the remainder through
-/// [`dot_i8_maddwd_avx2`]. Bit-identical to a portable dot per row.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn accumulate_rows_maddwd_avx2(
-    w: &[i8],
-    w16: &[i16],
-    xrow: &[i8],
-    in_dim: usize,
-    acc_row: &mut [i32],
-) {
-    let out_dim = acc_row.len();
-    let quads = out_dim / 4;
-    for qi in 0..quads {
-        let vals = madd_quad_avx2(w16, xrow, in_dim, qi * 4);
-        acc_row[qi * 4..qi * 4 + 4].copy_from_slice(&vals);
-    }
-    for r in quads * 4..out_dim {
-        acc_row[r] = dot_i8_maddwd_avx2(xrow, &w[r * in_dim..(r + 1) * in_dim]);
-    }
 }
 
 /// A binary (1-bit) dense layer: sign weights packed into `u64` words with
@@ -981,16 +954,16 @@ mod tests {
 
     #[test]
     fn batch_parallel_path_is_bit_identical() {
-        // 64·64·64 = 262144 MACs crosses QPAR_MIN_MACS, so this exercises
-        // the rayon par_chunks_mut branch of `forward` (the proptests and
-        // the CI quick bench all stay below the gate).
+        // 64 rows are two slabs and 64·64·64 = 262144 MACs crosses
+        // PAR_MIN_MACS, so this exercises the pool branch of the tile
+        // sweep (the proptests and the CI quick bench all stay below it).
         let mut rng = TensorRng::seed(9);
         let w = rng.uniform(&[64, 64], -1.0, 1.0);
         let b = rng.uniform(&[64], -0.1, 0.1);
         let x = rng.uniform(&[64, 64], -1.0, 1.0);
         for bits in [8u32, 4, 2] {
             let q = QDense::quantize(&w, &b, bits, 1.0 / 127.0);
-            assert!(x.rows() * q.out_dim * q.in_dim >= QPAR_MIN_MACS);
+            assert!(x.rows() * q.out_dim * q.in_dim >= tile::PAR_MIN_MACS);
             assert_eq!(
                 q.forward(&x).data(),
                 q.forward_reference(&x).data(),
@@ -1088,7 +1061,7 @@ mod tests {
             let q = QDense::quantize(&w, &b, 8, 0.02);
             let xq = q.quantize_input(&x);
             let acc = q.int_accumulate(&xq, 3);
-            let wq = q.unpacked();
+            let wq = q.unpack_matrix();
             for bi in 0..3 {
                 let xrow = &xq[bi * in_dim..(bi + 1) * in_dim];
                 for r in 0..out_dim {
@@ -1174,6 +1147,47 @@ mod tests {
         let plain = q.requantize_acc(&acc, 4, &plan, false);
         for (&r, &p) in relu_then.iter().zip(&plain) {
             assert_eq!(r, p.max(0), "integer ReLU must clamp exactly");
+        }
+    }
+
+    /// The vectorized quantizer keeps every bit of the scalar expression
+    /// at its edge cases — NaN → 0, ±∞ → ±127, ties away from zero, ±127.5
+    /// saturating, −0.0 → 0 — in vector lanes and in the scalar tail, on
+    /// every arm.
+    #[test]
+    fn quantize_activations_edge_cases_are_bit_exact_on_every_arm() {
+        use tinymlops_tensor::matmul::with_isa_cap;
+        let cases: [(f32, i8); 20] = [
+            (f32::NAN, 0),
+            (-f32::NAN, 0),
+            (f32::INFINITY, 127),
+            (f32::NEG_INFINITY, -127),
+            (0.5, 1),
+            (-0.5, -1),
+            (1.5, 2),
+            (-1.5, -2),
+            (2.5, 3),
+            (-2.5, -3),
+            (127.5, 127),
+            (-127.5, -127),
+            (126.5, 127),
+            (-126.5, -127),
+            (-0.0, 0),
+            (0.0, 0),
+            (0.4, 0),
+            (-0.6, -1),
+            (1e30, 127),
+            (-1e30, -127),
+        ];
+        // Every case lands once in each of the 8 vector lanes and in the
+        // scalar tail.
+        let n = cases.len() * 9 + 5;
+        let src: Vec<f32> = (0..n).map(|i| cases[(i * 7) % cases.len()].0).collect();
+        let want: Vec<i8> = (0..n).map(|i| cases[(i * 7) % cases.len()].1).collect();
+        for isa in Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected()) {
+            let mut got = vec![99i8; n];
+            with_isa_cap(isa, || quantize_activations(&src, 1.0, &mut got));
+            assert_eq!(got, want, "{isa:?}");
         }
     }
 

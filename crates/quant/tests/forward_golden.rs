@@ -11,10 +11,15 @@
 //! 512×512 layer at batch ≥ 2 crosses the batch-parallel threshold. A
 //! mismatch means integer inference changed; every served int8/int2
 //! answer is downstream of it. Find out why before touching a constant.
+//!
+//! The tables hold under every kernel arm the host has
+//! (`tensor::matmul::with_isa_cap`): the integer tile's portable body, its
+//! AVX2 clone and the AVX-512-VNNI tile give one set of bits.
 
 use tinymlops_nn::model::mlp;
 use tinymlops_nn::Layer;
 use tinymlops_quant::{QDense, QuantScheme, QuantizedModel};
+use tinymlops_tensor::matmul::{with_isa_cap, Isa};
 use tinymlops_tensor::{Tensor, TensorRng};
 
 /// `(out_dim, in_dim)` of the pinned `QDense` layers.
@@ -109,6 +114,30 @@ fn model_forwards_are_bit_identical() {
         let [fused, unfused] = model_digests(scheme);
         assert_eq!(fused, table[0], "{} forward_fused", scheme.name());
         assert_eq!(unfused, table[1], "{} forward", scheme.name());
+    }
+}
+
+/// Both tables under every arm this host has, one digest each.
+#[test]
+fn forwards_are_bit_identical_under_every_isa_arm() {
+    for isa in Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detected()) {
+        with_isa_cap(isa, || {
+            assert_eq!(
+                qdense_digests(),
+                QDENSE_GOLDEN,
+                "QDense::forward on {isa:?}"
+            );
+            for (scheme, table) in SCHEMES.into_iter().zip(&MODEL_GOLDEN) {
+                let [fused, unfused] = model_digests(scheme);
+                assert_eq!(
+                    fused,
+                    table[0],
+                    "{} forward_fused on {isa:?}",
+                    scheme.name()
+                );
+                assert_eq!(unfused, table[1], "{} forward on {isa:?}", scheme.name());
+            }
+        });
     }
 }
 

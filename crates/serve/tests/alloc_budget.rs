@@ -191,13 +191,18 @@ fn executables() -> [(&'static str, ExecModel); 3] {
 /// place and the weight panels were packed at install. (Before `Dense`
 /// had a prepared form the same call made 24 — a B-panel block and a bias
 /// clone per layer, a fresh tensor per activation, a copy of the input —
-/// and this fixture's replay 27.19 per dispatched batch, now 13.16.) The
-/// integer runtimes are pinned where they were.
-const PREDICT_BUDGET: [u64; 3] = [9, 13, 13];
+/// and this fixture's replay 27.19 per dispatched batch, now 13.16.)
+/// int8 and int2: the two operand buffers one call's integer tiles
+/// ping-pong through and one regrow of the first (64 → 512 columns), the
+/// output and its shape, the argmax — 6.
+const PREDICT_BUDGET: [u64; 3] = [9, 6, 6];
 
-/// Allocations the engine makes around `predict` per dispatched batch:
-/// the row list, the gathered feature matrix and its shape.
-const GATHER_ALLOCATIONS: f64 = 3.0;
+/// Allocations per dispatched batch of the engine replay below, predict
+/// included. Measured 12.715 (mean batch 7.12; ≈93 % of batches f32, 9
+/// allocations each), so the engine's own share is ≈3.9 per batch — the
+/// row list, the gathered feature matrix and its shape, and about one
+/// more — which is why this is not `3 + max(PREDICT_BUDGET)`.
+const DISPATCH_BUDGET: f64 = 13.0;
 
 #[test]
 fn inference_dispatch_stays_within_the_allocation_budget() {
@@ -251,7 +256,7 @@ fn inference_dispatch_stays_within_the_allocation_budget() {
         "mostly served"
     );
     let per_batch = (allocations - bare_allocations) as f64 / report.fleet.batches as f64;
-    let budget = GATHER_ALLOCATIONS + *PREDICT_BUDGET.iter().max().expect("non-empty") as f64;
+    let budget = DISPATCH_BUDGET;
     eprintln!(
         "alloc_budget: {per_batch:.3} allocations per dispatched inference batch (mean batch {:.2})",
         report.fleet.mean_batch

@@ -43,6 +43,7 @@
 use crate::{Tensor, TensorError};
 use rayon::prelude::*;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// FLOP threshold below which the sequential kernel is used; spawning
 /// rayon tasks for tiny matrices costs more than it saves.
@@ -88,8 +89,10 @@ pub const SPARSE_SKIP_THRESHOLD: f32 = 0.6;
 /// Elements sampled (evenly strided) when estimating the sparsity of A.
 const SPARSITY_SAMPLE: usize = 1024;
 
-/// An instruction-set arm of the f32 kernels, narrowest first. Every arm
-/// produces the same bits; they differ only in speed.
+/// An instruction-set arm of the f32 and integer kernels, narrowest first.
+/// Every arm produces the same bits; they differ only in speed. The f32
+/// kernels top out at [`Isa::Avx512`]; `quant`'s int8 tile adds
+/// [`Isa::Avx512Vnni`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The `mul_add` bodies compiled for the baseline target (native
@@ -101,23 +104,37 @@ pub enum Isa {
     /// x86-64 AVX-512F (with AVX2 + FMA): tiles of up to 8 rows × 3 panels
     /// (8 × 48) in zmm registers.
     Avx512,
+    /// [`Isa::Avx512`] plus AVX-512 VNNI, BW and DQ: the int8 tile's
+    /// `vpdpbusd` and its requantizing store. The f32 kernels run their
+    /// AVX-512 arm here.
+    Avx512Vnni,
 }
 
 impl Isa {
     /// Every arm, narrowest first.
-    pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2Fma, Isa::Avx512];
+    pub const ALL: [Isa; 4] = [Isa::Portable, Isa::Avx2Fma, Isa::Avx512, Isa::Avx512Vnni];
 
-    /// The widest arm this CPU supports (CPUID, cached by the detection
-    /// macro).
+    /// The widest arm this CPU supports, read from CPUID once per process.
     #[must_use]
     pub fn detected() -> Isa {
+        static DETECTED: OnceLock<Isa> = OnceLock::new();
+        *DETECTED.get_or_init(Isa::probe)
+    }
+
+    fn probe() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            return if std::arch::is_x86_feature_detected!("avx512f") {
-                Isa::Avx512
+            if !std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx2Fma;
+            }
+            return if std::arch::is_x86_feature_detected!("avx512vnni")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                Isa::Avx512Vnni
             } else {
-                Isa::Avx2Fma
+                Isa::Avx512
             };
         }
         Isa::Portable
@@ -127,19 +144,20 @@ impl Isa {
     /// capped by the innermost [`with_isa_cap`]. Never wider than the CPU,
     /// which is what the kernels' `unsafe` dispatch relies on.
     #[must_use]
-    pub(crate) fn current() -> Isa {
+    pub fn current() -> Isa {
         Isa::detected().min(ISA_CAP.with(Cell::get))
     }
 }
 
 thread_local! {
-    static ISA_CAP: Cell<Isa> = const { Cell::new(Isa::Avx512) };
+    static ISA_CAP: Cell<Isa> = const { Cell::new(Isa::Avx512Vnni) };
 }
 
-/// Run `f` with this thread's f32 kernels capped at `cap` (the arm is
-/// still never wider than the CPU). Restores the previous cap afterwards
-/// (also on panic); nestable. A GEMM reads the cap once on entry and
-/// hands the arm to its pool tasks, so worker threads follow the caller.
+/// Run `f` with this thread's kernels — f32 here, integer in `quant` —
+/// capped at `cap` (the arm is still never wider than the CPU). Restores
+/// the previous cap afterwards (also on panic); nestable. A kernel reads
+/// the cap once on entry and hands the arm to its pool tasks, so worker
+/// threads follow the caller.
 pub fn with_isa_cap<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
     ISA_CAP.with(|c| {
         let prev = c.replace(cap);
@@ -652,7 +670,7 @@ fn sweep_tile(
     ep: Epilogue<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx512 {
+    if isa >= Isa::Avx512 {
         let tile: TileAvx512 = match h {
             1 => tile_avx512_w::<1>,
             2 => tile_avx512_w::<2>,
@@ -708,7 +726,7 @@ fn sweep_slab(
     ap: &mut [f32],
     ep: Epilogue<'_>,
 ) {
-    let (mr, wr) = if isa == Isa::Avx512 {
+    let (mr, wr) = if isa >= Isa::Avx512 {
         (MR_ZMM, WR_ZMM)
     } else {
         (MR, 1)
@@ -1421,7 +1439,9 @@ mod tests {
         assert_eq!(Isa::current(), Isa::detected());
         with_isa_cap(Isa::Portable, || {
             assert_eq!(Isa::current(), Isa::Portable);
-            with_isa_cap(Isa::Avx512, || assert_eq!(Isa::current(), Isa::detected()));
+            with_isa_cap(Isa::Avx512Vnni, || {
+                assert_eq!(Isa::current(), Isa::detected());
+            });
             assert_eq!(Isa::current(), Isa::Portable);
         });
         assert_eq!(Isa::current(), Isa::detected());
