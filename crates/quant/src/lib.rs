@@ -38,9 +38,7 @@ pub use prune::{
     apply_masks, capture_masks, finetune_pruned, magnitude_prune, sparsity_of, SparseDense,
 };
 pub use qmodel::{QuantScheme, QuantizedModel};
-pub use qtensor::{
-    dot_i8, dot_i8_portable, fake_quantize_tensor, BinaryDense, QDense, RequantPlan,
-};
+pub use qtensor::{dot_i8_portable, fake_quantize_tensor, BinaryDense, QDense, RequantPlan};
 
 use tinymlops_nn::Sequential;
 

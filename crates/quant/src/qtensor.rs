@@ -472,32 +472,17 @@ impl QDense {
         plan: &RequantPlan,
         relu: bool,
     ) -> Vec<i8> {
-        let mut out = vec![0i8; batch * self.out_dim];
-        self.requantize_acc_into(acc, batch, plan, relu, &mut out);
-        out
-    }
-
-    /// [`QDense::requantize_acc`] into a caller-owned buffer (resized to
-    /// `batch·out_dim`), so the fused model forward can reuse scratch
-    /// space across layers.
-    pub fn requantize_acc_into(
-        &self,
-        acc: &[i32],
-        batch: usize,
-        plan: &RequantPlan,
-        relu: bool,
-        out: &mut Vec<i8>,
-    ) {
         assert_eq!(plan.mult.len(), self.out_dim, "requant plan width");
-        out.resize(batch * self.out_dim, 0);
+        let mut out = vec![0i8; batch * self.out_dim];
         #[cfg(target_arch = "x86_64")]
         if Isa::current() >= Isa::Avx2Fma {
             // SAFETY: `Isa::current()` is at most `Isa::detected()`, which
             // checked avx2 on this CPU.
-            unsafe { requantize_rows_avx2(acc, batch, self.out_dim, plan, relu, out) };
-            return;
+            unsafe { requantize_rows_avx2(acc, batch, self.out_dim, plan, relu, &mut out) };
+            return out;
         }
-        requantize_rows(acc, batch, self.out_dim, plan, relu, out);
+        requantize_rows(acc, batch, self.out_dim, plan, relu, &mut out);
+        out
     }
 }
 
@@ -666,33 +651,16 @@ fn quantize_avx2(src: &[f32], inv: f32, dst: &mut [u8], flip: u8) {
     quantize_body(&src[body..n], inv, &mut dst[body..n], flip);
 }
 
-/// i8·i8 → i32 dot product, runtime-dispatched: the explicit
-/// `dot_i8_maddwd_avx2` kernel on AVX2 hosts, [`dot_i8_portable`]
-/// elsewhere. Bit-exact either way — i32 addition is associative and
-/// commutative, so any summation order (lane-wise, blocked, sequential)
-/// produces the identical result.
-#[inline]
-#[must_use]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    if Isa::current() >= Isa::Avx2Fma {
-        // SAFETY: `Isa::current()` is at most `Isa::detected()`, which
-        // checked avx2 on this CPU.
-        return unsafe { dot_i8_maddwd_avx2(a, b) };
-    }
-    dot_i8_portable(a, b)
-}
-
 /// The portable i8·i8 → i32 dot product. Deliberately the plainest
 /// possible reduction: unlike `tensor::matmul::dot` (where manual 4-way
 /// unrolling supplies the reassociation floats forbid), integer addition
 /// is already associative, so LLVM vectorizes this loop as-is — and
 /// measurement showed a manual stride-4 unroll *breaks* that
-/// vectorization (0.9 vs 6.8 MAC/cycle on AVX2). This loop is both the
-/// portable fallback behind [`dot_i8`] and the exactness oracle the
-/// property tests hold the SIMD kernel to. Exactly equal to the
-/// sequential sum for any input (associativity; |acc| ≤ len·127² cannot
-/// overflow i32 below len ≈ 2¹⁷).
+/// vectorization (0.9 vs 6.8 MAC/cycle on AVX2). This loop is the
+/// exactness oracle the tile tests hold every integer tile arm to, and
+/// `b01_kernels`' baseline. Exactly equal to the sequential sum for any
+/// input (associativity; |acc| ≤ len·127² cannot overflow i32 below
+/// len ≈ 2¹⁷).
 #[inline(always)]
 #[must_use]
 pub fn dot_i8_portable(a: &[i8], b: &[i8]) -> i32 {
@@ -702,57 +670,6 @@ pub fn dot_i8_portable(a: &[i8], b: &[i8]) -> i32 {
         acc += i32::from(*x) * i32::from(*y);
     }
     acc
-}
-
-/// Explicit `vpmaddwd`-shaped AVX2 dot product: 32 i8 pairs per
-/// iteration, sign-extended to i16 (`vpmovsxbw`) and reduced two-at-a-time
-/// into i32 lanes by `vpmaddwd` (`_mm256_madd_epi16`) — 16 MACs per
-/// multiply instruction, roughly double what the autovectorized widening
-/// multiplies in [`dot_i8_portable`] achieve. Each `vpmaddwd` lane holds
-/// `a₀b₀ + a₁b₁ ≤ 2·127²`, which cannot overflow i16×i16→i32, and the
-/// lane accumulators wrap exactly like the scalar sum would, so the
-/// result is bit-identical to [`dot_i8_portable`] for every input.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot_i8_maddwd_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
-        _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128,
-        _mm_shuffle_epi32,
-    };
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let chunks = n / 32;
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    for c in 0..chunks {
-        // SAFETY: c·32 + 32 ≤ chunks·32 ≤ n, so all 16-byte loads below
-        // stay inside `a` and `b`; unaligned loads are permitted.
-        unsafe {
-            let pa = a.as_ptr().add(c * 32);
-            let pb = b.as_ptr().add(c * 32);
-            let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.cast()));
-            let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.cast()));
-            let a1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(16).cast()));
-            let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(16).cast()));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a0, b0));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(a1, b1));
-        }
-    }
-    // Horizontal sum of the 8 i32 lanes (wrapping adds, order-free).
-    let acc = _mm256_add_epi32(acc0, acc1);
-    let quad = _mm_add_epi32(
-        _mm256_castsi256_si128(acc),
-        _mm256_extracti128_si256::<1>(acc),
-    );
-    let pair = _mm_add_epi32(quad, _mm_shuffle_epi32::<0b0100_1110>(quad));
-    let one = _mm_add_epi32(pair, _mm_shuffle_epi32::<0b1011_0001>(pair));
-    let mut total = _mm_cvtsi128_si32(one);
-    // Scalar tail (< 32 elements).
-    for i in chunks * 32..n {
-        total = total.wrapping_add(i32::from(a[i]) * i32::from(b[i]));
-    }
-    total
 }
 
 /// A binary (1-bit) dense layer: sign weights packed into `u64` words with
@@ -903,6 +820,7 @@ impl BinaryDense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tinymlops_tensor::matmul::PAR_MIN_MACS;
     use tinymlops_tensor::TensorRng;
 
     #[test]
@@ -963,7 +881,7 @@ mod tests {
         let x = rng.uniform(&[64, 64], -1.0, 1.0);
         for bits in [8u32, 4, 2] {
             let q = QDense::quantize(&w, &b, bits, 1.0 / 127.0);
-            assert!(x.rows() * q.out_dim * q.in_dim >= tile::PAR_MIN_MACS);
+            assert!(x.rows() * q.out_dim * q.in_dim >= PAR_MIN_MACS);
             assert_eq!(
                 q.forward(&x).data(),
                 q.forward_reference(&x).data(),
@@ -1035,24 +953,9 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_dot_matches_portable_all_tail_lengths() {
-        // Lengths straddling the 32-lane SIMD chunking, including every
-        // tail residue class; values span the full i8 range.
-        for n in [0usize, 1, 15, 31, 32, 33, 47, 64, 65, 96, 127, 257] {
-            let a: Vec<i8> = (0..n).map(|i| ((i * 37 + 11) % 255) as i8).collect();
-            let b: Vec<i8> = (0..n).map(|i| ((i * 91 + 3) % 253) as i8).collect();
-            assert_eq!(
-                dot_i8(&a, &b),
-                dot_i8_portable(&a, &b),
-                "SIMD dot diverges at len {n}"
-            );
-        }
-    }
-
-    #[test]
     fn int_accumulate_matches_portable_dots_on_awkward_dims() {
-        // Dims chosen to exercise the quad tile, the remainder rows and
-        // the sub-32 column tails of the AVX2 kernel at once.
+        // Dims chosen to exercise ragged k-groups (in_dim mod 4 ≠ 0) and
+        // ragged panels (out_dim < 16) of the integer tile at once.
         let mut rng = TensorRng::seed(23);
         for (out_dim, in_dim) in [(7usize, 45usize), (4, 64), (13, 33), (1, 100), (8, 31)] {
             let w = rng.uniform(&[out_dim, in_dim], -1.0, 1.0);

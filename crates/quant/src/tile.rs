@@ -2,36 +2,35 @@
 //! a [`Panel`], swept by a register tile whose store applies an
 //! [`IntEpilogue`].
 //!
-//! The skeleton is `tensor::matmul`'s f32 sweep. A [`Panel`] holds the
-//! `[n,k]` integer weights as 16-column panels of 4-byte k-groups (K and N
-//! zero-padded), so one 64-byte row of a panel is, per output column, the
-//! four weights one `vpdpbusd` lane multiplies. Activations arrive as
-//! *operands*: row-major `u8` rows of `q + 128`, [`Panel::lda`] bytes apart,
-//! so a tile broadcasts four activations of a row with one 32-bit load and
-//! no A-pack. The offset makes the unsigned × signed `vpdpbusd` exact (the
-//! saturating `vpmaddubsw` is never used), and the store subtracts
-//! `128·colsum[j]` — kept beside the panel — to recover `Σ q·w` exactly in
-//! wrapping i32 arithmetic, the same integers the scalar loop computes.
+//! The loop around the tile is `tensor::matmul::sweep`, the one f32 runs
+//! too; this module supplies its integer [`TileKernel`]. A [`Panel`] holds
+//! the `[n,k]` integer weights as 16-column panels of 4-byte k-groups (K
+//! and N zero-padded), so one 64-byte row of a panel is, per output
+//! column, the four weights one `vpdpbusd` lane multiplies. Activations
+//! arrive as *operands*: row-major `u8` rows of `q + 128`, [`Panel::lda`]
+//! bytes apart, so a tile broadcasts four activations of a row with one
+//! 32-bit load and no A-pack. The offset makes the unsigned × signed
+//! `vpdpbusd` exact (the saturating `vpmaddubsw` is never used), and the
+//! store subtracts `128·colsum[j]` — kept beside the panel — to recover
+//! `Σ q·w` exactly in wrapping i32 arithmetic, the same integers the scalar
+//! loop computes.
 //!
-//! The sweep cuts C into 32-row slabs (the pool is used only when there is
-//! more than one), each slab into balanced tiles of up to 8 rows, and reads
-//! each group of up to 3 adjacent panels once while the slab's tiles cycle
-//! under it. On [`Isa::Avx512Vnni`] a tile is up to 8 × 48: 24 zmm
-//! accumulators over the whole of K. The other arms run narrow tiles (two
-//! rows, one panel) over the same panel: a `vpmaddwd` body on AVX2, a
+//! The shared sweep cuts C into 32-row slabs, each slab into balanced
+//! tiles, and reads each group of adjacent panels once while the slab's
+//! tiles cycle under it. On [`Isa::Avx512Vnni`] a tile is up to 8 × 48: 24
+//! zmm accumulators over the whole of K. The other arms run narrow tiles
+//! (two rows, one panel) over the same panel: a `vpmaddwd` body on AVX2, a
 //! plain loop elsewhere. Integer addition is associative, so every arm,
 //! tile shape and schedule stores the same bits.
 
-use rayon::prelude::*;
-use tinymlops_tensor::matmul::Isa;
+use tinymlops_tensor::matmul::{self, Isa, TileKernel, NR};
 
 use crate::qtensor::{requant_one, RequantPlan};
 
-/// Output columns per panel: one zmm of i32 accumulators.
-const NR: usize = 16;
 /// Weights per k-group: the four bytes one `vpdpbusd` lane reduces.
 const KG: usize = 4;
-/// Bytes per k-group row of a panel.
+/// Bytes per k-group row of a panel: `NR` = 16 columns, one zmm of i32
+/// accumulators.
 const GROUP_BYTES: usize = NR * KG;
 /// Rows per tile on the AVX-512-VNNI arm: 8 × 3 panels is 24 zmm
 /// accumulators + 3 weight vectors + 1 broadcast, and 8 is the batch the
@@ -43,12 +42,6 @@ const WR_VNNI: usize = 3;
 /// AVX2 tile's 2 × 4 ymm accumulators, 4 weight vectors and a broadcast
 /// fit the 16 registers.
 const MR_NARROW: usize = 2;
-/// Rows of C per slab, as in `tensor::matmul`: a product of at most one
-/// slab runs on the calling thread.
-const SLAB_ROWS: usize = 32;
-/// Multiply-accumulates below which even a multi-slab product stays on the
-/// calling thread.
-pub(crate) const PAR_MIN_MACS: usize = 256 * 1024;
 
 /// An `[n,k]` integer weight matrix prepared for the tile.
 #[derive(Debug, Clone)]
@@ -282,8 +275,9 @@ impl IntEpilogue for Dequant<'_> {
 }
 
 /// `C[i, j] = ep(Σ_l q[i][l]·w[j][l])` for the `m` operand rows of `a`
-/// ([`Panel::lda`] bytes apart) against `panel`; row `i` of C starts at
-/// `i·ldc` and its first `n` (the panel's columns) elements are written.
+/// ([`Panel::lda`] bytes apart) against `panel`: `tensor`'s shared sweep
+/// with the integer tile. Row `i` of C starts at `i·ldc` and its first `n`
+/// (the panel's columns) elements are written.
 pub(crate) fn sweep<E: IntEpilogue>(
     a: &[u8],
     m: usize,
@@ -292,63 +286,64 @@ pub(crate) fn sweep<E: IntEpilogue>(
     ldc: usize,
     ep: E,
 ) {
-    let (lda, n) = (panel.lda(), panel.n);
+    let lda = panel.lda();
     assert!(a.len() >= m * lda, "operand rows");
-    assert!(ldc >= n && c.len() >= m * ldc, "rows of C");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let isa = Isa::current();
-    let c = &mut c[..m * ldc];
-    let slab = |(s, c_slab): (usize, &mut [E::Out])| {
-        let a_slab = &a[s * SLAB_ROWS * lda..];
-        sweep_slab(isa, a_slab, panel, c_slab, ldc, ep);
-    };
-    if m > SLAB_ROWS && m * lda * n >= PAR_MIN_MACS {
-        c.par_chunks_mut(SLAB_ROWS * ldc).enumerate().for_each(slab);
-    } else {
-        c.chunks_mut(SLAB_ROWS * ldc).enumerate().for_each(slab);
-    }
+    let kernel = IntKernel { a, lda, panel, ep };
+    matmul::sweep(&kernel, m, lda, panel.n, c, ldc);
 }
 
-/// One slab of C (`c_slab.len() / ldc` rows): its rows cut into tiles of
-/// balanced height — the first `rows mod tiles` one row taller — and each
-/// group of adjacent panels read once while the tiles cycle under it.
-fn sweep_slab<E: IntEpilogue>(
-    isa: Isa,
-    a: &[u8],
-    panel: &Panel,
-    c_slab: &mut [E::Out],
-    ldc: usize,
+/// The integer [`TileKernel`]: operand rows of `a`, `lda` bytes apart,
+/// against `panel`, stored through `ep`.
+struct IntKernel<'a, E> {
+    a: &'a [u8],
+    lda: usize,
+    panel: &'a Panel,
     ep: E,
-) {
-    let (mr, wr) = if isa >= Isa::Avx512Vnni {
-        (MR_VNNI, WR_VNNI)
-    } else {
-        (MR_NARROW, 1)
-    };
-    let (lda, n) = (panel.lda(), panel.n);
-    let rows = c_slab.len() / ldc;
-    let tiles = rows.div_ceil(mr);
-    let (short, taller) = (rows / tiles, rows % tiles);
-    let n_panels = n.div_ceil(NR);
-    for pj in (0..n_panels).step_by(wr) {
-        let w = wr.min(n_panels - pj);
+}
+
+impl<E: IntEpilogue> TileKernel for IntKernel<'_, E> {
+    type Out = E::Out;
+
+    fn max_tile(isa: Isa) -> (usize, usize) {
+        if isa >= Isa::Avx512Vnni {
+            (MR_VNNI, WR_VNNI)
+        } else {
+            (MR_NARROW, 1)
+        }
+    }
+
+    /// [`tile_vnni`] on the AVX-512-VNNI arm, else ([`sums_avx2`] or
+    /// [`sums_portable`]) + [`store_sums`], one panel wide.
+    #[inline]
+    fn tile<const H: usize, const W: usize>(
+        &self,
+        isa: Isa,
+        i0: usize,
+        pj: usize,
+        cols: usize,
+        c: &mut [E::Out],
+        ldc: usize,
+    ) {
+        let (a, lda, panel) = (&self.a[i0 * self.lda..], self.lda, self.panel);
         let j0 = pj * NR;
-        let cols = (w * NR).min(n - j0);
         let tile = Tile {
-            panels: panel.panels(pj, w),
+            panels: panel.panels(pj, W),
             kg: panel.kg,
-            colsum128: &panel.colsum128[j0..j0 + w * NR],
+            colsum128: &panel.colsum128[j0..j0 + W * NR],
             j0,
             cols,
         };
-        for t in 0..tiles {
-            let (i0, h) = (t * short + t.min(taller), short + usize::from(t < taller));
-            let a_tile = &a[i0 * lda..(i0 + h) * lda];
-            let c_tile = &mut c_slab[i0 * ldc..];
-            sweep_tile(isa, h, w, a_tile, lda, &tile, c_tile, ldc, ep);
+        #[cfg(target_arch = "x86_64")]
+        if isa >= Isa::Avx512Vnni {
+            // SAFETY: `isa` is at most `Isa::detected()`, which checked
+            // avx512f, avx512bw, avx512dq and avx512vnni on this CPU.
+            return unsafe { tile_vnni::<H, W, E>(a, lda, &tile, c, ldc, self.ep) };
         }
+        // Constant per instantiation: the taller and wider tiles the
+        // sweep's table also instantiates never compile a narrow body.
+        assert!(H <= MR_NARROW && W == 1, "narrow tiles are MR_NARROW × 1");
+        let sums = sums_narrow::<H>(isa, a, lda, &tile);
+        store_sums(&sums, &tile, c, ldc, self.ep);
     }
 }
 
@@ -365,50 +360,6 @@ struct Tile<'a> {
     /// Live columns, `(w − 1)·16 < cols ≤ w·16`.
     cols: usize,
 }
-
-/// One `h`-row, `w`-panel tile on `isa`: [`tile_vnni`] on the
-/// AVX-512-VNNI arm, else ([`sums_avx2`] or [`sums_portable`]) +
-/// [`store_sums`], one panel wide.
-#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
-fn sweep_tile<E: IntEpilogue>(
-    isa: Isa,
-    h: usize,
-    w: usize,
-    a: &[u8],
-    lda: usize,
-    tile: &Tile<'_>,
-    c: &mut [E::Out],
-    ldc: usize,
-    ep: E,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa >= Isa::Avx512Vnni {
-        let kernel: TileVnni<E> = match h {
-            1 => tile_vnni_w::<1, E>,
-            2 => tile_vnni_w::<2, E>,
-            3 => tile_vnni_w::<3, E>,
-            4 => tile_vnni_w::<4, E>,
-            5 => tile_vnni_w::<5, E>,
-            6 => tile_vnni_w::<6, E>,
-            7 => tile_vnni_w::<7, E>,
-            8 => tile_vnni_w::<8, E>,
-            _ => unreachable!("VNNI tile heights are 1..=MR_VNNI"),
-        };
-        // SAFETY: `isa` is at most `Isa::detected()`, which checked
-        // avx512f, avx512bw, avx512dq and avx512vnni on this CPU.
-        return unsafe { kernel(w, a, lda, tile, c, ldc, ep) };
-    }
-    debug_assert_eq!(w, 1, "the narrow tiles are one panel wide");
-    match h {
-        1 => store_sums(&sums_narrow::<1>(isa, a, lda, tile), tile, c, ldc, ep),
-        2 => store_sums(&sums_narrow::<2>(isa, a, lda, tile), tile, c, ldc, ep),
-        _ => unreachable!("narrow tile heights are 1..=MR_NARROW"),
-    }
-}
-
-// `sweep_tile` instantiates every height `1..=MR_NARROW` and
-// `1..=MR_VNNI`, and `tile_vnni_w` every width `1..=WR_VNNI`.
-const _: () = assert!(MR_NARROW == 2 && MR_VNNI == 8 && WR_VNNI == 3);
 
 /// The raw sums `Σ_l a[i][l]·w[j][l]` (operand bytes, before the
 /// `128·colsum` correction) of an `H`-row, one-panel tile:
@@ -593,37 +544,6 @@ fn tile_vnni<const H: usize, const W: usize, E: IntEpilogue>(
         }
     }
 }
-
-/// [`tile_vnni`] at height `H` for a run-time panel count `w`.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512 F, BW, DQ and VNNI.
-#[cfg(target_arch = "x86_64")]
-unsafe fn tile_vnni_w<const H: usize, E: IntEpilogue>(
-    w: usize,
-    a: &[u8],
-    lda: usize,
-    tile: &Tile<'_>,
-    c: &mut [E::Out],
-    ldc: usize,
-    ep: E,
-) {
-    // SAFETY: the caller guarantees the features.
-    unsafe {
-        match w {
-            1 => tile_vnni::<H, 1, E>(a, lda, tile, c, ldc, ep),
-            2 => tile_vnni::<H, 2, E>(a, lda, tile, c, ldc, ep),
-            3 => tile_vnni::<H, 3, E>(a, lda, tile, c, ldc, ep),
-            _ => unreachable!("tiles are 1..=WR_VNNI panels wide"),
-        }
-    }
-}
-
-/// [`tile_vnni_w`] at one height.
-#[cfg(target_arch = "x86_64")]
-type TileVnni<E> =
-    unsafe fn(usize, &[u8], usize, &Tile<'_>, &mut [<E as IntEpilogue>::Out], usize, E);
 
 #[cfg(test)]
 mod tests {

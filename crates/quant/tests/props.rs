@@ -147,25 +147,6 @@ mod restructured_kernels {
             prop_assert_eq!(fast.data(), slow.data(), "int{} outputs diverge", bits);
         }
 
-        /// The explicit AVX2 `vpmaddwd` kernel is bit-identical to the
-        /// portable scalar loop for every length (SIMD body, 32-lane
-        /// chunking, scalar tail) and the full i8 value range — wrapping
-        /// i32 addition is associative, so any divergence is a lane bug.
-        #[test]
-        fn maddwd_dot_matches_portable_exactly(
-            len in 0usize..300,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = tinymlops_tensor::TensorRng::seed(seed);
-            let f = rng.uniform(&[2, len.max(1)], -128.0, 128.0);
-            let a: Vec<i8> = (0..len).map(|i| f.data()[i].clamp(-128.0, 127.0) as i8).collect();
-            let b: Vec<i8> = (0..len).map(|i| f.data()[len.max(1) + i].clamp(-128.0, 127.0) as i8).collect();
-            prop_assert_eq!(
-                tinymlops_quant::dot_i8(&a, &b),
-                tinymlops_quant::dot_i8_portable(&a, &b)
-            );
-        }
-
         /// `quantize_input` and the activations the kernel consumes are the
         /// same expression: feeding the verifier's integers through
         /// `int_accumulate` + `dequantize_acc` reproduces `forward` exactly.

@@ -1,14 +1,14 @@
-//! Packed-tile, rayon-parallel matrix multiplication.
+//! Packed-panel, rayon-parallel matrix multiplication, and the register-tile
+//! sweep the f32 and integer GEMMs share.
 //!
 //! GEMM dominates both training (federated rounds, watermark embedding) and
 //! inference (every experiment), so this is the one kernel we tune. The
 //! dense path is a BLIS-style cache-blocked kernel: B is packed once per
-//! K-block into NR-wide column panels, A is packed into MR-tall row panels,
-//! and an MR×NR register-tiled micro-kernel sweeps the panels. Packing pays
-//! for itself by turning every inner-loop access into a contiguous,
-//! branch-free stream the compiler vectorizes; the panels are reused across
-//! the whole M sweep, so B is read from DRAM once per K-block instead of
-//! once per output row.
+//! K-block into NR-wide column panels, and a register tile reads its rows
+//! of A in place, one K-block window at a time, while it sweeps the panels.
+//! Packing pays for itself by turning every B access into a contiguous,
+//! branch-free stream; the panels are reused across the whole M sweep, so
+//! B is read from DRAM once per K-block instead of once per output row.
 //!
 //! Pruned models still win with the seed row-streaming kernel (its
 //! `a == 0.0` skip elides whole B-row passes), so [`gemm`] measures the
@@ -20,16 +20,22 @@
 //! A *constant* transposed B — a `Dense` weight matrix at inference — is
 //! packed once into a [`PackedB`] and multiplied through
 //! [`gemm_prepacked`]: the same panels, the same sweep, no per-call pack.
-//! Inside a row slab the sweep runs B-panel-outer / A-tile-inner over A
-//! tiles packed once per K-block, so a small batch streams each B panel
-//! exactly once, and tile heights are balanced (7 rows are 4+3 on a 6-row
-//! tile, not 6+1). On a CPU with AVX-512F the tile is up to 8 rows by
-//! three adjacent panels (8 × 48: 24 zmm accumulators), so the 8-row batch
-//! the serving micro-batcher sends is one tile; elsewhere it is up to
-//! 6 × 16. Every output element is still the same `mul_add` chain over `l`
-//! within a K-block, added into C K-block by K-block in order — tiling,
-//! tile shape, loop order and pre-packing cannot change a bit of it. An
-//! [`Epilogue`] (a bias, then a ReLU) rides on the last K-block's store.
+//!
+//! [`sweep`] is the loop both element types run, the f32 tile here and
+//! `quant`'s int8 tile being its two [`TileKernel`]s. It cuts C into
+//! 32-row slabs (the pool takes them only when there is more than one and
+//! the product is at least [`PAR_MIN_MACS`]), each slab into tiles of
+//! balanced height (7 rows are 4+3 on a 6-row tile, not 6+1), and reads
+//! each group of adjacent panels once while the slab's tiles cycle under
+//! it, so a small batch streams each panel exactly once. On a CPU with
+//! AVX-512F the f32 tile is up to 8 rows by three adjacent panels (8 × 48:
+//! 24 zmm accumulators), so the 8-row batch the serving micro-batcher sends
+//! is one tile; elsewhere it is up to 6 × 16. The f32 product runs the
+//! sweep once per K-block. Every output element is still the same
+//! `mul_add` chain over `l` within a K-block, added into C K-block by
+//! K-block in order — tiling, tile shape, loop order and pre-packing cannot
+//! change a bit of it. An [`Epilogue`] (a bias, then a ReLU) rides on the
+//! last K-block's store.
 //!
 //! Shapes [`nt_uses_panels`] keeps off the tiles (a 10-class head, a tiny
 //! batch) round like [`dot`]. [`gemm_prepacked_dot`] computes exactly
@@ -45,38 +51,40 @@ use rayon::prelude::*;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// FLOP threshold below which the sequential kernel is used; spawning
-/// rayon tasks for tiny matrices costs more than it saves.
-const PAR_MIN_FLOPS: usize = 64 * 64 * 64;
+/// Multiply-accumulates (`m·k·n`) below which a kernel stays on the
+/// calling thread: handing a smaller product to the pool costs more than
+/// it saves.
+pub const PAR_MIN_MACS: usize = 64 * 64 * 64;
 
 /// FLOP threshold below which packing overhead dominates and the
 /// row-streaming kernel is used instead of the tiled path.
 const PACK_MIN_FLOPS: usize = 32 * 32 * 32;
 
-/// Rows per A tile (register rows of C) on the portable and AVX2+FMA arms.
+/// Rows per f32 tile on the portable and AVX2+FMA arms.
 pub const MR: usize = 6;
 
 /// Columns per B-panel. Under AVX2 a panel is two ymm vectors of f32, and
 /// with MR=6 the 6×16 tile is the classic x86 register blocking: 12
 /// accumulator vectors + 2 B vectors + 1 broadcast ≤ 16 ymm. Under AVX-512
-/// a panel is one zmm vector and a tile spans up to three adjacent panels. The panel layout is the same on every CPU, so a [`PackedB`] is
-/// too.
+/// a panel is one zmm vector and a tile spans up to three adjacent panels.
+/// The panel layout is the same on every CPU, so a [`PackedB`] is too.
 pub const NR: usize = 16;
 
-/// Rows per A tile on the AVX-512 arm. With `WR_ZMM` panels an 8 × 48
+/// Rows per f32 tile on the AVX-512 arm. With `WR_ZMM` panels an 8 × 48
 /// tile is 24 zmm accumulators + 3 B vectors + 1 broadcast = 28 of 32
 /// registers, and 8 is the batch the serving micro-batcher fills.
 const MR_ZMM: usize = 8;
 
-/// Adjacent B panels per tile on the AVX-512 arm (a row's last one or two
-/// panels take a narrower tile).
+/// Adjacent B panels per f32 tile on the AVX-512 arm (a row's last one or
+/// two panels take a narrower tile).
 const WR_ZMM: usize = 3;
 
-/// K-dimension block: one A-panel strip of `MR×KC` f32 (4 KiB) plus the
-/// B-panel block stay L2-resident while the M sweep reuses them.
+/// K-dimension block: the B-panel block of `KC` rows plus a slab's A rows
+/// over the same `KC` columns stay L2-resident while the M sweep reuses
+/// them.
 pub const KC: usize = 256;
 
-/// Rows of C per parallel task: a multiple of `MR_ZMM` large enough to
+/// Rows of C per slab, the unit [`sweep`] hands the pool: large enough to
 /// amortize task spawn, small enough to load-balance odd shapes.
 const M_TASK_ROWS: usize = 32;
 
@@ -430,17 +438,6 @@ impl std::fmt::Debug for PackedB {
     }
 }
 
-/// Pack rows `i0..i0+H` of A over K-columns `l0..l0+kc` at `ap`, k-major
-/// so the micro-kernel reads `H` contiguous floats per k-step.
-fn pack_a_tile(a: &[f32], k: usize, i0: usize, h: usize, l0: usize, kc: usize, ap: &mut [f32]) {
-    debug_assert_eq!(ap.len(), kc * h);
-    for (ii, row) in a[i0 * k..].chunks(k).take(h).enumerate() {
-        for (l, &v) in row[l0..l0 + kc].iter().enumerate() {
-            ap[l * h + ii] = v;
-        }
-    }
-}
-
 /// What [`gemm_prepacked`] and [`gemm_prepacked_dot`] apply to each
 /// output element as they store it: `+ bias[j]`, then `max(·, 0)` — a
 /// `Dense` layer's bias and a ReLU after it, fused into the GEMM's last
@@ -472,94 +469,294 @@ impl Epilogue<'_> {
     }
 }
 
-/// The register micro-kernel of the portable and AVX2+FMA arms: an
-/// `H × NR` tile of `Ap · Bp` over one K-block, `H ≤ MR` rows tall.
-///
-/// Per k-step this reads H contiguous A values and NR contiguous B values
-/// and issues H×NR fused multiply-adds on register-resident accumulators —
-/// no branches, no stores, so the compiler keeps the tile in vector
-/// registers. On the AVX2+FMA arm the loop nest runs in a
-/// `#[target_feature]` wrapper whose `mul_add`s compile to `vfmadd231ps`;
-/// on the portable arm the same `mul_add`s are a native fused instruction
-/// (aarch64) or a correctly rounded `fmaf` call. Either way an element is
-/// one accumulator chained over `l` from zero, rounded once per step, so
-/// its bits depend neither on `H` nor on the arm.
-#[inline]
-fn micro_kernel<const H: usize>(isa: Isa, ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
-    #[cfg(target_arch = "x86_64")]
-    if isa >= Isa::Avx2Fma {
-        // SAFETY: `isa` is at most `Isa::detected()`, which checked
-        // avx2+fma on this CPU.
-        return unsafe { micro_kernel_fma(ap, bp) };
-    }
-    let _ = isa;
-    micro_kernel_portable(ap, bp)
+/// A register-tile kernel that [`sweep`] drives: it owns the operands, its
+/// tile shape and tile bodies per [`Isa`] arm, and its store. The f32 tile
+/// over one K-block (this module) and `quant`'s int8 tile are the two.
+pub trait TileKernel: Sync {
+    /// The element type of C.
+    type Out: Send;
+
+    /// The tallest (rows) and widest (adjacent `NR`-column panels) tile
+    /// this kernel runs on `isa`; at most 8 × 3.
+    fn max_tile(isa: Isa) -> (usize, usize);
+
+    /// The tile at rows `i0..i0 + H` of the product and panels
+    /// `pj..pj + W`: it writes columns `pj·NR..pj·NR + cols` of its `H`
+    /// rows of C, `c` (row `i` of the tile at `i·ldc`). `cols` is in
+    /// `(W − 1)·NR + 1..=W·NR`, and `H × W` fits [`TileKernel::max_tile`]
+    /// of `isa`, which is never wider than the CPU.
+    fn tile<const H: usize, const W: usize>(
+        &self,
+        isa: Isa,
+        i0: usize,
+        pj: usize,
+        cols: usize,
+        c: &mut [Self::Out],
+        ldc: usize,
+    );
 }
 
-/// The micro-kernel loop nest. The tile is a local until the loop is
-/// done, so no accumulator address escapes it: under AVX2 LLVM promotes
-/// all H×16 floats into 2·H ymm registers.
-#[inline(always)]
-fn micro_kernel_portable<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
+/// Run `kernel` over the `m × n` product into `c`, whose row `i` starts at
+/// `i·ldc`. `k` is the product's depth and only sizes the pool rule (a
+/// K-blocked product passes its whole K, so every block decides alike).
+///
+/// C is cut into slabs of `M_TASK_ROWS` rows, handed to the pool when there
+/// is more than one and the product is at least [`PAR_MIN_MACS`]. A slab's
+/// rows are cut into tiles of balanced height at most the kernel's
+/// [`TileKernel::max_tile`] — the first `rows mod tiles` one row taller —
+/// and each group of adjacent panels (as wide as the kernel's tile while
+/// that many remain, the ragged rest after) is read once while the tiles
+/// cycle under it.
+pub fn sweep<K: TileKernel>(
+    kernel: &K,
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [K::Out],
+    ldc: usize,
+) {
+    assert!(ldc >= n && c.len() >= m * ldc, "rows of C");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let isa = Isa::current();
+    let c = &mut c[..m * ldc];
+    let slab = |(s, c_slab): (usize, &mut [K::Out])| {
+        sweep_slab(isa, kernel, s * M_TASK_ROWS, n, c_slab, ldc);
+    };
+    if m > M_TASK_ROWS && m * k * n >= PAR_MIN_MACS {
+        c.par_chunks_mut(M_TASK_ROWS * ldc)
+            .enumerate()
+            .for_each(slab);
+    } else {
+        c.chunks_mut(M_TASK_ROWS * ldc).enumerate().for_each(slab);
+    }
+}
+
+/// One slab of C: rows `i_base..`, `c_slab.len() / ldc` of them.
+fn sweep_slab<K: TileKernel>(
+    isa: Isa,
+    kernel: &K,
+    i_base: usize,
+    n: usize,
+    c_slab: &mut [K::Out],
+    ldc: usize,
+) {
+    let (mr, wr) = K::max_tile(isa);
+    let rows = c_slab.len() / ldc;
+    let tiles = rows.div_ceil(mr);
+    let (short, taller) = (rows / tiles, rows % tiles);
+    let n_panels = n.div_ceil(NR);
+    for pj in (0..n_panels).step_by(wr) {
+        let w = wr.min(n_panels - pj);
+        let cols = (w * NR).min(n - pj * NR);
+        for t in 0..tiles {
+            // Tile `t` starts at row `t·short + min(t, taller)` of the slab.
+            let (i0, h) = (t * short + t.min(taller), short + usize::from(t < taller));
+            let c_tile = &mut c_slab[i0 * ldc..(i0 + h) * ldc];
+            let tile: TileFn<K> = match h {
+                1 => tile_w::<K, 1>,
+                2 => tile_w::<K, 2>,
+                3 => tile_w::<K, 3>,
+                4 => tile_w::<K, 4>,
+                5 => tile_w::<K, 5>,
+                6 => tile_w::<K, 6>,
+                7 => tile_w::<K, 7>,
+                8 => tile_w::<K, 8>,
+                _ => unreachable!("tiles are 1..=8 rows tall"),
+            };
+            tile(kernel, isa, w, i_base + i0, pj, cols, c_tile, ldc);
+        }
+    }
+}
+
+/// [`tile_w`] at one height.
+type TileFn<K> = fn(&K, Isa, usize, usize, usize, usize, &mut [<K as TileKernel>::Out], usize);
+
+/// [`TileKernel::tile`] at height `H` for a run-time panel count `w`.
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
+fn tile_w<K: TileKernel, const H: usize>(
+    kernel: &K,
+    isa: Isa,
+    w: usize,
+    i0: usize,
+    pj: usize,
+    cols: usize,
+    c: &mut [K::Out],
+    ldc: usize,
+) {
+    match w {
+        1 => kernel.tile::<H, 1>(isa, i0, pj, cols, c, ldc),
+        2 => kernel.tile::<H, 2>(isa, i0, pj, cols, c, ldc),
+        3 => kernel.tile::<H, 3>(isa, i0, pj, cols, c, ldc),
+        _ => unreachable!("tiles are 1..=3 panels wide"),
+    }
+}
+
+/// The f32 [`TileKernel`]: `C += A · B` over one K-block — columns
+/// `l0..l0 + kc` of A's rows, read in place `lda` apart, against that
+/// block's `kc × NR` panels — then `ep` on the stored values.
+struct F32Block<'a> {
+    a: &'a [f32],
+    lda: usize,
+    l0: usize,
+    /// The block's panels, `kc·NR` floats each.
+    panels: &'a [f32],
+    kc: usize,
+    ep: Epilogue<'a>,
+}
+
+impl TileKernel for F32Block<'_> {
+    type Out = f32;
+
+    fn max_tile(isa: Isa) -> (usize, usize) {
+        if isa >= Isa::Avx512 {
+            (MR_ZMM, WR_ZMM)
+        } else {
+            (MR, 1)
+        }
+    }
+
+    /// [`tile_avx512`] on the AVX-512 arm, else [`tile_avx2`] or
+    /// [`tile_portable`] and [`add_tile`] (one panel wide).
+    #[inline]
+    fn tile<const H: usize, const W: usize>(
+        &self,
+        isa: Isa,
+        i0: usize,
+        pj: usize,
+        cols: usize,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        let a = &self.a[i0 * self.lda + self.l0..];
+        let bp = &self.panels[pj * self.kc * NR..(pj + W) * self.kc * NR];
+        let (lda, j0, ep) = (self.lda, pj * NR, self.ep);
+        #[cfg(target_arch = "x86_64")]
+        if isa >= Isa::Avx512 {
+            // SAFETY: `isa` is at most `Isa::detected()`, which checked
+            // avx512f on this CPU.
+            return unsafe { tile_avx512::<H, W>(a, lda, bp, c, ldc, j0, cols, ep) };
+        }
+        // Constant per instantiation: the 8-row and 3-panel tiles the
+        // sweep's table also instantiates never compile a narrow body.
+        assert!(H <= MR && W == 1, "the ymm and portable tiles are MR × 1");
+        #[cfg(target_arch = "x86_64")]
+        if isa >= Isa::Avx2Fma {
+            // SAFETY: `isa` is at most `Isa::detected()`, which checked
+            // avx2+fma on this CPU.
+            let acc = unsafe { tile_avx2::<H>(a, lda, bp) };
+            return add_tile(&acc, c, ldc, j0, cols, ep);
+        }
+        let _ = isa;
+        add_tile(&tile_portable::<H>(a, lda, bp), c, ldc, j0, cols, ep);
+    }
+}
+
+/// The portable f32 tile body, and the oracle the other two are held to:
+/// `H` rows of A (`lda` apart, read in place) times one `kc × NR` panel
+/// `bp`. Each element is one accumulator chained over `l` from zero with
+/// `mul_add` — a native fused instruction on aarch64, a correctly rounded
+/// `fmaf` call on an x86-64 without FMA — so its bits depend neither on
+/// `H` nor on the arm.
+fn tile_portable<const H: usize>(a: &[f32], lda: usize, bp: &[f32]) -> [[f32; NR]; H] {
     let mut t = [[0.0f32; NR]; H];
-    for (av, bv) in ap.chunks_exact(H).zip(bp.chunks_exact(NR)) {
-        for i in 0..H {
-            let ai = av[i];
-            for j in 0..NR {
-                t[i][j] = ai.mul_add(bv[j], t[i][j]);
+    for (l, bv) in bp.chunks_exact(NR).enumerate() {
+        for (i, row) in t.iter_mut().enumerate() {
+            let ai = a[i * lda + l];
+            for (t, &b) in row.iter_mut().zip(bv) {
+                *t = ai.mul_add(b, *t);
             }
         }
     }
     t
 }
 
-/// AVX2+FMA clone of [`micro_kernel_portable`]. `mul_add` only lowers to
-/// a fused instruction (instead of a libm call) when the enclosing
-/// function enables the feature, hence the wrapper rather than a runtime
-/// branch in the body.
+/// The AVX2+FMA f32 tile body: [`tile_portable`]'s chains in `2·H` ymm
+/// accumulators (12 of the 16 registers at `H` = `MR`, beside the panel
+/// row's two vectors and a broadcast). Per k-step each row's A value is
+/// broadcast once, in place, and feeds two `vfmadd231ps`, which round as
+/// `mul_add` does.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn micro_kernel_fma<const H: usize>(ap: &[f32], bp: &[f32]) -> [[f32; NR]; H] {
-    micro_kernel_portable(ap, bp)
+#[target_feature(enable = "avx2,fma")]
+fn tile_avx2<const H: usize>(a: &[f32], lda: usize, bp: &[f32]) -> [[f32; NR]; H] {
+    use std::arch::x86_64::{
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let kc = bp.len() / NR;
+    // The bounds every pointer below stays inside.
+    assert!(
+        bp.len() == kc * NR && a.len() >= (H - 1) * lda + kc,
+        "tile operands"
+    );
+    let (ap, b) = (a.as_ptr(), bp.as_ptr());
+    let mut acc = [[_mm256_setzero_ps(); 2]; H];
+    for l in 0..kc {
+        // SAFETY: `l < kc`, so the 16 floats at `l·NR` lie in `bp`.
+        let (b0, b1) = unsafe {
+            (
+                _mm256_loadu_ps(b.add(l * NR)),
+                _mm256_loadu_ps(b.add(l * NR + 8)),
+            )
+        };
+        for (i, row) in acc.iter_mut().enumerate() {
+            // SAFETY: `i·lda + l < (H − 1)·lda + kc ≤ a.len()`.
+            let ai = _mm256_set1_ps(unsafe { *ap.add(i * lda + l) });
+            row[0] = _mm256_fmadd_ps(ai, b0, row[0]);
+            row[1] = _mm256_fmadd_ps(ai, b1, row[1]);
+        }
+    }
+    let mut t = [[0.0f32; NR]; H];
+    for (out, row) in t.iter_mut().zip(&acc) {
+        // SAFETY: `out` is `NR` = 16 floats; unaligned stores are permitted.
+        unsafe {
+            _mm256_storeu_ps(out.as_mut_ptr(), row[0]);
+            _mm256_storeu_ps(out.as_mut_ptr().add(8), row[1]);
+        }
+    }
+    t
 }
 
-/// Add each accumulator row's first `cols` values into its row of C at
-/// column `j0`, then apply `ep`.
+/// Add each accumulator row's first `cols` values into its row of C
+/// (`ldc` apart) at column `j0`, then apply `ep`.
 #[inline]
 fn add_tile(
     acc: &[[f32; NR]],
     c_tile: &mut [f32],
-    n: usize,
+    ldc: usize,
     j0: usize,
     cols: usize,
     ep: Epilogue<'_>,
 ) {
-    for (c_row, acc_row) in c_tile.chunks_exact_mut(n).zip(acc) {
+    for (c_row, acc_row) in c_tile.chunks_mut(ldc).zip(acc) {
         for (j, (cv, &av)) in c_row[j0..j0 + cols].iter_mut().zip(acc_row).enumerate() {
             *cv = ep.apply(*cv + av, j0 + j);
         }
     }
 }
 
-/// The AVX-512 register tile: `C[i0..i0+H, j0..j0+cols] += Ap · Bp` over
-/// one K-block for `W` adjacent panels (`bp` holds panels `j..j+W`, each
-/// `kc × NR`), then `ep` on the stored values. `H ≤ MR_ZMM`, `W ≤ WR_ZMM`,
-/// and the last panel's dead columns (`cols < W·NR`) are masked off.
+/// The AVX-512 f32 register tile: `C[.., j0..j0+cols] += A · Bp` over one
+/// K-block for `H` rows of A (`lda` apart, read in place) and `W` adjacent
+/// panels (`bp`, each `kc × NR`), then `ep` on the stored values. `H ≤
+/// MR_ZMM`, `W ≤ WR_ZMM`, and the last panel's dead columns (`cols < W·NR`)
+/// are masked off.
 ///
 /// The 8 × 48 tile is 24 zmm accumulators, 3 B vectors and a broadcast of
 /// A: 28 of the 32 registers. Per k-step each A value is broadcast once
 /// and feeds `W` FMAs, and each B vector feeds `H`. Every accumulator
 /// starts from zero and chains `vfmadd231ps` over `l` — exactly
-/// [`micro_kernel_portable`]'s chain for its element — and the finished
-/// tile is *added* into C, so an element's bits do not depend on `H`, `W`
-/// or the arm.
+/// [`tile_portable`]'s chain for its element — and the finished tile is
+/// *added* into C, so an element's bits do not depend on `H`, `W` or the
+/// arm.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 fn tile_avx512<const H: usize, const W: usize>(
-    ap: &[f32],
+    a: &[f32],
+    lda: usize,
     bp: &[f32],
     c_tile: &mut [f32],
-    n: usize,
+    ldc: usize,
     j0: usize,
     cols: usize,
     ep: Epilogue<'_>,
@@ -568,16 +765,16 @@ fn tile_avx512<const H: usize, const W: usize>(
         __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
         _mm512_maskz_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps,
     };
-    let kc = ap.len() / H;
+    let kc = bp.len() / (W * NR);
     // The bounds every pointer below stays inside.
     assert!(
-        ap.len() == H * kc && bp.len() == W * kc * NR,
+        bp.len() == W * kc * NR && a.len() >= (H - 1) * lda + kc,
         "tile operands"
     );
     assert!(cols > (W - 1) * NR && cols <= W * NR, "tile columns");
-    assert!(c_tile.len() >= (H - 1) * n + j0 + cols, "tile rows of C");
+    assert!(c_tile.len() >= (H - 1) * ldc + j0 + cols, "tile rows of C");
     assert!(ep.bias.is_none_or(|b| b.len() >= j0 + cols), "bias columns");
-    let (a, b) = (ap.as_ptr(), bp.as_ptr());
+    let (ap, b) = (a.as_ptr(), bp.as_ptr());
     let mut acc = [[_mm512_setzero_ps(); W]; H];
     for l in 0..kc {
         let mut bv = [_mm512_setzero_ps(); W];
@@ -587,8 +784,8 @@ fn tile_avx512<const H: usize, const W: usize>(
             *bw = unsafe { _mm512_loadu_ps(b.add((w * kc + l) * NR)) };
         }
         for (i, row) in acc.iter_mut().enumerate() {
-            // SAFETY: `l·H + i < kc·H`, asserted to be `ap.len()`.
-            let ai = _mm512_set1_ps(unsafe { *a.add(l * H + i) });
+            // SAFETY: `i·lda + l < (H − 1)·lda + kc ≤ a.len()`.
+            let ai = _mm512_set1_ps(unsafe { *ap.add(i * lda + l) });
             for (t, &bw) in row.iter_mut().zip(&bv) {
                 *t = _mm512_fmadd_ps(ai, bw, *t);
             }
@@ -604,7 +801,7 @@ fn tile_avx512<const H: usize, const W: usize>(
             // row `i`, `j + live ≤ j0 + cols`, so they lie in `c_tile` and
             // in `bias` (asserted above); masked-off lanes are not touched.
             unsafe {
-                let p = c_tile.as_mut_ptr().add(i * n + j);
+                let p = c_tile.as_mut_ptr().add(i * ldc + j);
                 let mut v: __m512 = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, p), t);
                 if let Some(bias) = ep.bias {
                     v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, bias.as_ptr().add(j)));
@@ -621,147 +818,6 @@ fn tile_avx512<const H: usize, const W: usize>(
     }
 }
 
-/// [`tile_avx512`] at height `H` for a run-time panel count `w`.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
-unsafe fn tile_avx512_w<const H: usize>(
-    w: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c_tile: &mut [f32],
-    n: usize,
-    j0: usize,
-    cols: usize,
-    ep: Epilogue<'_>,
-) {
-    // SAFETY: the caller guarantees avx512f.
-    unsafe {
-        match w {
-            1 => tile_avx512::<H, 1>(ap, bp, c_tile, n, j0, cols, ep),
-            2 => tile_avx512::<H, 2>(ap, bp, c_tile, n, j0, cols, ep),
-            3 => tile_avx512::<H, 3>(ap, bp, c_tile, n, j0, cols, ep),
-            _ => unreachable!("tiles are 1..=WR_ZMM panels wide"),
-        }
-    }
-}
-
-/// [`tile_avx512_w`] at one height.
-#[cfg(target_arch = "x86_64")]
-type TileAvx512 = unsafe fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize, Epilogue<'_>);
-
-/// `C[i0..i0+h, j0..j0+cols] += Ap · Bp` for an `h`-row, `w`-panel tile
-/// (the tile's h rows of C are `c_tile`), then `ep`: [`tile_avx512`] on
-/// the AVX-512 arm, else [`micro_kernel`] and [`add_tile`] (`w` = 1).
-#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
-fn sweep_tile(
-    isa: Isa,
-    h: usize,
-    w: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c_tile: &mut [f32],
-    n: usize,
-    j0: usize,
-    cols: usize,
-    ep: Epilogue<'_>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa >= Isa::Avx512 {
-        let tile: TileAvx512 = match h {
-            1 => tile_avx512_w::<1>,
-            2 => tile_avx512_w::<2>,
-            3 => tile_avx512_w::<3>,
-            4 => tile_avx512_w::<4>,
-            5 => tile_avx512_w::<5>,
-            6 => tile_avx512_w::<6>,
-            7 => tile_avx512_w::<7>,
-            8 => tile_avx512_w::<8>,
-            _ => unreachable!("AVX-512 tile heights are 1..=MR_ZMM"),
-        };
-        // SAFETY: `isa` is at most `Isa::detected()`, which checked
-        // avx512f on this CPU.
-        return unsafe { tile(w, ap, bp, c_tile, n, j0, cols, ep) };
-    }
-    debug_assert_eq!(w, 1, "the ymm and portable tiles are one panel wide");
-    let add = |acc: &[[f32; NR]], c_tile: &mut [f32]| add_tile(acc, c_tile, n, j0, cols, ep);
-    match h {
-        1 => add(&micro_kernel::<1>(isa, ap, bp), c_tile),
-        2 => add(&micro_kernel::<2>(isa, ap, bp), c_tile),
-        3 => add(&micro_kernel::<3>(isa, ap, bp), c_tile),
-        4 => add(&micro_kernel::<4>(isa, ap, bp), c_tile),
-        5 => add(&micro_kernel::<5>(isa, ap, bp), c_tile),
-        6 => add(&micro_kernel::<6>(isa, ap, bp), c_tile),
-        _ => unreachable!("tile heights are 1..=MR"),
-    }
-}
-
-// `sweep_tile` instantiates every height `1..=MR` and `1..=MR_ZMM`, and
-// `tile_avx512_w` every width `1..=WR_ZMM`.
-const _: () = assert!(MR == 6 && MR_ZMM == 8 && WR_ZMM == 3);
-
-/// Sweep one horizontal slab of C (rows `i_base..`, `c_slab.len() / n` of
-/// them) against the packed B block for K-rows `l0..l0+kc`, then `ep`.
-///
-/// The slab's rows are cut into tiles of balanced height at most `MR`
-/// (`MR_ZMM` on the AVX-512 arm) — the first `rows mod tiles` one row
-/// taller — and packed into `ap` once; then each group of adjacent B
-/// panels (`WR_ZMM` on the AVX-512 arm while that many remain, else one)
-/// is read once while the A tiles — at most `M_TASK_ROWS·KC` floats,
-/// cache-resident — cycle under it.
-#[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
-fn sweep_slab(
-    isa: Isa,
-    a: &[f32],
-    k: usize,
-    bp_block: &[f32],
-    c_slab: &mut [f32],
-    i_base: usize,
-    n: usize,
-    l0: usize,
-    kc: usize,
-    ap: &mut [f32],
-    ep: Epilogue<'_>,
-) {
-    let (mr, wr) = if isa >= Isa::Avx512 {
-        (MR_ZMM, WR_ZMM)
-    } else {
-        (MR, 1)
-    };
-    let rows = c_slab.len() / n;
-    let tiles = rows.div_ceil(mr);
-    let (short, taller) = (rows / tiles, rows % tiles);
-    // Tile `t` starts at row `t·short + min(t, taller)` of the slab.
-    let tile = |t: usize| (t * short + t.min(taller), short + usize::from(t < taller));
-    let ap = &mut ap[..rows * kc];
-    for (i0, h) in (0..tiles).map(tile) {
-        pack_a_tile(
-            a,
-            k,
-            i_base + i0,
-            h,
-            l0,
-            kc,
-            &mut ap[i0 * kc..(i0 + h) * kc],
-        );
-    }
-    let n_panels = n.div_ceil(NR);
-    for pj in (0..n_panels).step_by(wr) {
-        let w = wr.min(n_panels - pj);
-        let bp = &bp_block[pj * kc * NR..(pj + w) * kc * NR];
-        let j0 = pj * NR;
-        let cols = (w * NR).min(n - j0);
-        for (i0, h) in (0..tiles).map(tile) {
-            let ap = &ap[i0 * kc..(i0 + h) * kc];
-            let c_tile = &mut c_slab[i0 * n..(i0 + h) * n];
-            sweep_tile(isa, h, w, ap, bp, c_tile, n, j0, cols, ep);
-        }
-    }
-}
-
 /// Where the tiled sweep finds B's panels.
 enum Panels<'a> {
     /// Packed per K-block into one reused block buffer, then swept — for a
@@ -771,8 +827,8 @@ enum Panels<'a> {
     Packed(&'a PackedB),
 }
 
-/// `c += a · b` over the tiles, then `ep` on the stored values: the
-/// epilogue rides on the last K-block's store.
+/// `c += a · b` over the tiles, then `ep` on the stored values: one
+/// [`sweep`] per K-block, the epilogue riding on the last one's store.
 #[allow(clippy::too_many_arguments)] // raw kernel plumbing, not an API
 fn gemm_tiled(
     a: &[f32],
@@ -792,22 +848,11 @@ fn gemm_tiled(
         }
         return;
     }
-    let isa = Isa::current();
     let n_panels = n.div_ceil(NR);
-    // A single slab has nothing to hand the pool.
-    let parallel = m > M_TASK_ROWS && m * k * n >= PAR_MIN_FLOPS;
     let mut bp_scratch = match b {
         Panels::PerCall(..) => vec![0.0f32; n_panels * KC.min(k) * NR],
         Panels::Packed(_) => Vec::new(),
     };
-    // One A-tile buffer for the whole product when slabs run in sequence;
-    // pool tasks each bring their own.
-    let ap_len = if parallel {
-        0
-    } else {
-        M_TASK_ROWS.min(m) * KC.min(k)
-    };
-    let mut ap = vec![0.0f32; ap_len];
     for l0 in (0..k).step_by(KC) {
         let kc = KC.min(k - l0);
         let ep = if l0 + kc == k {
@@ -815,7 +860,7 @@ fn gemm_tiled(
         } else {
             Epilogue::default()
         };
-        let bp_block = match b {
+        let panels = match b {
             Panels::PerCall(b, src) => {
                 let block = &mut bp_scratch[..n_panels * kc * NR];
                 pack_b_block(b, src, l0, kc, n, block);
@@ -823,20 +868,15 @@ fn gemm_tiled(
             }
             Panels::Packed(p) => &p.panels[p.block_range(l0, kc)],
         };
-        if parallel {
-            c.par_chunks_mut(M_TASK_ROWS * n)
-                .enumerate()
-                .for_each(|(si, c_slab)| {
-                    let ap = &mut vec![0.0f32; M_TASK_ROWS * kc];
-                    let i_base = si * M_TASK_ROWS;
-                    sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, ap, ep);
-                });
-        } else {
-            for (si, c_slab) in c.chunks_mut(M_TASK_ROWS * n).enumerate() {
-                let i_base = si * M_TASK_ROWS;
-                sweep_slab(isa, a, k, bp_block, c_slab, i_base, n, l0, kc, &mut ap, ep);
-            }
-        }
+        let block = F32Block {
+            a,
+            lda: k,
+            l0,
+            panels,
+            kc,
+            ep,
+        };
+        sweep(&block, m, k, n, c, n);
     }
 }
 
@@ -894,7 +934,7 @@ pub fn gemm_prepacked_dot(a: &[f32], b: &PackedB, c: &mut [f32], m: usize, ep: E
             }
         }
     };
-    if m * n * k >= PAR_MIN_FLOPS && m > 1 {
+    if m * n * k >= PAR_MIN_MACS && m > 1 {
         c.par_chunks_mut(n).enumerate().for_each(body);
     } else {
         c.chunks_mut(n).enumerate().for_each(body);
@@ -997,7 +1037,7 @@ pub fn gemm_row_stream(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
             }
         }
     };
-    if m * k * n >= PAR_MIN_FLOPS && m > 1 {
+    if m * k * n >= PAR_MIN_MACS && m > 1 {
         c.par_chunks_mut(n).enumerate().for_each(row_kernel);
     } else {
         c.chunks_mut(n).enumerate().for_each(row_kernel);
@@ -1015,7 +1055,7 @@ pub fn gemm_nt_row_stream(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
             *o = dot(a_row, b_row);
         }
     };
-    if m * n * k >= PAR_MIN_FLOPS && m > 1 {
+    if m * n * k >= PAR_MIN_MACS && m > 1 {
         c.par_chunks_mut(n).enumerate().for_each(body);
     } else {
         c.chunks_mut(n).enumerate().for_each(body);
@@ -1092,7 +1132,7 @@ mod tests {
     #[test]
     fn parallel_path_matches_sequential() {
         let mut rng = TensorRng::seed(11);
-        let (m, k, n) = (80, 70, 90); // above PAR_MIN_FLOPS
+        let (m, k, n) = (80, 70, 90); // above PAR_MIN_MACS
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
         let mut want = vec![0.0; m * n];
@@ -1195,7 +1235,10 @@ mod tests {
         }
     }
 
-    /// `h × cols` of A·B packed as `⌈cols/NR⌉` adjacent panels, and the
+    /// `h × cols` of A·B: A as `h` rows `lda` apart whose `kc` live values
+    /// start at column `off` — the K-block window a tile reads in place —
+    /// with NaN junk around them (read, it poisons the element), returned
+    /// from the window on; B packed as `⌈cols/NR⌉` adjacent panels; and the
     /// scalar `mul_add` chain from zero that each tile element must equal
     /// (0 in padding columns). Row 0 of A is zero and every even column of
     /// B negative, so those chains add only `-0.0` products: seeded with
@@ -1205,6 +1248,7 @@ mod tests {
         h: usize,
         kc: usize,
         cols: usize,
+        (lda, off): (usize, usize),
     ) -> (Vec<f32>, Vec<f32>, impl Fn(usize, usize) -> f32) {
         let mut a = rng.uniform(&[h, kc], -1.0, 1.0);
         a.data_mut()[..kc].fill(0.0);
@@ -1214,8 +1258,11 @@ mod tests {
                 *v = -v.abs();
             }
         }
-        let mut ap = vec![0.0; kc * h];
-        pack_a_tile(a.data(), kc, 0, h, 0, kc, &mut ap);
+        let mut rows = vec![f32::NAN; h * lda];
+        for (row, src) in rows.chunks_exact_mut(lda).zip(a.data().chunks_exact(kc)) {
+            row[off..off + kc].copy_from_slice(src);
+        }
+        let rows = rows[off..(h - 1) * lda + off + kc].to_vec();
         let mut bp = vec![0.0; kc * cols.div_ceil(NR) * NR];
         pack_b_block(b.data(), BSource::Normal { n: cols }, 0, kc, cols, &mut bp);
         let want = move |i: usize, j: usize| {
@@ -1225,31 +1272,45 @@ mod tests {
                 0.0
             }
         };
-        (ap, bp, want)
+        (rows, bp, want)
+    }
+
+    /// A's rows packed (`lda = kc`), and `lda > kc` with junk between them.
+    fn row_layouts(kc: usize) -> [(usize, usize); 2] {
+        [(kc, 0), (kc + 7, 3)]
     }
 
     /// The CI host dispatches to the AVX-512 tile; this runs the portable
     /// body at every tile height its arm instantiates, with a `kc` that is
-    /// not a multiple of anything and a panel whose last columns are
-    /// padding, and holds it bit-exact to a scalar `mul_add` chain in the
-    /// same k-order — and to the FMA kernel where the host has it.
+    /// not a multiple of anything, a panel whose last columns are padding
+    /// and rows read in place at a stride, and holds it bit-exact to a
+    /// scalar `mul_add` chain in the same k-order — and the AVX2 tile too
+    /// where the host has it.
     #[test]
     fn portable_micro_kernel_matches_naive_at_every_tile_height() {
         fn check<const H: usize>(rng: &mut TensorRng) {
             for &(kc, nr) in &[(KC, NR), (37, NR), (37, 5), (1, 1)] {
-                let (ap, bp, want) = tile_case(rng, H, kc, nr);
-                let acc = micro_kernel_portable::<H>(&ap, &bp);
-                for (i, acc_row) in acc.iter().enumerate() {
-                    for (j, &got) in acc_row.iter().enumerate() {
-                        let want = want(i, j);
-                        assert_eq!(got.to_bits(), want.to_bits(), "H={H} [{i}][{j}]");
+                for layout in row_layouts(kc) {
+                    let (a, bp, want) = tile_case(rng, H, kc, nr, layout);
+                    let lda = layout.0;
+                    let mut tiles = vec![("portable", tile_portable::<H>(&a, lda, &bp))];
+                    #[cfg(target_arch = "x86_64")]
+                    if Isa::detected() >= Isa::Avx2Fma {
+                        // SAFETY: `Isa::detected` checked avx2+fma on this CPU.
+                        tiles.push(("avx2", unsafe { tile_avx2::<H>(&a, lda, &bp) }));
                     }
-                }
-                #[cfg(target_arch = "x86_64")]
-                if Isa::detected() >= Isa::Avx2Fma {
-                    // SAFETY: `Isa::detected` checked avx2+fma on this CPU.
-                    let fused = unsafe { micro_kernel_fma::<H>(&ap, &bp) };
-                    assert_eq!(acc, fused, "H={H} kc={kc}: portable vs FMA");
+                    for (arm, acc) in tiles {
+                        for (i, acc_row) in acc.iter().enumerate() {
+                            for (j, &got) in acc_row.iter().enumerate() {
+                                let want = want(i, j);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{arm} H={H} kc={kc} lda={lda} [{i}][{j}]"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1263,11 +1324,11 @@ mod tests {
     }
 
     /// The AVX-512 tile at every height `1..=MR_ZMM` × width `1..=WR_ZMM`
-    /// × `kc` ∈ {1, 37, KC}, full and ragged last panel, stored into a C
-    /// that already holds values (`-0.0` in row 0) between untouched
-    /// margins: each live element must be `(C + chain) + bias`, then
-    /// `max(·, 0)` when the epilogue asks — the chain the scalar `mul_add`
-    /// fold computes, added, not stored.
+    /// × `kc` ∈ {1, 37, KC}, full and ragged last panel, rows of A packed
+    /// and at a stride, stored into a C that already holds values (`-0.0`
+    /// in row 0) between untouched margins: each live element must be
+    /// `(C + chain) + bias`, then `max(·, 0)` when the epilogue asks — the
+    /// chain the scalar `mul_add` fold computes, added, not stored.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_tile_matches_a_scalar_chain_at_every_shape() {
@@ -1278,9 +1339,12 @@ mod tests {
         fn check<const H: usize>(rng: &mut TensorRng) {
             for w in 1..=WR_ZMM {
                 for kc in [1, 37, KC] {
-                    for cols in [w * NR, (w - 1) * NR + 5] {
-                        let (ap, bp, want) = tile_case(rng, H, kc, cols);
-                        let bp = &bp[..w * kc * NR];
+                    for (cols, layout) in [w * NR, (w - 1) * NR + 5]
+                        .into_iter()
+                        .flat_map(|cols| row_layouts(kc).map(|layout| (cols, layout)))
+                    {
+                        let (a, bp, want) = tile_case(rng, H, kc, cols, layout);
+                        let (bp, lda) = (&bp[..w * kc * NR], layout.0);
                         let (j0, n) = (3, cols + 5);
                         let mut c0 = rng.uniform(&[H, n], -1.0, 1.0).into_vec();
                         c0[..n].fill(-0.0);
@@ -1293,8 +1357,13 @@ mod tests {
                             },
                         ] {
                             let mut c = c0.clone();
+                            let tile = match w {
+                                1 => tile_avx512::<H, 1>,
+                                2 => tile_avx512::<H, 2>,
+                                _ => tile_avx512::<H, 3>,
+                            };
                             // SAFETY: `Isa::detected` checked avx512f.
-                            unsafe { tile_avx512_w::<H>(w, &ap, bp, &mut c, n, j0, cols, ep) };
+                            unsafe { tile(&a, lda, bp, &mut c, n, j0, cols, ep) };
                             for (x, (&got, &before)) in c.iter().zip(&c0).enumerate() {
                                 let (i, j) = (x / n, x % n);
                                 let want = if (j0..j0 + cols).contains(&j) {
@@ -1311,8 +1380,8 @@ mod tests {
                                 assert_eq!(
                                     got.to_bits(),
                                     want.to_bits(),
-                                    "H={H} W={w} kc={kc} cols={cols} relu={} [{i}][{j}]: \
-                                     {got} vs {want}",
+                                    "H={H} W={w} kc={kc} lda={lda} cols={cols} relu={} \
+                                     [{i}][{j}]: {got} vs {want}",
                                     ep.relu
                                 );
                             }

@@ -26,7 +26,7 @@ fn force_multithreaded_pool() {
 proptest! {
     /// Pooled packed GEMM (M-tile slabs fan out to pool workers above the
     /// parallelism threshold) is bit-for-bit identical to the same kernel
-    /// run inline. Shapes straddle `PAR_MIN_FLOPS` (64³) and M-slab
+    /// run inline. Shapes straddle `PAR_MIN_MACS` (64³) and M-slab
     /// (32-row) remainders.
     #[test]
     fn pooled_gemm_is_bit_identical_to_sequential(

@@ -7,7 +7,24 @@ pub mod queue {
 
     use std::cell::UnsafeCell;
     use std::mem::MaybeUninit;
+    use std::ops::Deref;
     use std::sync::atomic::{fence, AtomicUsize, Ordering};
+
+    /// A counter on a 128-byte-aligned line of its own, as upstream's
+    /// `CachePadded` keeps `head` and `tail`: the consumer CASes one and
+    /// the producer the other, so on a shared line every push would evict
+    /// the popping core's copy and every pop the pushing core's. 128, not
+    /// 64: x86's spatial prefetcher fetches lines in adjacent pairs.
+    #[repr(align(128))]
+    struct Padded(AtomicUsize);
+
+    impl Deref for Padded {
+        type Target = AtomicUsize;
+
+        fn deref(&self) -> &AtomicUsize {
+            &self.0
+        }
+    }
 
     /// One ring slot. `stamp` tracks the slot's lifecycle against the
     /// lap-encoded `head`/`tail` counters (see [`ArrayQueue`]): a slot is
@@ -33,9 +50,9 @@ pub mod queue {
     /// value back and `pop` on an empty ring returns `None`.
     pub struct ArrayQueue<T> {
         /// Next pop ticket (`lap * one_lap + index`).
-        head: AtomicUsize,
+        head: Padded,
         /// Next push ticket (`lap * one_lap + index`).
-        tail: AtomicUsize,
+        tail: Padded,
         buffer: Box<[Slot<T>]>,
         cap: usize,
         one_lap: usize,
@@ -59,8 +76,8 @@ pub mod queue {
                 })
                 .collect();
             ArrayQueue {
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
+                head: Padded(AtomicUsize::new(0)),
+                tail: Padded(AtomicUsize::new(0)),
                 buffer,
                 cap,
                 one_lap: (cap + 1).next_power_of_two(),
